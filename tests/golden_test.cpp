@@ -11,7 +11,10 @@
 // commit them with the change that caused it.
 //
 // The binary and source-tree locations come from compile definitions set
-// in tests/CMakeLists.txt (DEEPMC_BIN, DEEPMC_SOURCE_DIR).
+// in tests/CMakeLists.txt (DEEPMC_BIN, DEEPMC_SOURCE_DIR). Every case runs
+// with the source tree as its working directory and names example files
+// by their relative examples/mir/... path, so the report headers (and the
+// goldens) do not depend on where the checkout lives.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -33,6 +36,10 @@ struct GoldenCase {
   std::string id;    ///< test-name-safe identifier
   std::string args;  ///< arguments after the binary path
 };
+
+// gtest otherwise prints a parameter as a raw byte dump, which starts with
+// heap pointers and so makes every registered test name differ run to run.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.id; }
 
 std::string golden_dir() {
   return std::string(DEEPMC_SOURCE_DIR) + "/tests/golden";
@@ -84,10 +91,12 @@ std::string model_flag_for(const std::string& filename) {
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   // Every examples/mir file...
-  const fs::path mir_dir = fs::path(DEEPMC_SOURCE_DIR) / "examples" / "mir";
+  const fs::path mir_dir = fs::path("examples") / "mir";
   std::vector<fs::path> mir_files;
-  for (const auto& entry : fs::directory_iterator(mir_dir))
-    if (entry.path().extension() == ".mir") mir_files.push_back(entry.path());
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(DEEPMC_SOURCE_DIR) / mir_dir))
+    if (entry.path().extension() == ".mir")
+      mir_files.push_back(mir_dir / entry.path().filename());
   std::sort(mir_files.begin(), mir_files.end());
   for (const fs::path& p : mir_files) {
     GoldenCase c;
@@ -119,6 +128,23 @@ std::vector<GoldenCase> golden_cases() {
     c.args = "--crashsim --corpus " + name;
     cases.push_back(c);
   }
+  // Dynamic-checker output (--dynamic): the two corpus modules whose run
+  // reports runtime findings, and the strand-race example, the one input
+  // whose dynamic run reports WAW/RAW races.
+  for (const std::string& name : {std::string("pmdk/hashmap_atomic"),
+                                  std::string("pmdk/obj_pmemlog_simple")}) {
+    GoldenCase c;
+    c.id = "dynamic_corpus_" + sanitize(name);
+    c.args = "--dynamic --corpus " + name;
+    cases.push_back(c);
+  }
+  {
+    GoldenCase c;
+    c.id = "dynamic_mir_strand_race";
+    c.args = "--dynamic -strand \"" +
+             (mir_dir / "strand_race.mir").string() + "\"";
+    cases.push_back(c);
+  }
   return cases;
 }
 
@@ -126,7 +152,8 @@ class Golden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(Golden, MatchesCheckedInOutput) {
   const GoldenCase& c = GetParam();
-  const std::string cmd = std::string("\"") + DEEPMC_BIN + "\" " + c.args;
+  const std::string cmd = std::string("cd \"") + DEEPMC_SOURCE_DIR +
+                          "\" && \"" + DEEPMC_BIN + "\" " + c.args;
   auto [output, exit_code] = run_command(cmd);
   ASSERT_GE(exit_code, 0) << "failed to run: " << cmd;
   // Usage/IO errors (64/65) must never happen for checked-in inputs.

@@ -397,6 +397,25 @@ bool update_golden() {
   return env && *env && std::string(env) != "0";
 }
 
+/// Compare a stable metrics section with tests/golden/<id>.golden, or
+/// rewrite the golden under UPDATE_GOLDEN=1.
+void expect_metrics_golden(const std::string& id, const std::string& stable) {
+  const std::string golden =
+      std::string(DEEPMC_SOURCE_DIR) + "/tests/golden/" + id + ".golden";
+  if (update_golden()) {
+    std::ofstream f(golden, std::ios::binary);
+    ASSERT_TRUE(f.good()) << "cannot write " << golden;
+    f << stable;
+    return;
+  }
+  ASSERT_TRUE(fs::exists(golden))
+      << "missing " << golden
+      << " — regenerate with UPDATE_GOLDEN=1 ctest -R ObsCli";
+  EXPECT_EQ(read_file(golden), stable)
+      << "stable metrics diverged from " << golden
+      << "\nIf the change is intentional, regenerate with UPDATE_GOLDEN=1.";
+}
+
 TEST(ObsCli, MetricsStableAcrossJobsAndMatchesGolden) {
   // The flight recorder and span tracer ride along (--flight-out /
   // --trace-out): both are volatile-only channels, so the stable metrics
@@ -429,21 +448,31 @@ TEST(ObsCli, MetricsStableAcrossJobsAndMatchesGolden) {
   EXPECT_EQ(stable[0], stable[1]) << "stable metrics differ --jobs 1 vs 4";
   EXPECT_EQ(stable[0], stable[2]) << "stable metrics differ --jobs 1 vs 16";
 
-  const std::string golden = std::string(DEEPMC_SOURCE_DIR) +
-                             "/tests/golden/metrics_corpus_pmdk_btree_map"
-                             ".golden";
-  if (update_golden()) {
-    std::ofstream f(golden, std::ios::binary);
-    ASSERT_TRUE(f.good()) << "cannot write " << golden;
-    f << stable[0];
-    return;
+  expect_metrics_golden("metrics_corpus_pmdk_btree_map", stable[0]);
+}
+
+TEST(ObsCli, DynamicMetricsMatchGolden) {
+  // Pins every rt.* counter of a --dynamic run (instrumented events,
+  // strands, epochs, fences, shadow words, findings) next to the
+  // static/crashsim pipeline counters.
+  const std::string out = tmp_file("deepmc_dynamic_metrics");
+  std::vector<std::string> stable;
+  for (const char* jobs : {"1", "4"}) {
+    const std::string cmd = std::string("\"") + DEEPMC_BIN +
+                            "\" --dynamic --corpus pmdk/hashmap_atomic --jobs " +
+                            jobs + " --metrics-out \"" + out + "\"";
+    auto [report, exit_code] = run_command(cmd);
+    ASSERT_GE(exit_code, 0) << cmd;
+    ASSERT_LT(exit_code, 64) << cmd;
+    const std::string json = read_file(out);
+    ASSERT_FALSE(json.empty()) << "no metrics written by: " << cmd;
+    EXPECT_NE(json.find("\"rt.shadow_words_total\""), std::string::npos);
+    stable.push_back(strip_volatile(json));
   }
-  ASSERT_TRUE(fs::exists(golden))
-      << "missing " << golden
-      << " — regenerate with UPDATE_GOLDEN=1 ctest -R ObsCli";
-  EXPECT_EQ(read_file(golden), stable[0])
-      << "stable metrics diverged from " << golden
-      << "\nIf the change is intentional, regenerate with UPDATE_GOLDEN=1.";
+  std::remove(out.c_str());
+  EXPECT_EQ(stable[0], stable[1]) << "stable metrics differ --jobs 1 vs 4";
+  expect_metrics_golden("metrics_dynamic_corpus_pmdk_hashmap_atomic",
+                        stable[0]);
 }
 
 TEST(ObsCli, TraceOutIsLoadableChromeTraceJson) {
