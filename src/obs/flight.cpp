@@ -114,10 +114,6 @@ size_t FlightRecorder::capacity() const { return impl_->capacity; }
 void FlightRecorder::record(const char* kind, std::string detail) {
   if (!armed()) return;
   FlightEvent e;
-  e.seq = impl_->seq.fetch_add(1, std::memory_order_relaxed);
-  e.ms = std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - impl_->t0)
-             .count();
   e.tid = thread_tid();
   e.kind = kind;
   e.detail = std::move(detail);
@@ -125,6 +121,13 @@ void FlightRecorder::record(const char* kind, std::string detail) {
   Impl::Shard& s = impl_->shards[e.tid % kShards];
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.cap == 0) return;  // disarmed concurrently
+  // The seq is taken under the shard lock: threads sharing a shard (every
+  // unlabeled thread has tid 0) then insert in seq order, so a wrapping
+  // ring always evicts the shard's oldest event, never a newer one.
+  e.seq = impl_->seq.fetch_add(1, std::memory_order_relaxed);
+  e.ms = std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - impl_->t0)
+             .count();
   if (s.ring.size() < s.cap) {
     s.ring.push_back(std::move(e));
   } else {
