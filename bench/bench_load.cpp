@@ -1,8 +1,8 @@
-// High-traffic workload bench: the Figure 12 analog for the scalable
+// High-traffic workload bench: the Figure 12 analog for the
 // dynamic-checker runtime. For every mini framework, `deepmc-load`'s
 // engine (src/load/) replays the same 8-thread, 1M+-op keyed KV schedule
 // twice — checker off (framework-only baseline) and checker shared (one
-// scalable RuntimeChecker instrumenting all workers) — and reports
+// RuntimeChecker instrumenting all workers) — and reports
 // ops/sec plus the overhead ratio between them.
 //
 // Pass criteria (scripts/bench.sh load gate):

@@ -374,12 +374,10 @@ EngineResult run_load(const EngineConfig& cfg) {
                                 : 0.0;
 
   if (shared_rt) {
-    shared_rt->drain();
     fold_checker(*shared_rt, "", res);
     shared_rt->publish_obs();
   }
   for (uint32_t t = 0; t < shard_rts.size(); ++t) {
-    shard_rts[t]->drain();
     std::string prefix = "s";
     prefix += std::to_string(t);
     prefix += '|';

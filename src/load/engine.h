@@ -4,12 +4,12 @@
 //
 // Checker modes:
 //   kOff       no instrumentation: the framework-only baseline.
-//   kShared    all workers feed ONE scalable RuntimeChecker. Worker pools
+//   kShared    all workers feed ONE RuntimeChecker. Worker pools
 //              have colliding offsets, so every worker tags its addresses
 //              with a disjoint high-bits address-space id (AddrSpaceScope)
 //              before they reach the checker — this is the concurrency/
 //              overhead configuration Figure 12-style numbers come from.
-//   kPerShard  one scalable checker per worker. Checks, sampling ticks and
+//   kPerShard  one checker per worker. Checks, sampling ticks and
 //              therefore warning sets are deterministic per (seed, thread):
 //              the mode the sampled-subset and determinism tests pin down.
 //
@@ -40,7 +40,7 @@ struct EngineConfig {
   std::string framework = "pmdk_mini";
   WorkloadSpec spec;
   CheckerMode checker = CheckerMode::kShared;
-  rt::RtOptions rt_opts;     ///< scalable-checker tuning (shards/sample/buffer)
+  rt::RtOptions rt_opts;     ///< checker event sampling
   bool seed_bugs = false;    ///< arm the deterministic deep-bug injectors
   int64_t crash_at = -1;     ///< worker 0 crashes near this op index (-1: off)
   bool crash_random = false; ///< pick crash_at from the seed instead

@@ -1,7 +1,5 @@
 #include "runtime/dynamic_checker.h"
 
-#include <unordered_map>
-
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "support/str.h"
@@ -13,7 +11,6 @@ namespace deepmc::rt {
 namespace {
 thread_local StrandId tl_strand = 0;
 thread_local uint64_t tl_addr_tag = 0;
-std::atomic<uint64_t> g_checker_ids{1};
 
 /// Every deduplicated runtime finding lands in the flight recorder: the
 /// post-mortem of a crashed/degraded load run shows which warnings the
@@ -45,33 +42,6 @@ AddrSpaceScope::AddrSpaceScope(uint64_t tag) : prev_(tl_addr_tag) {
 }
 
 AddrSpaceScope::~AddrSpaceScope() { tl_addr_tag = prev_; }
-
-// --- scalable-path plumbing ----------------------------------------------
-
-/// One thread's pending instrumented writes for one checker. Owned by the
-/// checker (bufs_), reached through a thread-local map keyed by the
-/// checker's unique id — ids are never reused, so a stale map entry for a
-/// destroyed checker is never dereferenced. The buffer has its own mutex
-/// so drain() can flush every thread's buffer from one thread.
-struct RuntimeChecker::ThreadBuf {
-  struct Op {
-    uint64_t addr;
-    uint32_t size;
-    StrandId strand;
-    SourceLoc loc;
-  };
-  std::mutex mu;
-  std::vector<Op> ops;
-};
-
-namespace {
-std::unordered_map<uint64_t, RuntimeChecker::ThreadBuf*>& buf_map() {
-  // The map holds only non-owning pointers; ThreadBuf storage belongs to
-  // the checker and dies with it.
-  thread_local std::unordered_map<uint64_t, RuntimeChecker::ThreadBuf*> m;
-  return m;
-}
-}  // namespace
 
 std::string RaceReport::str() const {
   return strformat(
@@ -105,54 +75,19 @@ std::string RuntimeBarrierReport::str() const {
 RuntimeChecker::RuntimeChecker(core::PersistencyModel model,
                                const RtOptions& opts)
     : model_(model),
-      scalable_(true),
-      opts_(opts),
-      checker_id_(g_checker_ids.fetch_add(1, std::memory_order_relaxed)),
-      sharded_(std::make_unique<ShardedShadowSegment>(
-          opts.shadow_shards == 0 ? 1 : opts.shadow_shards)) {
-  if (opts_.sample_period == 0) opts_.sample_period = 1;
-  if (opts_.buffer_ops == 0) opts_.buffer_ops = 1;
+      sample_period_(opts.sample_period == 0 ? 1 : opts.sample_period) {}
+
+bool RuntimeChecker::sampled(std::atomic<uint64_t>& tick) {
+  return sample_period_ == 1 ||
+         tick.fetch_add(1, std::memory_order_relaxed) % sample_period_ == 0;
 }
 
-RuntimeChecker::RuntimeChecker(core::PersistencyModel model)
-    : model_(model) {}
-
-RuntimeChecker::~RuntimeChecker() = default;
-
-RuntimeChecker::ThreadBuf* RuntimeChecker::my_buf() {
-  auto& m = buf_map();
-  auto it = m.find(checker_id_);
-  if (it != m.end()) return it->second;
-  auto fresh = std::make_unique<ThreadBuf>();
-  ThreadBuf* raw = fresh.get();
-  {
-    std::lock_guard<std::mutex> lock(bufs_mu_);
-    bufs_.push_back(std::move(fresh));
-  }
-  m.emplace(checker_id_, raw);
-  return raw;
-}
-
-void RuntimeChecker::flush_buf(ThreadBuf* buf) {
-  std::lock_guard<std::mutex> lock(buf->mu);
-  process_ops_locked(buf);
-}
-
-void RuntimeChecker::process_ops_locked(ThreadBuf* buf) {
-  for (const ThreadBuf::Op& op : buf->ops)
-    scal_write(op.strand, op.addr, op.size, op.loc);
-  buf->ops.clear();
-}
-
-void RuntimeChecker::record_race_scalable(RaceKind kind, uint64_t addr,
-                                          StrandId first,
-                                          const SourceLoc& first_loc,
-                                          StrandId second,
-                                          const SourceLoc& second_loc) {
+void RuntimeChecker::record_race(RaceKind kind, uint64_t addr, StrandId first,
+                                 const SourceLoc& first_loc, StrandId second,
+                                 const SourceLoc& second_loc) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Under sustained load every op opens a fresh strand, so the legacy
-  // (kind, addr, strand-pair) dedup would grow one report per op pair;
-  // dedup by (kind, addr) instead — the site, not the instance.
+  // Under sustained load every op opens a fresh strand, so a strand-pair
+  // key would grow one report per op pair; the site is the finding.
   if (!race_keys_.insert(addr * 2 + static_cast<uint64_t>(kind)).second)
     return;
   RaceReport r;
@@ -167,66 +102,76 @@ void RuntimeChecker::record_race_scalable(RaceKind kind, uint64_t addr,
   races_.push_back(std::move(r));
 }
 
-void RuntimeChecker::epoch_note_write(uint64_t addr, uint64_t size,
-                                      const SourceLoc& loc) {
+void RuntimeChecker::report_redundant_flush(SourceLoc loc, uint64_t addr) {
+  addr += tl_addr_tag;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const RuntimeFlushReport& r : redundant_flushes_)
+    if (r.loc == loc) return;
+  flight_warn("redundant-flush", addr, loc);
+  redundant_flushes_.push_back({std::move(loc), addr});
+}
+
+void RuntimeChecker::report_unfenced_tx_begin(SourceLoc loc) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const RuntimeBarrierReport& r : barrier_violations_)
+    if (r.loc == loc) return;
+  flight_warn("unfenced-tx-begin", 0, loc);
+  barrier_violations_.push_back({std::move(loc)});
+}
+
+void RuntimeChecker::on_alloc(uint64_t base, uint64_t size) {
+  base += tl_addr_tag;
+  std::lock_guard<std::mutex> lock(objects_mu_);
+  objects_[base] = size;
+}
+
+void RuntimeChecker::on_free(uint64_t base) {
+  base += tl_addr_tag;
+  std::lock_guard<std::mutex> lock(objects_mu_);
+  objects_.erase(base);
+}
+
+uint64_t RuntimeChecker::object_of(uint64_t addr) const {
+  std::lock_guard<std::mutex> lock(objects_mu_);
+  auto it = objects_.upper_bound(addr);
+  if (it == objects_.begin()) return 0;
+  --it;
+  if (addr < it->first + it->second) return it->first;
+  return 0;
+}
+
+StrandId RuntimeChecker::strand_begin() {
+  // A strand's whole happens-before identity is (birth fence-seq, end
+  // fence-seq): O(1) instead of a clock copy.
+  const StrandId s = clocks_.begin(fence_seq_.load(std::memory_order_acquire));
+  if (!strand_seen_.load(std::memory_order_relaxed))
+    strand_seen_.store(true, std::memory_order_relaxed);
+  return s;
+}
+
+void RuntimeChecker::strand_end(StrandId s) {
+  clocks_.end(s, fence_seq_.load(std::memory_order_acquire));
+}
+
+void RuntimeChecker::epoch_begin() {
+  epochs_opened_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (!in_epoch_) return;
-  uint64_t base = 0;
-  {
-    std::lock_guard<std::mutex> olock(objects_mu_);
-    base = object_of(addr);
-  }
-  const uint64_t key = base ? base : addr;
-  auto [it, inserted] = current_epoch_.objects_written.try_emplace(key);
-  if (inserted) it->second.first_loc = loc;
-  for (uint64_t a = addr / 8 * 8; a < addr + size; a += 8)
-    it->second.words.insert(a);
+  in_epoch_ = true;
+  current_epoch_ = EpochRecord{};
+  epoch_open_.store(true, std::memory_order_relaxed);
 }
 
-void RuntimeChecker::scal_write(StrandId s, uint64_t addr, uint64_t size,
-                                const SourceLoc& loc) {
-  const uint64_t tick = check_tick_.fetch_add(1, std::memory_order_relaxed);
-  const bool check =
-      opts_.sample_period <= 1 || tick % opts_.sample_period == 0;
-  sharded_->for_each_word(
-      addr, size, [&](uint64_t word, ShardedShadowSegment::Cell& cell) {
-        if (check && cell.written &&
-            !clocks_.ordered_before(cell.last_strand, s)) {
-          record_race_scalable(RaceKind::kWaw, word, cell.last_strand,
-                               cell.last_loc, s, loc);
-        }
-        cell.written = true;
-        cell.last_strand = s;
-        cell.last_loc = loc;
-      });
-  epoch_note_write(addr, size, loc);
-}
-
-void RuntimeChecker::scal_read(StrandId s, uint64_t addr, uint64_t size,
-                               const SourceLoc& loc) {
-  if (s == 0) return;  // reads outside strands cannot race
-  const uint64_t tick = check_tick_.fetch_add(1, std::memory_order_relaxed);
-  if (opts_.sample_period > 1 && tick % opts_.sample_period != 0) return;
-  sharded_->for_each_word(
-      addr, size, [&](uint64_t word, ShardedShadowSegment::Cell& cell) {
-        if (cell.written && !clocks_.ordered_before(cell.last_strand, s)) {
-          record_race_scalable(RaceKind::kRaw, word, cell.last_strand,
-                               cell.last_loc, s, loc);
-        }
-      });
-}
-
-void RuntimeChecker::scal_epoch_end() {
+void RuntimeChecker::epoch_end() {
   std::lock_guard<std::mutex> lock(epoch_mu_);
+  epoch_open_.store(false, std::memory_order_relaxed);
   if (!in_epoch_) return;
   in_epoch_ = false;
-  const uint64_t tick = epoch_tick_.fetch_add(1, std::memory_order_relaxed);
-  const bool check =
-      opts_.sample_period <= 1 || tick % opts_.sample_period == 0;
-  if (check && have_previous_epoch_) {
+  if (sampled(epoch_tick_) && have_previous_epoch_) {
     for (const auto& [base, rec] : current_epoch_.objects_written) {
       auto prev = previous_epoch_.objects_written.find(base);
       if (prev == previous_epoch_.objects_written.end()) continue;
+      // Only disjoint word sets are the "different fields of one object"
+      // bug; overlapping sets are repeated updates of the same fields.
       bool overlap = false;
       for (uint64_t w : rec.words)
         if (prev->second.words.count(w)) overlap = true;
@@ -253,227 +198,58 @@ void RuntimeChecker::scal_epoch_end() {
   have_previous_epoch_ = true;
 }
 
-void RuntimeChecker::drain() {
-  if (!scalable_) return;
-  std::vector<ThreadBuf*> bufs;
-  {
-    std::lock_guard<std::mutex> lock(bufs_mu_);
-    bufs.reserve(bufs_.size());
-    for (const auto& b : bufs_) bufs.push_back(b.get());
-  }
-  for (ThreadBuf* b : bufs) flush_buf(b);
-}
-
-void RuntimeChecker::report_redundant_flush(SourceLoc loc, uint64_t addr) {
-  addr += tl_addr_tag;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const RuntimeFlushReport& r : redundant_flushes_)
-    if (r.loc == loc) return;
-  flight_warn("redundant-flush", addr, loc);
-  redundant_flushes_.push_back({std::move(loc), addr});
-}
-
-void RuntimeChecker::report_unfenced_tx_begin(SourceLoc loc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const RuntimeBarrierReport& r : barrier_violations_)
-    if (r.loc == loc) return;
-  flight_warn("unfenced-tx-begin", 0, loc);
-  barrier_violations_.push_back({std::move(loc)});
-}
-
-void RuntimeChecker::on_alloc(uint64_t base, uint64_t size) {
-  base += tl_addr_tag;
-  std::lock_guard<std::mutex> lock(scalable_ ? objects_mu_ : mu_);
-  objects_[base] = size;
-}
-
-void RuntimeChecker::on_free(uint64_t base) {
-  base += tl_addr_tag;
-  std::lock_guard<std::mutex> lock(scalable_ ? objects_mu_ : mu_);
-  objects_.erase(base);
-}
-
-uint64_t RuntimeChecker::object_of(uint64_t addr) const {
-  auto it = objects_.upper_bound(addr);
-  if (it == objects_.begin()) return 0;
-  --it;
-  if (addr < it->first + it->second) return it->first;
-  return 0;
-}
-
-StrandId RuntimeChecker::strand_begin() {
-  active_strands_.fetch_add(1, std::memory_order_relaxed);
-  if (scalable_) {
-    // Epoch-batched clock: a strand's whole happens-before identity is
-    // (birth fence-seq, end fence-seq) — O(1) instead of a clock copy.
-    return clocks_.begin(fence_seq_.load(std::memory_order_acquire));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const StrandId s = next_strand_++;
-  VectorClock vc = barrier_clock_;  // happens-after pre-barrier strands
-  vc.tick(s);
-  strand_clocks_[s] = std::move(vc);
-  ++stats_.strands_opened;
-  return s;
-}
-
-void RuntimeChecker::strand_end(StrandId s) {
-  if (scalable_) {
-    clocks_.end(s, fence_seq_.load(std::memory_order_acquire));
-    active_strands_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = strand_clocks_.find(s);
-  if (it == strand_clocks_.end()) return;
-  ended_clock_.join(it->second);
-}
-
-void RuntimeChecker::epoch_begin() {
-  epoch_open_.store(true, std::memory_order_relaxed);
-  if (scalable_) {
-    epochs_opened_.fetch_add(1, std::memory_order_relaxed);
-    flush_buf(my_buf());  // writes before the epoch stay outside it
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    in_epoch_ = true;
-    current_epoch_ = EpochRecord{};
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  in_epoch_ = true;
-  current_epoch_ = EpochRecord{};
-  ++stats_.epochs_opened;
-}
-
-void RuntimeChecker::epoch_end() {
-  epoch_open_.store(false, std::memory_order_relaxed);
-  if (scalable_) {
-    flush_buf(my_buf());  // epoch boundary: pending writes belong to it
-    scal_epoch_end();
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
+void RuntimeChecker::note_epoch_write(uint64_t addr, uint64_t size,
+                                      const SourceLoc& loc) {
+  const uint64_t base = object_of(addr);
+  std::lock_guard<std::mutex> lock(epoch_mu_);
   if (!in_epoch_) return;
-  in_epoch_ = false;
-  if (have_previous_epoch_) {
-    for (const auto& [base, rec] : current_epoch_.objects_written) {
-      auto prev = previous_epoch_.objects_written.find(base);
-      if (prev == previous_epoch_.objects_written.end()) continue;
-      // Only disjoint word sets are the "different fields of one object"
-      // bug; overlapping sets are repeated updates of the same fields.
-      bool overlap = false;
-      for (uint64_t w : rec.words)
-        if (prev->second.words.count(w)) overlap = true;
-      if (overlap) continue;
-      bool dup = false;
-      for (const EpochMismatchReport& e : epoch_mismatches_)
-        if (e.object_base == base && e.second_loc == rec.first_loc) dup = true;
-      if (!dup) {
-        EpochMismatchReport r;
-        r.object_base = base;
-        r.first_loc = prev->second.first_loc;
-        r.second_loc = rec.first_loc;
-        flight_warn("epoch-mismatch", base, rec.first_loc);
-        epoch_mismatches_.push_back(std::move(r));
-      }
-    }
-  }
-  previous_epoch_ = std::move(current_epoch_);
-  have_previous_epoch_ = true;
-}
-
-void RuntimeChecker::record_race(RaceKind kind, uint64_t addr,
-                                 const ShadowCell::Access& prior, StrandId s,
-                                 const SourceLoc& loc) {
-  // Deduplicate by (kind, addr, strand pair).
-  for (const RaceReport& r : races_) {
-    if (r.kind == kind && r.addr == addr && r.first_strand == prior.strand &&
-        r.second_strand == s)
-      return;
-  }
-  RaceReport r;
-  r.kind = kind;
-  r.addr = addr;
-  r.first_strand = prior.strand;
-  r.second_strand = s;
-  r.first_loc = prior.loc;
-  r.second_loc = loc;
-  flight_warn(kind == RaceKind::kWaw ? "waw-race" : "raw-race", addr, loc);
-  races_.push_back(std::move(r));
+  const uint64_t key = base ? base : addr;
+  auto [it, inserted] = current_epoch_.objects_written.try_emplace(key);
+  if (inserted) it->second.first_loc = loc;
+  for (uint64_t a = addr / 8 * 8; a < addr + size; a += 8)
+    it->second.words.insert(a);
 }
 
 void RuntimeChecker::on_write(StrandId s, uint64_t addr, uint64_t size,
                               SourceLoc loc) {
   addr += tl_addr_tag;
   writes_seen_.fetch_add(1, std::memory_order_relaxed);
-  if (scalable_) {
-    // Record into this thread's buffer; the shadow/epoch work happens at
-    // the next flush (buffer full, epoch boundary, fence, or drain()).
-    ThreadBuf* buf = my_buf();
-    std::lock_guard<std::mutex> lock(buf->mu);
-    buf->ops.push_back({addr, static_cast<uint32_t>(size), s, std::move(loc)});
-    if (buf->ops.size() >= opts_.buffer_ops) process_ops_locked(buf);
-    return;
+  // The shadow segment feeds strand race detection; until a strand has
+  // been opened nothing can race, and shadow maintenance would be pure
+  // overhead (§5.2 scalability).
+  if (strand_seen_.load(std::memory_order_relaxed)) {
+    const bool check = sampled(check_tick_);
+    shadow_.for_each_word(
+        addr, size, [&](uint64_t word, ShardedShadowSegment::Cell& cell) {
+          // WAW: prior write by a strand not ordered before us. Writes
+          // outside strands (strand 0) are ordered with everything by
+          // program order and never race.
+          if (check && cell.written &&
+              !clocks_.ordered_before(cell.last_strand, s))
+            record_race(RaceKind::kWaw, word, cell.last_strand,
+                        cell.last_loc, s, loc);
+          cell.written = true;
+          cell.last_strand = s;
+          cell.last_loc = loc;
+        });
   }
-  // Fast path: with no live strand and no open epoch there is nothing the
-  // shadow segment or the epoch tracker could learn from this write.
-  if (active_strands_.load(std::memory_order_relaxed) == 0 &&
-      !epoch_open_.load(std::memory_order_relaxed))
-    return;
-  std::lock_guard<std::mutex> lock(mu_);
-  // The shadow segment feeds strand race detection; while no strand has
-  // ever been opened, epoch-object tracking below is all that is needed
-  // and shadow maintenance would be pure overhead (§5.2 scalability).
-  if (active_strands_.load(std::memory_order_relaxed) > 0 ||
-      !strand_clocks_.empty()) {
-    auto cit = strand_clocks_.find(s);
-    VectorClock* my = cit != strand_clocks_.end() ? &cit->second : nullptr;
-    shadow_.for_each_word(addr, size, [&](uint64_t word, ShadowCell& cell) {
-      // WAW: prior write by a different strand not ordered before us.
-      // Writes outside strands carry clock 0 and never race (sequential
-      // program order orders them with everything).
-      if (my && cell.written && cell.last_write.strand != s &&
-          my->get(cell.last_write.strand) < cell.last_write.clock) {
-        record_race(RaceKind::kWaw, word, cell.last_write, s, loc);
-      }
-      cell.written = true;
-      cell.last_write = {s, my ? my->get(s) : 0, loc};
-    });
-  }
-
-  if (in_epoch_) {
-    const uint64_t base = object_of(addr);
-    const uint64_t key = base ? base : addr;
-    auto [it, inserted] = current_epoch_.objects_written.try_emplace(key);
-    if (inserted) it->second.first_loc = loc;
-    for (uint64_t a = addr / 8 * 8; a < addr + size; a += 8)
-      it->second.words.insert(a);
-  }
+  if (epoch_open_.load(std::memory_order_relaxed))
+    note_epoch_write(addr, size, loc);
 }
 
 void RuntimeChecker::on_read(StrandId s, uint64_t addr, uint64_t size,
                              SourceLoc loc) {
   addr += tl_addr_tag;
   reads_seen_.fetch_add(1, std::memory_order_relaxed);
-  if (scalable_) {
-    scal_read(s, addr, size, loc);
-    return;
-  }
-  // Reads feed RAW detection only; without live strands they are inert.
-  if (active_strands_.load(std::memory_order_relaxed) == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto cit = strand_clocks_.find(s);
-  if (cit == strand_clocks_.end()) return;
-  VectorClock& my = cit->second;
-
-  shadow_.for_each_word(addr, size, [&](uint64_t word, ShadowCell& cell) {
-    // RAW: reading data written by a concurrent (unordered) strand.
-    if (cell.written && cell.last_write.strand != s &&
-        my.get(cell.last_write.strand) < cell.last_write.clock) {
-      record_race(RaceKind::kRaw, word, cell.last_write, s, loc);
-    }
-    cell.reads[s] = {s, my.get(s), loc};
-  });
+  // Reads feed RAW detection only; outside strands they cannot race.
+  if (s == 0 || !sampled(check_tick_)) return;
+  shadow_.for_each_word(
+      addr, size, [&](uint64_t word, ShardedShadowSegment::Cell& cell) {
+        // RAW: reading data written by a concurrent (unordered) strand.
+        if (cell.written && !clocks_.ordered_before(cell.last_strand, s))
+          record_race(RaceKind::kRaw, word, cell.last_strand, cell.last_loc,
+                      s, loc);
+      });
 }
 
 void RuntimeChecker::on_flush(StrandId, uint64_t, uint64_t) {
@@ -481,20 +257,20 @@ void RuntimeChecker::on_flush(StrandId, uint64_t, uint64_t) {
 }
 
 void RuntimeChecker::on_fence(StrandId) {
-  if (scalable_) {
-    // A persist barrier is one atomic increment of the global fence
-    // sequence; the happens-before join is implicit in the scalar rule
-    // (end_seq < birth_seq). The calling thread's buffer flushes here so
-    // pending writes are checked against pre-barrier clock state.
-    flush_buf(my_buf());
-    fence_seq_.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.fences;
-  // Strands that ended before this barrier happen-before strands created
-  // after it.
-  barrier_clock_.join(ended_clock_);
+  // A persist barrier is one increment of the global fence sequence; the
+  // happens-before join is implicit in the scalar rule (end_seq <
+  // birth_seq).
+  fence_seq_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+RuntimeStats RuntimeChecker::stats() const {
+  RuntimeStats s;
+  s.writes_tracked = writes_seen_.load(std::memory_order_relaxed);
+  s.reads_tracked = reads_seen_.load(std::memory_order_relaxed);
+  s.strands_opened = clocks_.strands();
+  s.epochs_opened = epochs_opened_.load(std::memory_order_relaxed);
+  s.fences = fence_seq_.load(std::memory_order_relaxed);
+  return s;
 }
 
 void RuntimeChecker::clear_reports() {

@@ -4,8 +4,8 @@
 // events. The checker:
 //
 //  * detects WAW and RAW dependencies between *concurrent strands* with
-//    happens-before (vector-clock) race detection over a shadow segment —
-//    the strand-persistency rule of Table 4 ("for any concurrent strands
+//    happens-before race detection over a shadow segment — the
+//    strand-persistency rule of Table 4 ("for any concurrent strands
 //    S1, S2 operating on addrs A1, A2: A1 ∩ A2 = ∅"), and
 //  * tracks which persistent objects consecutive epochs write, reporting
 //    the "multiple epochs write to different fields of an object" semantic
@@ -16,16 +16,18 @@
 // happen-after every strand that *ended* before that barrier; strands whose
 // lifetimes are not separated by a barrier are concurrent — including
 // strands of the same thread, which is exactly the relaxation strand
-// persistency introduces.
+// persistency introduces. Each strand carries two scalars against the
+// global fence counter, and T happens-before S iff end_seq(T) <
+// birth_seq(S) (EpochClockTable, runtime/clock_table.h).
 //
-// The runtime is thread-safe; instrumented multi-threaded apps (Figure 12
-// workloads) call it concurrently.
+// The runtime is thread-safe: the shadow segment is lock-sharded, strand
+// clocks are lock-free, and instrumented multi-threaded apps (Figure 12
+// workloads, src/load) call it concurrently.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -33,8 +35,8 @@
 #include <vector>
 
 #include "core/model.h"
+#include "runtime/clock_table.h"
 #include "runtime/shadow.h"
-#include "runtime/vector_clock.h"
 
 namespace deepmc::rt {
 
@@ -86,45 +88,33 @@ struct RuntimeStats {
 
 // Performance note (paper §4.4/§5.2): "DeepMC reduces the performance and
 // storage overhead by only tracking the writes modifying the same or
-// overlapped persistent memory regions." The hooks below therefore take
-// lock-free fast paths whenever the heavyweight machinery has nothing to
-// do: reads only feed RAW detection (needed only while strands are live),
-// and writes only feed the shadow segment / epoch-object tracking when a
-// strand or epoch is open.
+// overlapped persistent memory regions." The hooks below therefore skip
+// the heavyweight machinery whenever it has nothing to do: the shadow
+// segment only starts recording writes once the first strand opens, reads
+// outside strands cannot race, and writes outside an epoch never touch the
+// epoch tracker.
 
-/// Tuning for the scalable runtime path (high-traffic workloads,
-/// src/load/). Constructing a RuntimeChecker with RtOptions switches it
-/// from the legacy exact path (one global lock, full vector clocks) to the
-/// scalable one: sharded shadow memory, per-thread write buffers that
-/// flush at epoch boundaries, epoch-batched scalar clocks
-/// (EpochClockTable), and optional event sampling. The hook API is
-/// identical; only the cost model changes.
+/// Optional event sampling for high-traffic runs (src/load). Every event
+/// is still *recorded* into the shadow state; only the race/epoch
+/// comparisons run every Nth event, so the sampled warning set is a subset
+/// of the full-checking one on the same execution.
 struct RtOptions {
-  uint32_t shadow_shards = 64;  ///< shadow sub-segments (rounded to 2^k)
-  uint32_t sample_period = 1;   ///< run checks every Nth event (1 = all)
-  uint32_t buffer_ops = 128;    ///< per-thread write-buffer capacity
+  uint32_t sample_period = 1;  ///< run checks every Nth event (1 = all)
 };
 
 class RuntimeChecker {
  public:
-  explicit RuntimeChecker(core::PersistencyModel model);
-
-  /// Scalable-path constructor (see RtOptions). Sampling trades detection
-  /// latency for throughput: every event is still *recorded* into the
-  /// shadow state, only the race/epoch comparisons run every Nth event, so
-  /// the sampled warning set is a subset of the full-checking one on the
-  /// same execution.
-  RuntimeChecker(core::PersistencyModel model, const RtOptions& opts);
-
-  ~RuntimeChecker();  ///< out-of-line: ThreadBuf is incomplete here
+  explicit RuntimeChecker(core::PersistencyModel model,
+                          const RtOptions& opts = {});
 
   // --- object registry (from pm.alloc instrumentation) --------------------
   void on_alloc(uint64_t base, uint64_t size);
   void on_free(uint64_t base);
 
   // --- strand lifecycle -----------------------------------------------------
-  /// Opens a strand; returns its id. The strand happens-after everything
-  /// sequenced before the last persist barrier.
+  /// Opens a strand; returns its id. The strand happens-after every strand
+  /// that ended before the last persist barrier. Throws std::length_error
+  /// past EpochClockTable::kCapacity strands.
   StrandId strand_begin();
   void strand_end(StrandId s);
 
@@ -147,6 +137,8 @@ class RuntimeChecker {
   void on_fence(StrandId s);
 
   // --- results ----------------------------------------------------------------
+  /// Races are deduplicated by (kind, word): one report per racy site, not
+  /// one per strand pair, since a server workload opens a strand per op.
   [[nodiscard]] const std::vector<RaceReport>& races() const { return races_; }
   [[nodiscard]] const std::vector<EpochMismatchReport>& epoch_mismatches()
       const {
@@ -160,66 +152,47 @@ class RuntimeChecker {
       const {
     return barrier_violations_;
   }
-  [[nodiscard]] RuntimeStats stats() const {
-    RuntimeStats s = stats_;
-    s.writes_tracked = writes_seen_.load(std::memory_order_relaxed);
-    s.reads_tracked = reads_seen_.load(std::memory_order_relaxed);
-    if (scalable_) {
-      s.strands_opened = clocks_.strands();
-      s.epochs_opened = epochs_opened_.load(std::memory_order_relaxed);
-      s.fences = fence_seq_.load(std::memory_order_relaxed);
-    }
-    return s;
-  }
-  [[nodiscard]] size_t tracked_words() const {
-    return scalable_ ? sharded_->tracked_words() : shadow_.tracked_words();
-  }
+  [[nodiscard]] RuntimeStats stats() const;
+  [[nodiscard]] size_t tracked_words() const { return shadow_.tracked_words(); }
   void clear_reports();
 
-  [[nodiscard]] bool scalable() const { return scalable_; }
-  [[nodiscard]] const RtOptions& options() const { return opts_; }
-
-  /// Scalable path: flush every thread's pending write buffer and run the
-  /// deferred checks. Call after workers quiesce, before reading reports.
-  /// No-op on the legacy path (nothing is ever buffered there).
-  void drain();
+  /// No-op kept for source compatibility: every hook takes effect before
+  /// it returns, so there is nothing to drain before reading reports.
+  void drain() {}
 
   /// Fold this checker's instrumented-event and shadow-memory counts into
   /// the observability registry (rt.* metrics, the Figure 12 overhead
   /// accounting). No-op with observability disabled; call after a run.
   void publish_obs() const;
 
-  struct ThreadBuf;  ///< per-thread pending-write buffer (scalable path)
-
  private:
+  static constexpr uint32_t kShadowShards = 64;
+
   /// Base offset of the registered object containing `addr` (0 if unknown).
   uint64_t object_of(uint64_t addr) const;
-  void record_race(RaceKind kind, uint64_t addr, const ShadowCell::Access& a,
-                   StrandId s, const SourceLoc& loc);
-
-  // --- scalable-path internals --------------------------------------------
-  ThreadBuf* my_buf();
-  void flush_buf(ThreadBuf* buf);
-  void process_ops_locked(ThreadBuf* buf);
-  void record_race_scalable(RaceKind kind, uint64_t addr, StrandId first,
-                            const SourceLoc& first_loc, StrandId second,
-                            const SourceLoc& second_loc);
-  void epoch_note_write(uint64_t addr, uint64_t size, const SourceLoc& loc);
-  void scal_write(StrandId s, uint64_t addr, uint64_t size,
-                  const SourceLoc& loc);
-  void scal_read(StrandId s, uint64_t addr, uint64_t size,
-                 const SourceLoc& loc);
-  void scal_epoch_end();
+  /// Whether this event runs its checks under sampling; `tick` is only
+  /// touched when sampling is on.
+  bool sampled(std::atomic<uint64_t>& tick);
+  void record_race(RaceKind kind, uint64_t addr, StrandId first,
+                   const SourceLoc& first_loc, StrandId second,
+                   const SourceLoc& second_loc);
+  void note_epoch_write(uint64_t addr, uint64_t size, const SourceLoc& loc);
 
   core::PersistencyModel model_;
-  mutable std::mutex mu_;
-  ShadowSegment shadow_;
-  std::map<uint64_t, uint64_t> objects_;  ///< base -> size
+  uint32_t sample_period_;
+  ShardedShadowSegment shadow_{kShadowShards};
+  EpochClockTable clocks_;
+  std::atomic<uint64_t> fence_seq_{0};  ///< global persist-barrier counter
+  std::atomic<bool> strand_seen_{false};  ///< a strand has been opened
+  std::atomic<bool> epoch_open_{false};
+  std::atomic<uint64_t> writes_seen_{0};
+  std::atomic<uint64_t> reads_seen_{0};
+  std::atomic<uint64_t> epochs_opened_{0};
+  std::atomic<uint64_t> check_tick_{0};  ///< sampling counter (events)
+  std::atomic<uint64_t> epoch_tick_{0};  ///< sampling counter (epochs)
 
-  StrandId next_strand_ = 1;
-  std::map<StrandId, VectorClock> strand_clocks_;
-  VectorClock barrier_clock_;  ///< joined clocks of strands ended pre-fence
-  VectorClock ended_clock_;    ///< strands ended since the last fence
+  mutable std::mutex objects_mu_;
+  std::map<uint64_t, uint64_t> objects_;  ///< base -> size
 
   // Epoch-mismatch tracking (per-process; epochs are sequential per run).
   struct EpochObjectRecord {
@@ -229,37 +202,18 @@ class RuntimeChecker {
   struct EpochRecord {
     std::map<uint64_t, EpochObjectRecord> objects_written;  ///< by base
   };
+  std::mutex epoch_mu_;  ///< guards the epoch records
   EpochRecord current_epoch_;
   EpochRecord previous_epoch_;
   bool in_epoch_ = false;
   bool have_previous_epoch_ = false;
 
+  mutable std::mutex mu_;  ///< guards the reports
   std::vector<RaceReport> races_;
   std::vector<EpochMismatchReport> epoch_mismatches_;
   std::vector<RuntimeFlushReport> redundant_flushes_;
   std::vector<RuntimeBarrierReport> barrier_violations_;
-  RuntimeStats stats_;
-  // Lock-free fast-path state (see the performance note above).
-  std::atomic<uint64_t> writes_seen_{0};
-  std::atomic<uint64_t> reads_seen_{0};
-  std::atomic<uint32_t> active_strands_{0};
-  std::atomic<bool> epoch_open_{false};
-
-  // --- scalable-path state (unused on the legacy path) --------------------
-  bool scalable_ = false;
-  RtOptions opts_;
-  uint64_t checker_id_ = 0;  ///< key into the thread-local buffer map
-  std::unique_ptr<ShardedShadowSegment> sharded_;
-  EpochClockTable clocks_;
-  std::atomic<uint64_t> fence_seq_{0};    ///< global persist-barrier counter
-  std::atomic<uint64_t> check_tick_{0};   ///< sampling counter (events)
-  std::atomic<uint64_t> epoch_tick_{0};   ///< sampling counter (epochs)
-  std::atomic<uint64_t> epochs_opened_{0};
-  std::mutex bufs_mu_;
-  std::vector<std::unique_ptr<ThreadBuf>> bufs_;  ///< owns thread buffers
-  std::mutex epoch_mu_;     ///< guards the epoch records in scalable mode
-  std::mutex objects_mu_;   ///< guards objects_ in scalable mode
-  std::unordered_set<uint64_t> race_keys_;  ///< (kind, addr) dedup, under mu_
+  std::unordered_set<uint64_t> race_keys_;  ///< (kind, word) dedup
 };
 
 // --- ambient per-thread context ------------------------------------------

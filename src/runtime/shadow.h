@@ -10,63 +10,22 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/vector_clock.h"
+#include "runtime/clock_table.h"
 #include "support/source_loc.h"
 
 namespace deepmc::rt {
 
 inline constexpr uint64_t kShadowWordBytes = 8;
 
-struct ShadowCell {
-  struct Access {
-    StrandId strand = 0;
-    uint64_t clock = 0;  ///< strand-local clock at access time
-    SourceLoc loc;
-  };
-  Access last_write;
-  bool written = false;
-  /// Last read per strand (sufficient for RAW detection).
-  std::unordered_map<StrandId, Access> reads;
-};
-
-class ShadowSegment {
- public:
-  /// Shadow cell for the word containing `addr`, creating it on demand.
-  ShadowCell& cell(uint64_t addr) { return cells_[addr / kShadowWordBytes]; }
-  [[nodiscard]] const ShadowCell* find(uint64_t addr) const {
-    auto it = cells_.find(addr / kShadowWordBytes);
-    return it == cells_.end() ? nullptr : &it->second;
-  }
-
-  /// Iterate the words covering [addr, addr+size).
-  template <typename Fn>
-  void for_each_word(uint64_t addr, uint64_t size, Fn&& fn) {
-    if (size == 0) return;
-    const uint64_t first = addr / kShadowWordBytes;
-    const uint64_t last = (addr + size - 1) / kShadowWordBytes;
-    for (uint64_t w = first; w <= last; ++w)
-      fn(w * kShadowWordBytes, cells_[w]);
-  }
-
-  [[nodiscard]] size_t tracked_words() const { return cells_.size(); }
-  void clear() { cells_.clear(); }
-
- private:
-  std::unordered_map<uint64_t, ShadowCell> cells_;
-};
-
-/// Sharded shadow segment for the scalable runtime path (high-traffic
-/// multi-threaded workloads, docs/LOAD.md). Word addresses hash to one of
-/// `shards` independent sub-segments, each with its own mutex, so writer
-/// threads touching disjoint regions never contend. Cells are slimmer than
-/// ShadowCell: the scalable checker keys happens-before off the
-/// EpochClockTable's scalar sequences, so a cell only needs the last
-/// writer's identity and location, not per-strand read maps.
+/// Word addresses hash to one of `shards` independent sub-segments, each
+/// with its own mutex, so writer threads touching disjoint regions never
+/// contend. The checker keys happens-before off the EpochClockTable's
+/// scalar sequences, so a cell only needs the last writer's identity and
+/// location.
 class ShardedShadowSegment {
  public:
   struct Cell {

@@ -2,7 +2,7 @@
 //
 // Hammers one (or all) of the mini frameworks with a deterministic
 // multi-threaded keyed put/get/delete stream, optionally under the
-// scalable dynamic checker, optionally with seeded deep bugs and a
+// dynamic checker, optionally with seeded deep bugs and a
 // crash-at-random-op recovery cycle. See docs/LOAD.md.
 //
 // Exit codes follow the repo convention: 0 success, 64 usage error,
@@ -35,8 +35,8 @@ void usage() {
       "                   [--keys N] [--duration SEC] [--mix GET:PUT:DEL]\n"
       "                   [--hot-frac F] [--hot-prob P] [--zipf S] [--seed N]\n"
       "                   [--checker off|shared|per-shard] [--sample N]\n"
-      "                   [--rt-shards N] [--rt-buffer N] [--seed-bugs]\n"
-      "                   [--crash-at N | --crash-random] [--pool-bytes N]\n"
+      "                   [--seed-bugs] [--crash-at N | --crash-random]\n"
+      "                   [--pool-bytes N]\n"
       "                   [--schedule-hash] [--json] [--latency-json]\n"
       "                   [--flight-out FILE]\n"
       "                   [--inject-fault NAME:COUNT] [--list-fault-points]\n"
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   bool latency_json = false;
   std::string flight_out;
   bool hash_only = false;
-  uint64_t sample = 1, rt_shards = 64, rt_buffer = 128;
+  uint64_t sample = 1;
   uint64_t crash_at = 0;
   bool have_crash_at = false;
   std::string serve_target;
@@ -276,8 +276,6 @@ int main(int argc, char** argv) {
     } else if (num_flag("--seed", arg, argc, argv, i, &seed, &ok)) {
       if (ok) cfg.spec.seed = seed;
     } else if (num_flag("--sample", arg, argc, argv, i, &sample, &ok)) {
-    } else if (num_flag("--rt-shards", arg, argc, argv, i, &rt_shards, &ok)) {
-    } else if (num_flag("--rt-buffer", arg, argc, argv, i, &rt_buffer, &ok)) {
     } else if (num_flag("--crash-at", arg, argc, argv, i, &crash_at, &ok)) {
       if (ok) have_crash_at = true;
     } else if (num_flag("--pool-bytes", arg, argc, argv, i, &pool_bytes,
@@ -383,8 +381,6 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   cfg.rt_opts.sample_period = static_cast<uint32_t>(sample);
-  cfg.rt_opts.shadow_shards = static_cast<uint32_t>(rt_shards);
-  cfg.rt_opts.buffer_ops = static_cast<uint32_t>(rt_buffer);
   if (have_crash_at) cfg.crash_at = static_cast<int64_t>(crash_at);
 
   if (hash_only) {

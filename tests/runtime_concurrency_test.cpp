@@ -1,16 +1,18 @@
-// Concurrency contracts of the scalable runtime primitives (src/runtime/):
+// Concurrency contracts of the runtime primitives (src/runtime/):
 //
 //  * EpochClockTable — the scalar happens-before collapse must agree with
-//    the legacy VectorClock algorithm on arbitrary strand/fence schedules,
-//    and stay correct under concurrent begin/end from many threads;
+//    a reference vector-clock implementation (VectorClock below, test-only)
+//    on arbitrary strand/fence schedules, and stay correct under
+//    concurrent begin/end from many threads;
 //  * ShardedShadowSegment — per-shard locking must serialize same-word
 //    access while threads on disjoint words never corrupt each other;
-//  * RuntimeChecker (scalable path) — concurrent instrumented events must
-//    neither crash nor invent races between fence-ordered strands.
+//  * RuntimeChecker — concurrent instrumented events must neither crash
+//    nor invent races between fence-ordered strands.
 //
-// The suite name is in the TSan preset filter (CMakePresets.json), so
-// every test here also runs under ThreadSanitizer; the multi-threaded
-// cases are written to give TSan real interleavings to chew on.
+// The RuntimeConcurrency suite is in the TSan preset filter
+// (CMakePresets.json), so those tests also run under ThreadSanitizer; the
+// multi-threaded cases are written to give TSan real interleavings to chew
+// on.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +23,9 @@
 #include <vector>
 
 #include "core/model.h"
+#include "runtime/clock_table.h"
 #include "runtime/dynamic_checker.h"
 #include "runtime/shadow.h"
-#include "runtime/vector_clock.h"
 #include "support/rng.h"
 
 namespace deepmc::rt {
@@ -31,7 +33,70 @@ namespace {
 
 SourceLoc loc(uint32_t line) { return SourceLoc{"rct", line}; }
 
-// --- EpochClockTable vs the legacy vector-clock algorithm ----------------
+// --- reference vector clocks ----------------------------------------------
+
+/// Textbook sparse vector clock, indexed by strand id: the reference model
+/// the EpochClockTable's two-scalar rule is checked against.
+class VectorClock {
+ public:
+  [[nodiscard]] uint64_t get(StrandId s) const {
+    auto it = c_.find(s);
+    return it == c_.end() ? 0 : it->second;
+  }
+
+  void tick(StrandId s) { ++c_[s]; }
+
+  /// Pointwise maximum.
+  void join(const VectorClock& o) {
+    for (const auto& [s, v] : o.c_) {
+      auto it = c_.find(s);
+      if (it == c_.end() || it->second < v) c_[s] = v;
+    }
+  }
+
+  /// True if every component of *this is <= the corresponding one in `o`
+  /// (i.e. *this happens-before-or-equals o).
+  [[nodiscard]] bool leq(const VectorClock& o) const {
+    for (const auto& [s, v] : c_)
+      if (v > o.get(s)) return false;
+    return true;
+  }
+
+ private:
+  std::map<StrandId, uint64_t> c_;
+};
+
+TEST(VectorClockTest, DefaultIsZero) {
+  VectorClock vc;
+  EXPECT_EQ(vc.get(1), 0u);
+  EXPECT_EQ(vc.get(99), 0u);
+}
+
+TEST(VectorClockTest, TickAndJoin) {
+  VectorClock a, b;
+  a.tick(1);
+  a.tick(1);
+  b.tick(2);
+  b.join(a);
+  EXPECT_EQ(b.get(1), 2u);
+  EXPECT_EQ(b.get(2), 1u);
+  EXPECT_EQ(a.get(2), 0u);  // join is one-directional
+}
+
+TEST(VectorClockTest, LeqIsHappensBefore) {
+  VectorClock a, b;
+  a.tick(1);
+  b.join(a);
+  b.tick(2);
+  EXPECT_TRUE(a.leq(b));
+  EXPECT_FALSE(b.leq(a));
+  VectorClock c;
+  c.tick(3);
+  EXPECT_FALSE(b.leq(c));
+  EXPECT_FALSE(c.leq(b));  // concurrent
+}
+
+// --- EpochClockTable vs the reference vector clocks ----------------------
 
 TEST(RuntimeConcurrency, EpochClockTableBasics) {
   EpochClockTable table;
@@ -69,17 +134,16 @@ TEST(RuntimeConcurrency, EpochClockTableBasics) {
 }
 
 // Replays one random strand/fence schedule through both the scalar table
-// and a faithful reimplementation of the legacy checker's clock algebra
-// (dynamic_checker.cpp legacy path: births join barrier_clock_, ends join
-// ended_clock_, fences fold ended into barrier), then compares every
-// pairwise ordering.
-void check_schedule_against_legacy(uint64_t seed) {
+// and the vector-clock algebra of the happens-before model (a strand's
+// birth clock joins the barrier clock, ends join the ended clock, fences
+// fold ended into barrier), then compares every pairwise ordering.
+void check_schedule_against_vector_clocks(uint64_t seed) {
   EpochClockTable table;
   uint64_t fence_seq = 0;
 
-  VectorClock barrier;  // barrier_clock_
-  VectorClock ended;    // ended_clock_
-  std::map<StrandId, VectorClock> birth_clocks;  // strand_clocks_
+  VectorClock barrier;  // strands ended before the last fence
+  VectorClock ended;    // strands ended so far
+  std::map<StrandId, VectorClock> birth_clocks;
 
   std::vector<StrandId> live;
   std::vector<StrandId> all;
@@ -106,13 +170,14 @@ void check_schedule_against_legacy(uint64_t seed) {
     }
   }
 
-  // Legacy ordering: T's single tick (value 1, ids are unique) is visible
-  // in S's birth clock iff T was folded into the barrier before S's birth.
+  // Vector-clock ordering: T's single tick (value 1, ids are unique) is
+  // visible in S's birth clock iff T was folded into the barrier before
+  // S's birth.
   for (const StrandId t : all) {
     for (const StrandId s : all) {
       if (t == s) continue;
-      const bool legacy = birth_clocks[s].get(t) >= 1;
-      EXPECT_EQ(table.ordered_before(t, s), legacy)
+      const bool expected = birth_clocks[s].get(t) >= 1;
+      EXPECT_EQ(table.ordered_before(t, s), expected)
           << "seed " << seed << ": strands " << t << " -> " << s;
     }
   }
@@ -120,7 +185,7 @@ void check_schedule_against_legacy(uint64_t seed) {
 
 TEST(RuntimeConcurrency, EpochClockTableMatchesLegacyVectorClocks) {
   for (const uint64_t seed : {1u, 7u, 42u, 1234u, 99991u})
-    check_schedule_against_legacy(seed);
+    check_schedule_against_vector_clocks(seed);
 }
 
 TEST(RuntimeConcurrency, EpochClockTableConcurrentBeginEnd) {
@@ -241,13 +306,10 @@ TEST(RuntimeConcurrency, ShardedShadowSameWordContention) {
   EXPECT_EQ(total, uint64_t{kThreads} * kIters);
 }
 
-// --- the scalable checker under concurrent instrumented events -----------
+// --- the checker under concurrent instrumented events --------------------
 
 TEST(RuntimeConcurrency, ScalableCheckerDetectsUnfencedWawDeterministically) {
-  RtOptions opts;
-  opts.buffer_ops = 4;
-  RuntimeChecker rt(core::PersistencyModel::kStrand, opts);
-  ASSERT_TRUE(rt.scalable());
+  RuntimeChecker rt(core::PersistencyModel::kStrand);
 
   // Two strands, same word, no fence between their lifetimes: WAW race.
   const StrandId a = rt.strand_begin();
@@ -256,7 +318,6 @@ TEST(RuntimeConcurrency, ScalableCheckerDetectsUnfencedWawDeterministically) {
   const StrandId b = rt.strand_begin();
   rt.on_write(b, 0x1000, 8, loc(2));
   rt.strand_end(b);
-  rt.drain();
   ASSERT_EQ(rt.races().size(), 1u);
   EXPECT_EQ(rt.races()[0].kind, RaceKind::kWaw);
   EXPECT_EQ(rt.races()[0].addr, 0x1000u);
@@ -270,32 +331,27 @@ TEST(RuntimeConcurrency, ScalableCheckerDetectsUnfencedWawDeterministically) {
   const StrandId d = rt.strand_begin();
   rt.on_write(d, 0x2000, 8, loc(4));
   rt.strand_end(d);
-  rt.drain();
   EXPECT_TRUE(rt.races().empty());
 }
 
 TEST(RuntimeConcurrency, ScalableCheckerEpochBuffersFlushAtBoundary) {
-  RtOptions opts;
-  opts.buffer_ops = 128;  // larger than either epoch's write count
-  RuntimeChecker rt(core::PersistencyModel::kStrand, opts);
+  RuntimeChecker rt(core::PersistencyModel::kStrand);
   rt.on_alloc(0x4000, 64);
 
-  // Two consecutive epochs write disjoint words of the same object. The
-  // writes sit in the thread buffer until each epoch_end flushes them; a
-  // buffer that leaked across the boundary would attribute both writes to
-  // one epoch and miss the mismatch.
+  // Two consecutive epochs write disjoint words of the same object. Each
+  // write must land in the epoch open when it was made; attributing both
+  // to one epoch would miss the mismatch.
   rt.epoch_begin();
   rt.on_write(0, 0x4000, 8, loc(10));
   rt.epoch_end();
   rt.epoch_begin();
   rt.on_write(0, 0x4010, 8, loc(11));
   rt.epoch_end();
-  rt.drain();
   ASSERT_EQ(rt.epoch_mismatches().size(), 1u);
   EXPECT_EQ(rt.epoch_mismatches()[0].object_base, 0x4000u);
 
   // Overlapping epochs (the second rewrites the same word) are fine.
-  RuntimeChecker rt2(core::PersistencyModel::kStrand, opts);
+  RuntimeChecker rt2(core::PersistencyModel::kStrand);
   rt2.on_alloc(0x4000, 64);
   rt2.epoch_begin();
   rt2.on_write(0, 0x4000, 8, loc(12));
@@ -303,14 +359,11 @@ TEST(RuntimeConcurrency, ScalableCheckerEpochBuffersFlushAtBoundary) {
   rt2.epoch_begin();
   rt2.on_write(0, 0x4000, 8, loc(13));
   rt2.epoch_end();
-  rt2.drain();
   EXPECT_TRUE(rt2.epoch_mismatches().empty());
 }
 
 TEST(RuntimeConcurrency, ScalableCheckerConcurrentFencedStrandsStayClean) {
-  RtOptions opts;
-  opts.shadow_shards = 32;
-  RuntimeChecker rt(core::PersistencyModel::kStrand, opts);
+  RuntimeChecker rt(core::PersistencyModel::kStrand);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 500;
 
@@ -332,7 +385,6 @@ TEST(RuntimeConcurrency, ScalableCheckerConcurrentFencedStrandsStayClean) {
     });
   }
   for (std::thread& th : threads) th.join();
-  rt.drain();
 
   EXPECT_TRUE(rt.races().empty());
   const RuntimeStats s = rt.stats();
@@ -356,7 +408,6 @@ TEST(RuntimeConcurrency, SampledScalableCheckerFindsSubsetOfFull) {
       rt.strand_end(a);
       // No fence: every same-word pair is a race candidate.
     }
-    rt.drain();
     std::set<uint64_t> addrs;
     for (const RaceReport& r : rt.races()) addrs.insert(r.addr);
     return addrs;

@@ -1,8 +1,11 @@
-// Direct unit tests for the dynamic-checker runtime: vector-clock algebra,
-// shadow segment, happens-before transitivity across barriers, report
-// deduplication, the object registry, and the runtime-observed flush /
-// barrier reports.
+// Direct unit tests for the dynamic-checker runtime: shadow segment, the
+// strand clock table's capacity, happens-before transitivity across
+// barriers, report deduplication, the object registry, and the
+// runtime-observed flush / barrier reports.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "runtime/dynamic_checker.h"
 
@@ -11,57 +14,49 @@ namespace {
 
 using core::PersistencyModel;
 
-// --- vector clocks ------------------------------------------------------------
-
-TEST(VectorClockTest, DefaultIsZero) {
-  VectorClock vc;
-  EXPECT_EQ(vc.get(1), 0u);
-  EXPECT_EQ(vc.get(99), 0u);
-}
-
-TEST(VectorClockTest, TickAndJoin) {
-  VectorClock a, b;
-  a.tick(1);
-  a.tick(1);
-  b.tick(2);
-  b.join(a);
-  EXPECT_EQ(b.get(1), 2u);
-  EXPECT_EQ(b.get(2), 1u);
-  EXPECT_EQ(a.get(2), 0u);  // join is one-directional
-}
-
-TEST(VectorClockTest, LeqIsHappensBefore) {
-  VectorClock a, b;
-  a.tick(1);
-  b.join(a);
-  b.tick(2);
-  EXPECT_TRUE(a.leq(b));
-  EXPECT_FALSE(b.leq(a));
-  VectorClock c;
-  c.tick(3);
-  EXPECT_FALSE(b.leq(c));
-  EXPECT_FALSE(c.leq(b));  // concurrent
-}
-
 // --- shadow segment -------------------------------------------------------------
 
 TEST(ShadowTest, WordGranularityAndSparseness) {
-  ShadowSegment shadow;
+  ShardedShadowSegment shadow(8);
   size_t visited = 0;
-  shadow.for_each_word(0, 24, [&](uint64_t addr, ShadowCell&) {
+  shadow.for_each_word(0, 24, [&](uint64_t addr, ShardedShadowSegment::Cell&) {
     EXPECT_EQ(addr % kShadowWordBytes, 0u);
     ++visited;
   });
   EXPECT_EQ(visited, 3u);  // 24 bytes = 3 words
-  EXPECT_EQ(shadow.tracked_words(), 3u);
-  EXPECT_EQ(shadow.find(64), nullptr);  // untouched word: no cell
+  EXPECT_EQ(shadow.tracked_words(), 3u);  // untouched words get no cell
+  shadow.for_each_word(uint64_t{1} << 40, 8,
+                       [](uint64_t, ShardedShadowSegment::Cell&) {});
+  EXPECT_EQ(shadow.tracked_words(), 4u);  // a far word costs one cell
 }
 
 TEST(ShadowTest, UnalignedRangeCoversBothWords) {
-  ShadowSegment shadow;
+  ShardedShadowSegment shadow(8);
   size_t visited = 0;
-  shadow.for_each_word(6, 4, [&](uint64_t, ShadowCell&) { ++visited; });
+  shadow.for_each_word(6, 4, [&](uint64_t, ShardedShadowSegment::Cell&) {
+    ++visited;
+  });
   EXPECT_EQ(visited, 2u);  // bytes 6..9 straddle words 0 and 1
+}
+
+// --- strand clock table ----------------------------------------------------------
+
+TEST(EpochClockTableTest, BeginPastCapacityThrows) {
+  // Fills the whole table (16 bytes per strand, ~268 MB).
+  EpochClockTable table;
+  for (uint64_t i = 0; i < EpochClockTable::kCapacity; ++i) table.begin(0);
+  EXPECT_EQ(table.strands(), EpochClockTable::kCapacity);
+  try {
+    table.begin(0);
+    FAIL() << "begin() past capacity must throw";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("16777216"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(table.strands(), EpochClockTable::kCapacity);
+  // Existing strands keep working.
+  table.end(StrandId(EpochClockTable::kCapacity), 1);
+  EXPECT_EQ(table.end_seq(StrandId(EpochClockTable::kCapacity)), 1u);
 }
 
 // --- races ------------------------------------------------------------------------
@@ -115,13 +110,31 @@ TEST(RuntimeChecker, BarrierWithoutStrandEndDoesNotOrder) {
 }
 
 TEST(RuntimeChecker, RaceReportsDeduplicated) {
+  // One report per (kind, word): neither a repeat by the same pair nor a
+  // third unfenced strand on the same word adds one.
   RuntimeChecker rt(PersistencyModel::kStrand);
   StrandId s1 = rt.strand_begin();
   StrandId s2 = rt.strand_begin();
   rt.on_write(s1, 0x40, 8, SourceLoc("t.c", 1));
   rt.on_write(s2, 0x40, 8, SourceLoc("t.c", 2));
   rt.on_write(s2, 0x40, 8, SourceLoc("t.c", 3));  // same pair, same word
+  StrandId s3 = rt.strand_begin();
+  rt.on_write(s3, 0x40, 8, SourceLoc("t.c", 4));  // new pair, same word
   EXPECT_EQ(rt.races().size(), 1u);
+}
+
+TEST(RuntimeChecker, WritesBeforeFirstStrandLeaveNoShadow) {
+  // Nothing can race before a strand exists, so the shadow segment only
+  // starts recording at the first strand_begin.
+  RuntimeChecker rt(PersistencyModel::kEpoch);
+  rt.epoch_begin();
+  rt.on_write(0, 0x40, 16, {});
+  rt.epoch_end();
+  EXPECT_EQ(rt.tracked_words(), 0u);
+  StrandId s = rt.strand_begin();
+  rt.on_write(s, 0x40, 16, {});
+  rt.strand_end(s);
+  EXPECT_EQ(rt.tracked_words(), 2u);
 }
 
 TEST(RuntimeChecker, DisjointWordsNoRace) {
