@@ -7,7 +7,8 @@
 #   scripts/check.sh              configure + build + full ctest + obs
 #                                 identity + resilience ladder
 #   scripts/check.sh --tsan       TSan build (-DDEEPMC_TSAN=ON) of the
-#                                 thread-pool / parallel-driver tests only
+#                                 thread-pool / parallel-driver / serve /
+#                                 runtime-checker / load-engine tests only
 #   scripts/check.sh --san        ASan+UBSan build (-DDEEPMC_ASAN=ON): parser
 #                                 fuzz + resilience tests, then the deepmc
 #                                 binary over the hostile parser corpus and
@@ -41,13 +42,15 @@ run_tier1() {
 run_tsan() {
   cmake -B build-tsan -S . -DDEEPMC_TSAN=ON
   # Only the targets the TSan pass exercises: the pool, the parallel
-  # driver (with and without crash-state enumeration), and the binary
-  # the golden/CLI tests drive.
+  # driver (with and without crash-state enumeration), serve, the runtime
+  # checker (directly and under the multi-threaded load engine), and the
+  # binary the golden/CLI tests drive. Same filter as the tsan test preset.
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test driver_test crash_test obs_test \
-             serve_test serve_chaos_test runtime_concurrency_test deepmc
+             serve_test serve_chaos_test runtime_concurrency_test \
+             support_test load_test deepmc
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|Driver|Crashsim|ObsRegistry|Serve|RuntimeConcurrency'
+    -R 'ThreadPool|Driver|Crashsim|ObsRegistry|Serve|RuntimeConcurrency|RuntimeThreading|LoadEngine'
 }
 
 run_san() {
