@@ -133,6 +133,7 @@ StoreReplay::StoreReplay(const EventLog& log) : log_(&log) {
         break;
       }
       case EventKind::kFlush: {
+        if (e.size == 0) break;  // covers no byte, so stages nothing
         for (StoreUnit& u : units_) {
           if (u.staged_at == kNoEvent && u.durable_at == kNoEvent &&
               u.off < e.off + e.size && e.off < u.off + u.size) {

@@ -1,5 +1,6 @@
 #include "pmem/pool.h"
 
+#include <algorithm>
 #include <new>
 
 namespace deepmc::pmem {
@@ -13,8 +14,8 @@ uint64_t round_up_line(uint64_t n) {
 }  // namespace
 
 PmPool::PmPool(uint64_t size_bytes, LatencyModel latency)
-    : data_(round_up_line(std::max<uint64_t>(size_bytes, 2 * kHeaderBytes)), 0),
-      persisted_(data_.size(), 0),
+    : size_(round_up_line(std::max<uint64_t>(size_bytes, 2 * kHeaderBytes))),
+      pages_((size_ + kPageBytes - 1) / kPageBytes),
       tracker_(latency),
       bump_(kHeaderBytes) {
   // Header: magic at 0, root offset at 8. Persist it as pool creation does.
@@ -33,7 +34,7 @@ uint64_t PmPool::alloc(uint64_t size) {
     allocs_[off] = sz;
     return off;
   }
-  if (bump_ + sz > data_.size()) throw std::bad_alloc();
+  if (bump_ + sz > size_) throw std::bad_alloc();
   const uint64_t off = bump_;
   bump_ += sz;
   allocs_[off] = sz;
@@ -69,8 +70,42 @@ void PmPool::set_root(uint64_t off) {
 uint64_t PmPool::root() const { return load_val<uint64_t>(8); }
 
 void PmPool::check_range(uint64_t off, uint64_t size) const {
-  if (off + size > data_.size() || off + size < off)
+  if (off + size > size_ || off + size < off)
     throw std::out_of_range("PmPool: access beyond pool end");
+}
+
+template <typename Fn>
+void PmPool::for_each_piece(uint64_t off, uint64_t size, Fn&& fn) {
+  for (uint64_t done = 0; done < size;) {
+    const uint64_t at = off + done;
+    const uint64_t n = std::min(size - done, kPageBytes - at % kPageBytes);
+    fn(at / kPageBytes, at % kPageBytes, n, done);
+    done += n;
+  }
+}
+
+PmPool::Page& PmPool::page(uint64_t index) {
+  std::unique_ptr<Page>& p = pages_[index];
+  if (!p) p = std::make_unique<Page>();
+  return *p;
+}
+
+uint8_t* PmPool::persisted_line(uint64_t line) {
+  const uint64_t base = line * kCachelineBytes;
+  return page(base / kPageBytes).persisted + base % kPageBytes;
+}
+
+void PmPool::load_slow(uint64_t off, void* dst, uint64_t size) const {
+  check_range(off, size);
+  auto* out = static_cast<uint8_t*>(dst);
+  for_each_piece(off, size, [&](uint64_t pg, uint64_t in, uint64_t n,
+                                uint64_t done) {
+    if (const Page* p = pages_[pg].get())
+      std::memcpy(out + done, p->data + in, n);
+    else
+      std::memset(out + done, 0, n);
+  });
+  const_cast<PersistenceTracker&>(tracker_).on_load(off, size);
 }
 
 void PmPool::fault_tick() {
@@ -84,17 +119,29 @@ void PmPool::fault_tick() {
 
 void PmPool::announce_lines(uint64_t off, uint64_t size) {
   if (!sink_ || size == 0) return;
+  static constexpr uint8_t kZeroLine[kCachelineBytes] = {};
   const uint64_t first = line_of(off), last = line_of(off + size - 1);
   for (uint64_t l = first; l <= last; ++l) {
-    if (sink_seen_lines_.insert(l).second)
-      sink_->on_line_base(l, persisted_.data() + l * kCachelineBytes);
+    if (!sink_seen_lines_.insert(l).second) continue;
+    const uint64_t base = l * kCachelineBytes;
+    const Page* p = pages_[base / kPageBytes].get();
+    sink_->on_line_base(l, p ? p->persisted + base % kPageBytes : kZeroLine);
   }
 }
 
 void PmPool::store(uint64_t off, const void* src, uint64_t size) {
   fault_tick();
   check_range(off, size);
-  std::memcpy(data_.data() + off, src, size);
+  const uint64_t in_page = off % kPageBytes;
+  if (size != 0 && in_page + size <= kPageBytes) {
+    std::memcpy(page(off / kPageBytes).data + in_page, src, size);
+  } else {
+    const auto* bytes = static_cast<const uint8_t*>(src);
+    for_each_piece(off, size, [&](uint64_t pg, uint64_t in, uint64_t n,
+                                  uint64_t done) {
+      std::memcpy(page(pg).data + in, bytes + done, n);
+    });
+  }
   tracker_.on_store(off, size);
   if (sink_) {
     announce_lines(off, size);
@@ -102,23 +149,23 @@ void PmPool::store(uint64_t off, const void* src, uint64_t size) {
   }
 }
 
-void PmPool::load(uint64_t off, void* dst, uint64_t size) const {
-  check_range(off, size);
-  std::memcpy(dst, data_.data() + off, size);
-  const_cast<PersistenceTracker&>(tracker_).on_load(off, size);
-}
-
 void PmPool::snapshot_pending_line(uint64_t line) {
   const uint64_t base = line * kCachelineBytes;
   auto& buf = staged_[line];
-  buf.assign(data_.begin() + static_cast<long>(base),
-             data_.begin() + static_cast<long>(base + kCachelineBytes));
+  if (const Page* p = pages_[base / kPageBytes].get())
+    buf.assign(p->data + base % kPageBytes,
+               p->data + base % kPageBytes + kCachelineBytes);
+  else
+    buf.assign(kCachelineBytes, 0);
 }
 
 bool PmPool::flush(uint64_t off, uint64_t size) {
   fault_tick();
   if (size == 0) {
     tracker_.on_flush(off, 0);
+    // Still a counted event: the sink's log must stay in step with
+    // event_count() so crash points name the same events as fault injection.
+    if (sink_) sink_->on_flush(off, 0);
     return true;
   }
   check_range(off, size);
@@ -140,10 +187,8 @@ bool PmPool::flush(uint64_t off, uint64_t size) {
 void PmPool::fence() {
   fault_tick();
   // Everything staged reaches the persistence domain.
-  for (auto& [line, bytes] : staged_) {
-    std::memcpy(persisted_.data() + line * kCachelineBytes, bytes.data(),
-                kCachelineBytes);
-  }
+  for (auto& [line, bytes] : staged_)
+    std::memcpy(persisted_line(line), bytes.data(), kCachelineBytes);
   staged_.clear();
   tracker_.on_fence();
   if (sink_) sink_->on_fence();
@@ -151,13 +196,17 @@ void PmPool::fence() {
 
 void PmPool::memset_persist(uint64_t off, uint8_t byte, uint64_t size) {
   check_range(off, size);
-  std::memset(data_.data() + off, byte, size);
+  for_each_piece(off, size, [&](uint64_t pg, uint64_t in, uint64_t n,
+                                uint64_t) {
+    std::memset(page(pg).data + in, byte, n);
+  });
   tracker_.on_store(off, size);
   if (sink_) {
     announce_lines(off, size);
     // The memset does not advance event_count(); recorders that replay the
     // fault-injection sweep need to know this store is "free".
-    sink_->on_store(off, data_.data() + off, size, /*counted=*/false);
+    const std::vector<uint8_t> bytes(size, byte);
+    sink_->on_store(off, bytes.data(), size, /*counted=*/false);
   }
   persist(off, size);
 }
@@ -168,40 +217,46 @@ void PmPool::crash(const CrashOptions& opts, Rng* rng) {
 
   // Flushed-but-unfenced lines may or may not have drained.
   for (auto& [line, bytes] : staged_) {
-    if (r.chance(opts.pending_survives)) {
-      std::memcpy(persisted_.data() + line * kCachelineBytes, bytes.data(),
-                  kCachelineBytes);
-    }
+    if (r.chance(opts.pending_survives))
+      std::memcpy(persisted_line(line), bytes.data(), kCachelineBytes);
   }
   // Dirty lines may have been evicted by the cache.
   if (opts.dirty_evicted > 0.0) {
     for (uint64_t l : tracker_.dirty_lines()) {
       if (r.chance(opts.dirty_evicted)) {
-        std::memcpy(persisted_.data() + l * kCachelineBytes,
-                    data_.data() + l * kCachelineBytes, kCachelineBytes);
+        const uint64_t base = l * kCachelineBytes;
+        Page& p = page(base / kPageBytes);
+        std::memcpy(p.persisted + base % kPageBytes,
+                    p.data + base % kPageBytes, kCachelineBytes);
       }
     }
   }
-  staged_.clear();
-  data_ = persisted_;  // the surviving image is what recovery sees
-  // All cache state is gone after power loss.
-  PersistenceStats saved = tracker_.stats();
-  tracker_.reset();
-  tracker_.mutable_stats() = saved;
+  restart();
 }
 
 void PmPool::install_image(
     const std::map<uint64_t, std::vector<uint8_t>>& lines) {
+  // Validate the whole image first: a bad line must not leave the earlier
+  // ones half-installed.
   for (const auto& [line, bytes] : lines) {
-    const uint64_t base = line * kCachelineBytes;
-    check_range(base, kCachelineBytes);
+    if (line >= size_ / kCachelineBytes)
+      throw std::out_of_range("PmPool: access beyond pool end");
     if (bytes.size() != kCachelineBytes)
       throw std::invalid_argument(
           "PmPool::install_image: image lines must be whole cachelines");
-    std::memcpy(persisted_.data() + base, bytes.data(), kCachelineBytes);
   }
+  for (const auto& [line, bytes] : lines)
+    std::memcpy(persisted_line(line), bytes.data(), kCachelineBytes);
+  restart();
+}
+
+void PmPool::restart() {
   staged_.clear();
-  data_ = persisted_;
+  // The surviving image is what recovery sees. A missing page is zero in
+  // both images already, so only existing pages need the copy.
+  for (const std::unique_ptr<Page>& p : pages_)
+    if (p) std::memcpy(p->data, p->persisted, kPageBytes);
+  // All cache state is gone after power loss.
   PersistenceStats saved = tracker_.stats();
   tracker_.reset();
   tracker_.mutable_stats() = saved;

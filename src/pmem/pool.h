@@ -3,7 +3,9 @@
 // This is the substrate every mini framework (pmdk_mini, pmfs_mini,
 // nvmdirect_mini, mnemosyne_mini) and the MIR interpreter run on. It gives:
 //
-//  * a flat persistent address space addressed by pool offsets,
+//  * a flat persistent address space addressed by pool offsets, backed
+//    sparsely: 4 KiB pages are allocated on first write and a page that was
+//    never written reads as zeros, so a pool costs what its run touches,
 //  * a 64-byte-aligned allocator (malloc-like functions are where DSA
 //    learns that an object is persistent, paper §4.2),
 //  * store/load/flush/fence primitives wired into the cacheline
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -100,7 +103,7 @@ class PmPool {
   PmPool(const PmPool&) = delete;
   PmPool& operator=(const PmPool&) = delete;
 
-  [[nodiscard]] uint64_t size() const { return data_.size(); }
+  [[nodiscard]] uint64_t size() const { return size_; }
 
   // --- allocation -------------------------------------------------------
   /// Allocate `size` bytes (rounded up to a cacheline). Throws
@@ -120,7 +123,20 @@ class PmPool {
 
   // --- data path ---------------------------------------------------------
   void store(uint64_t off, const void* src, uint64_t size);
-  void load(uint64_t off, void* dst, uint64_t size) const;
+  /// Inline for the common access that stays within one page; framework
+  /// scans issue one load per field, so this is the pool's hottest call.
+  void load(uint64_t off, void* dst, uint64_t size) const {
+    const uint64_t in_page = off % kPageBytes;
+    if (off < size_ && size <= size_ - off && in_page + size <= kPageBytes) {
+      if (const Page* p = pages_[off / kPageBytes].get())
+        std::memcpy(dst, p->data + in_page, size);
+      else
+        std::memset(dst, 0, size);
+      const_cast<PersistenceTracker&>(tracker_).on_load(off, size);
+      return;
+    }
+    load_slow(off, dst, size);
+  }
 
   template <typename T>
   void store_val(uint64_t off, const T& v) {
@@ -173,7 +189,9 @@ class PmPool {
   /// Lines not mentioned keep their current persisted content. Cache state
   /// is discarded (like crash()); the allocator survives. The recovery
   /// oracles install each enumerated crash image through this before
-  /// replaying the framework's recovery entry point.
+  /// replaying the framework's recovery entry point. Throws
+  /// std::out_of_range / std::invalid_argument, leaving the pool untouched,
+  /// if any line lies beyond the pool or is not kCachelineBytes long.
   void install_image(const std::map<uint64_t, std::vector<uint8_t>>& lines);
 
   // --- event sink ---------------------------------------------------------
@@ -199,15 +217,37 @@ class PmPool {
   [[nodiscard]] const PersistenceTracker& tracker() const { return tracker_; }
 
  private:
+  static constexpr uint64_t kPageBytes = 4096;
+
+  /// One page of the pool in both images. Pages exist only once written; a
+  /// missing page is all zeros in both.
+  struct alignas(kCachelineBytes) Page {
+    uint8_t data[kPageBytes];       ///< "cache-visible" contents
+    uint8_t persisted[kPageBytes];  ///< contents in the persistence domain
+  };
+
   void check_range(uint64_t off, uint64_t size) const;
+  /// load() for accesses that cross a page or fail the range check.
+  void load_slow(uint64_t off, void* dst, uint64_t size) const;
+  /// Split [off, off+size) at page boundaries: fn(page index, offset in
+  /// page, piece bytes, bytes before the piece) per piece.
+  template <typename Fn>
+  static void for_each_piece(uint64_t off, uint64_t size, Fn&& fn);
+  /// Page `index`, allocated (zeroed) if it does not exist yet.
+  Page& page(uint64_t index);
+  /// Persistence-domain bytes of `line`, allocating its page.
+  uint8_t* persisted_line(uint64_t line);
   void snapshot_pending_line(uint64_t line);
   void fault_tick();
   /// Announce persisted baselines for lines covering [off, off+size) that
   /// the sink has not seen yet.
   void announce_lines(uint64_t off, uint64_t size);
+  /// Power back on: the cache-visible image becomes the persisted one and
+  /// all cache state is dropped (stats survive).
+  void restart();
 
-  std::vector<uint8_t> data_;       ///< "cache-visible" contents
-  std::vector<uint8_t> persisted_;  ///< contents in the persistence domain
+  uint64_t size_;
+  std::vector<std::unique_ptr<Page>> pages_;  ///< one slot per kPageBytes
   /// Content of lines that were flushed but not yet fenced, snapshotted at
   /// flush time (a later store must not retroactively change what the clwb
   /// wrote back).

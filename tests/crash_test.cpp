@@ -81,6 +81,25 @@ TEST(EventRecorder, MemsetPersistStoreIsUncounted) {
   EXPECT_EQ(log.counted_events(), 2u);
 }
 
+TEST(EventRecorder, ZeroSizeFlushIsCounted) {
+  // The log counts every event the pool counts, so crash point n and
+  // inject_fault_after(n) name the same event.
+  pmem::PmPool pool = make_pool();
+  crash::EventRecorder rec(pool);
+  const uint64_t a = pool.alloc(64);
+  const uint64_t before = pool.event_count();
+  pool.store_val<uint64_t>(a, 1);
+  pool.flush(a, 0);
+  pool.flush(a, 8);
+  pool.fence();
+  const crash::EventLog& log = rec.log();
+  EXPECT_EQ(pool.event_count() - before, 4u);
+  EXPECT_EQ(log.counted_events(), 4u);
+  ASSERT_EQ(log.events.size(), 4u);
+  EXPECT_EQ(log.events[1].kind, crash::EventKind::kFlush);
+  EXPECT_EQ(log.events[1].size, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Store-lifecycle replay
 // ---------------------------------------------------------------------------
@@ -105,6 +124,23 @@ TEST(StoreReplay, TracksStagingAndDurability) {
   EXPECT_TRUE(dirty.dirty_at(4));
   ASSERT_EQ(replay.fences().size(), 1u);
   EXPECT_EQ(replay.fences()[0], 3u);
+}
+
+TEST(StoreReplay, ZeroSizeFlushStagesNothing) {
+  // A zero-byte flush inside a store's range covers none of its bytes.
+  pmem::PmPool pool = make_pool();
+  crash::EventRecorder rec(pool);
+  const uint64_t a = pool.alloc(64);
+  const uint8_t bytes[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14};
+  pool.store(a, bytes, sizeof(bytes));  // event 0
+  pool.flush(a + 8, 0);                 // event 1
+  pool.fence();                         // event 2
+
+  crash::StoreReplay replay(rec.log());
+  ASSERT_EQ(rec.log().events.size(), 3u);
+  ASSERT_EQ(replay.units().size(), 1u);
+  EXPECT_EQ(replay.units()[0].staged_at, crash::kNoEvent);
+  EXPECT_EQ(replay.units()[0].durable_at, crash::kNoEvent);
 }
 
 TEST(StoreReplay, ImageAtAppliesDurableThenExtras) {

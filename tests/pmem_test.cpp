@@ -3,6 +3,9 @@
 // statistics used by the performance-bug experiments.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "pmem/pool.h"
 
 namespace deepmc::pmem {
@@ -227,6 +230,25 @@ TEST_F(PoolTest, MemsetPersistIsDurable) {
   pool.crash();
   for (uint64_t i = 0; i < 256; ++i)
     EXPECT_EQ(pool.load_val<uint8_t>(off + i), 0xab) << i;
+}
+
+TEST_F(PoolTest, InstallImageRejectsWholeImageOnBadLine) {
+  const uint64_t off = pool.alloc(64);
+  pool.store_val<uint64_t>(off, 5);
+  pool.persist(off, 8);
+  const std::vector<uint8_t> junk(kCachelineBytes, 0xee);
+  const uint64_t end_line = pool.size() / kCachelineBytes;
+  // The good line sorts first, so a line-by-line install would write it
+  // before reaching the bad one.
+  EXPECT_THROW(pool.install_image({{off / kCachelineBytes, junk},
+                                   {end_line, junk}}),
+               std::out_of_range);
+  EXPECT_THROW(pool.install_image({{off / kCachelineBytes, junk},
+                                   {end_line - 1, {1, 2, 3}}}),
+               std::invalid_argument);
+  pool.crash();
+  EXPECT_EQ(pool.load_val<uint64_t>(off), 5u);
+  EXPECT_EQ(pool.load_val<uint8_t>((end_line - 1) * kCachelineBytes), 0u);
 }
 
 TEST_F(PoolTest, StatsCountPersistencyTraffic) {
