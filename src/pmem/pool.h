@@ -122,6 +122,9 @@ class PmPool {
   [[nodiscard]] uint64_t root() const;
 
   // --- data path ---------------------------------------------------------
+  /// Throws std::out_of_range("PmPool: access beyond pool end") unless
+  /// [off, off+size) lies in the pool; the range rule of load and store.
+  void check_range(uint64_t off, uint64_t size) const;
   void store(uint64_t off, const void* src, uint64_t size);
   /// Inline for the common access that stays within one page; framework
   /// scans issue one load per field, so this is the pool's hottest call.
@@ -226,7 +229,6 @@ class PmPool {
     uint8_t persisted[kPageBytes];  ///< contents in the persistence domain
   };
 
-  void check_range(uint64_t off, uint64_t size) const;
   /// load() for accesses that cross a page or fail the range check.
   void load_slow(uint64_t off, void* dst, uint64_t size) const;
   /// Split [off, off+size) at page boundaries: fn(page index, offset in

@@ -366,6 +366,25 @@ entry:
   EXPECT_TRUE(sim.witnesses.empty());
 }
 
+TEST(CrashsimRoot, OversizedMemsetReportsThePoolError) {
+  // The range is checked before a buffer of the requested size is built,
+  // so the root fails with the pool's error, not an allocation failure.
+  const char* mir = R"(
+module "m"
+struct %obj { i64 }
+
+define void @root() {
+entry:
+  %o = pm.alloc %obj
+  memset %o, 0, 1125899906842624 !loc("m.c", 50)
+  ret
+}
+)";
+  crash::RootCrashSim sim = simulate(mir, "root");
+  EXPECT_FALSE(sim.executed);
+  EXPECT_EQ(sim.error, "PmPool: access beyond pool end");
+}
+
 TEST(CallClosure, FollowsDirectCallsFromRoots) {
   const char* mir = R"(
 module "m"
