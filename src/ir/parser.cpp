@@ -1,8 +1,10 @@
 #include "ir/parser.h"
 
 #include <cctype>
-#include <map>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/builder.h"
@@ -13,7 +15,10 @@ namespace deepmc::ir {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tokenizer: per-line, since the grammar is line-oriented.
+// Tokenizer: per-line, since the grammar is line-oriented. Tokens are views
+// into the text parse_module was given, which outlives the parse; a
+// std::string is built only where the IR keeps a name or an error message
+// is composed.
 // ---------------------------------------------------------------------------
 
 enum class Tok : uint8_t {
@@ -28,7 +33,7 @@ enum class Tok : uint8_t {
 
 struct Token {
   Tok kind = Tok::kEnd;
-  std::string text;
+  std::string_view text;
   int64_t number = 0;
   size_t col = 0;  ///< 1-based column where the token starts
 };
@@ -73,11 +78,13 @@ class Lexer {
   }
 
   [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError(lineno_, tok_col_, msg + " (near '" + cur_.text + "')");
+    throw ParseError(lineno_, tok_col_,
+                     msg + " (near '" + std::string(cur_.text) + "')");
   }
   /// Like fail(), but anchored at an already-consumed token.
   [[noreturn]] void fail_at(const Token& t, const std::string& msg) const {
-    throw ParseError(lineno_, t.col, msg + " (near '" + t.text + "')");
+    throw ParseError(lineno_, t.col,
+                     msg + " (near '" + std::string(t.text) + "')");
   }
 
   [[nodiscard]] size_t lineno() const { return lineno_; }
@@ -103,7 +110,7 @@ class Lexer {
       size_t start = pos_;
       while (pos_ < s_.size() && ident_char(s_[pos_])) ++pos_;
       cur_ = {c == '%' ? Tok::kLocal : Tok::kGlobal,
-              std::string(s_.substr(start, pos_ - start)), 0, tok_col_};
+              s_.substr(start, pos_ - start), 0, tok_col_};
       return;
     }
     if (c == '"') {
@@ -112,8 +119,7 @@ class Lexer {
       while (pos_ < s_.size() && s_[pos_] != '"') ++pos_;
       if (pos_ >= s_.size())
         throw ParseError(lineno_, tok_col_, "unterminated string");
-      cur_ = {Tok::kString, std::string(s_.substr(start, pos_ - start)), 0,
-              tok_col_};
+      cur_ = {Tok::kString, s_.substr(start, pos_ - start), 0, tok_col_};
       ++pos_;
       return;
     }
@@ -136,20 +142,18 @@ class Lexer {
         mag = mag * 10 + d;
         ++pos_;
       }
-      std::string text(s_.substr(start, pos_ - start));
       const auto v = neg ? -static_cast<int64_t>(mag - 1) - 1
                          : static_cast<int64_t>(mag);
-      cur_ = {Tok::kNumber, text, v, tok_col_};
+      cur_ = {Tok::kNumber, s_.substr(start, pos_ - start), v, tok_col_};
       return;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t start = pos_;
       while (pos_ < s_.size() && ident_char(s_[pos_])) ++pos_;
-      cur_ = {Tok::kIdent, std::string(s_.substr(start, pos_ - start)), 0,
-              tok_col_};
+      cur_ = {Tok::kIdent, s_.substr(start, pos_ - start), 0, tok_col_};
       return;
     }
-    cur_ = {Tok::kPunct, std::string(1, c), 0, tok_col_};
+    cur_ = {Tok::kPunct, s_.substr(pos_, 1), 0, tok_col_};
     ++pos_;
   }
 
@@ -172,10 +176,9 @@ class Parser {
   explicit Parser(std::string_view text,
                   std::vector<ParseDiagnostic>* diags = nullptr,
                   size_t max_diags = 0)
-      : diags_(diags), max_diags_(max_diags) {
-    for (std::string_view line : split(text, '\n', /*keep_empty=*/true))
-      lines_.emplace_back(line);
-  }
+      : lines_(split(text, '\n', /*keep_empty=*/true)),
+        diags_(diags),
+        max_diags_(max_diags) {}
 
   std::unique_ptr<Module> run() {
     // Pass 1: module name, structs, and all function signatures.
@@ -186,6 +189,11 @@ class Parser {
   }
 
  private:
+  /// One function body's symbol tables, keyed by views of the source text
+  /// (or of argument names the IR owns); both die with the parse.
+  using Values = std::unordered_map<std::string_view, Value*>;
+  using Blocks = std::unordered_map<std::string_view, BasicBlock*>;
+
   // --- error recovery --------------------------------------------------------
 
   /// Runs `fn`; in tolerant mode a ParseError becomes a diagnostic and the
@@ -219,7 +227,7 @@ class Parser {
     if (depth > kMaxTypeDepth) lex.fail("type nesting too deep");
     const Type* base = nullptr;
     if (lex.peek().kind == Tok::kIdent) {
-      const std::string& w = lex.peek().text;
+      const std::string_view w = lex.peek().text;
       if (w == "void") {
         lex.take();
         base = module_->types().void_type();
@@ -231,17 +239,18 @@ class Parser {
         for (size_t i = 1; i < w.size(); ++i) {
           if (!std::isdigit(static_cast<unsigned char>(w[i])) ||
               bits > kMaxIntBits)
-            lex.fail("bad type " + w);
+            lex.fail("bad type " + std::string(w));
           bits = bits * 10 + static_cast<uint64_t>(w[i] - '0');
         }
-        if (bits == 0 || bits > kMaxIntBits) lex.fail("bad type " + w);
+        if (bits == 0 || bits > kMaxIntBits)
+          lex.fail("bad type " + std::string(w));
         lex.take();
         base = module_->types().int_type(static_cast<uint32_t>(bits));
       } else {
-        lex.fail("unknown type " + w);
+        lex.fail("unknown type " + std::string(w));
       }
     } else if (lex.peek().kind == Tok::kLocal) {
-      const std::string name = lex.take().text;
+      const std::string name(lex.take().text);
       const StructType* st = module_->types().find_struct(name);
       if (st) {
         base = st;
@@ -305,9 +314,10 @@ class Parser {
   }
 
   void parse_struct(Lexer& lex) {
-    Token name = lex.expect(Tok::kLocal, "struct name");
-    if (module_->types().find_struct(name.text))
-      lex.fail_at(name, "duplicate struct %" + name.text);
+    const Token tok = lex.expect(Tok::kLocal, "struct name");
+    std::string name(tok.text);
+    if (module_->types().find_struct(name))
+      lex.fail_at(tok, "duplicate struct %" + name);
     lex.expect_punct('{');
     std::vector<const Type*> fields;
     if (!lex.accept_punct('}')) {
@@ -316,16 +326,17 @@ class Parser {
       } while (lex.accept_punct(','));
       lex.expect_punct('}');
     }
-    module_->types().create_struct(name.text, std::move(fields));
+    module_->types().create_struct(std::move(name), std::move(fields));
   }
 
   void parse_signature(Lexer& lex, size_t line_index) {
     const bool is_define = lex.peek().text == "define";
     lex.take();
     const Type* ret = parse_type(lex);
-    Token name = lex.expect(Tok::kGlobal, "function name");
-    if (module_->find_function(name.text))
-      lex.fail_at(name, "duplicate function @" + name.text);
+    const Token tok = lex.expect(Tok::kGlobal, "function name");
+    std::string name(tok.text);
+    if (module_->find_function(name))
+      lex.fail_at(tok, "duplicate function @" + name);
     lex.expect_punct('(');
     std::vector<std::pair<std::string, const Type*>> params;
     if (!lex.accept_punct(')')) {
@@ -339,7 +350,8 @@ class Parser {
       } while (lex.accept_punct(','));
       lex.expect_punct(')');
     }
-    Function* f = module_->create_function(name.text, ret, std::move(params));
+    Function* f =
+        module_->create_function(std::move(name), ret, std::move(params));
     if (is_define) body_start_.emplace_back(f, line_index);
   }
 
@@ -377,21 +389,22 @@ class Parser {
       throw ParseError(def_line + 1, "missing closing '}' for @" + func->name());
 
     // Collect labels in order, creating blocks.
-    std::map<std::string, BasicBlock*> blocks;
+    Blocks blocks;
     for (size_t i = first; i < last; ++i) {
       std::string_view t = code_of(lines_[i]);
       if (t.empty()) continue;
       if (t.back() == ':' && t.find(' ') == std::string_view::npos) {
-        std::string label(t.substr(0, t.size() - 1));
+        const std::string_view label = t.substr(0, t.size() - 1);
         if (blocks.count(label)) {
           // Recoverable: keep the first definition, report the repeat.
           if (!guarded([&] {
-                throw ParseError(i + 1, "duplicate label " + label);
+                throw ParseError(i + 1,
+                                 "duplicate label " + std::string(label));
               }))
             return;
           continue;
         }
-        blocks[label] = func->create_block(label);
+        blocks[label] = func->create_block(std::string(label));
       }
     }
     if (func->blocks().empty()) {
@@ -400,7 +413,7 @@ class Parser {
     }
 
     IRBuilder b(*func->parent());
-    std::map<std::string, Value*> values;
+    Values values;
     for (const auto& arg : func->args()) values[arg->name()] = arg.get();
 
     BasicBlock* cur = func->entry();
@@ -414,7 +427,7 @@ class Parser {
       std::string_view t = code_of(lines_[i]);
       if (t.empty()) continue;
       if (t.back() == ':' && t.find(' ') == std::string_view::npos) {
-        auto it = blocks.find(std::string(t.substr(0, t.size() - 1)));
+        auto it = blocks.find(t.substr(0, t.size() - 1));
         if (it == blocks.end()) continue;  // duplicate label already noted
         cur = it->second;
         b.set_insert_point(cur);
@@ -428,8 +441,7 @@ class Parser {
     }
   }
 
-  Value* parse_operand(Lexer& lex, IRBuilder& b,
-                       std::map<std::string, Value*>& values,
+  Value* parse_operand(Lexer& lex, IRBuilder& b, Values& values,
                        const Type* type_hint = nullptr) {
     // Optional type prefix for constants: `i64 5`.
     if (lex.peek().kind == Tok::kIdent && lex.peek().text.size() > 1 &&
@@ -449,11 +461,12 @@ class Parser {
     }
     Token v = lex.expect(Tok::kLocal, "value");
     auto it = values.find(v.text);
-    if (it == values.end()) lex.fail_at(v, "undefined value %" + v.text);
+    if (it == values.end())
+      lex.fail_at(v, "undefined value %" + std::string(v.text));
     return it->second;
   }
 
-  static std::optional<BinOpKind> binop_from(const std::string& w) {
+  static std::optional<BinOpKind> binop_from(std::string_view w) {
     if (w == "add") return BinOpKind::kAdd;
     if (w == "sub") return BinOpKind::kSub;
     if (w == "mul") return BinOpKind::kMul;
@@ -466,10 +479,9 @@ class Parser {
   }
 
   void parse_instruction(Lexer& lex, IRBuilder& b, Function* func,
-                         std::map<std::string, Value*>& values,
-                         std::map<std::string, BasicBlock*>& blocks) {
+                         Values& values, Blocks& blocks) {
     b.set_loc("", 0);  // cleared; !loc suffix re-sets below via set_loc later
-    std::string result;
+    std::string_view result;
     if (lex.peek().kind == Tok::kLocal) {
       result = lex.take().text;
       lex.expect_punct('=');
@@ -480,16 +492,18 @@ class Parser {
     Instruction* inst = nullptr;
 
     Token op = lex.expect(Tok::kIdent, "opcode");
-    const std::string& w = op.text;
+    const std::string_view w = op.text;
 
     if (w == "alloca" || w == "pm.alloc") {
       const Type* t = parse_type(lex);
-      inst = (w == "alloca") ? static_cast<Instruction*>(b.alloca_(t, result))
-                             : static_cast<Instruction*>(b.pm_alloc(t, result));
+      std::string name(result);
+      inst = (w == "alloca")
+                 ? static_cast<Instruction*>(b.alloca_(t, std::move(name)))
+                 : static_cast<Instruction*>(b.pm_alloc(t, std::move(name)));
     } else if (w == "pm.free") {
       inst = b.pm_free(parse_operand(lex, b, values));
     } else if (w == "load") {
-      inst = b.load(parse_operand(lex, b, values), result);
+      inst = b.load(parse_operand(lex, b, values), std::string(result));
     } else if (w == "store") {
       Value* val = parse_operand(lex, b, values);
       lex.expect_punct(',');
@@ -499,7 +513,7 @@ class Parser {
       Value* base = parse_operand(lex, b, values);
       lex.expect_punct(',');
       Value* idx = parse_operand(lex, b, values);
-      inst = b.gep_at(base, idx, result);
+      inst = b.gep_at(base, idx, std::string(result));
     } else if (w == "memset") {
       Value* p = parse_operand(lex, b, values);
       lex.expect_punct(',');
@@ -539,7 +553,7 @@ class Parser {
     } else if (w == "call") {
       const Type* ret = module_->types().void_type();
       if (lex.peek().kind != Tok::kGlobal) ret = parse_type(lex);
-      Token callee = lex.expect(Tok::kGlobal, "callee");
+      std::string callee(lex.expect(Tok::kGlobal, "callee").text);
       lex.expect_punct('(');
       std::vector<Value*> args;
       if (!lex.accept_punct(')')) {
@@ -549,9 +563,10 @@ class Parser {
         lex.expect_punct(')');
       }
       // Prefer the declared return type when the callee is known.
-      if (Function* cf = module_->find_function(callee.text))
+      if (Function* cf = module_->find_function(callee))
         ret = cf->return_type();
-      inst = b.call_ext(callee.text, ret, std::move(args), result);
+      inst = b.call_ext(std::move(callee), ret, std::move(args),
+                        std::string(result));
     } else if (w == "ret") {
       Value* v = nullptr;
       if (!lex.at_end() && !(lex.peek().kind == Tok::kPunct &&
@@ -577,7 +592,7 @@ class Parser {
       Value* lhs = parse_operand(lex, b, values);
       lex.expect_punct(',');
       Value* rhs = parse_operand(lex, b, values, lhs->type());
-      inst = b.binop(*bk, lhs, rhs, result);
+      inst = b.binop(*bk, lhs, rhs, std::string(result));
     } else if (w == "cast") {
       Value* src = parse_operand(lex, b, values);
       if (!lex.accept_ident("to")) lex.fail("expected 'to'");
@@ -585,9 +600,9 @@ class Parser {
       // `cast %p to T*` — builder's cast() takes the pointee.
       const auto* pt = dynamic_cast<const PointerType*>(t);
       if (!pt) lex.fail("cast target must be a pointer type");
-      inst = b.cast(src, pt->pointee(), result);
+      inst = b.cast(src, pt->pointee(), std::string(result));
     } else {
-      lex.fail_at(op, "unknown opcode " + w);
+      lex.fail_at(op, "unknown opcode " + std::string(w));
     }
 
     // Optional !loc("file", line) suffix.
@@ -599,26 +614,26 @@ class Parser {
       lex.expect_punct(',');
       Token line = lex.expect(Tok::kNumber, "line number");
       lex.expect_punct(')');
-      inst->set_loc(SourceLoc(file.text, static_cast<uint32_t>(line.number)));
+      inst->set_loc(SourceLoc(std::string(file.text),
+                              static_cast<uint32_t>(line.number)));
     }
 
     if (!lex.at_end()) lex.fail("trailing tokens");
     if (!result.empty()) {
       if (values.count(result))
-        lex.fail("redefinition of %" + result);
+        lex.fail("redefinition of %" + std::string(result));
       values[result] = inst;
     }
   }
 
-  static BasicBlock* lookup_block(Lexer& lex,
-                                  std::map<std::string, BasicBlock*>& blocks,
-                                  const std::string& name) {
+  static BasicBlock* lookup_block(Lexer& lex, Blocks& blocks,
+                                  std::string_view name) {
     auto it = blocks.find(name);
-    if (it == blocks.end()) lex.fail("unknown label %" + name);
+    if (it == blocks.end()) lex.fail("unknown label %" + std::string(name));
     return it->second;
   }
 
-  std::vector<std::string> lines_;
+  std::vector<std::string_view> lines_;  ///< views into the parsed text
   std::unique_ptr<Module> module_;
   std::vector<std::pair<Function*, size_t>> body_start_;
   std::vector<ParseDiagnostic>* diags_ = nullptr;  // null = strict mode
