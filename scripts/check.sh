@@ -10,10 +10,12 @@
 #                                 thread-pool / parallel-driver / serve /
 #                                 runtime-checker / load-engine tests only
 #   scripts/check.sh --san        ASan+UBSan build (-DDEEPMC_ASAN=ON): parser
-#                                 fuzz, resilience and PM-substrate (pool,
-#                                 event log, enumerator, fault sweep) tests,
-#                                 then the deepmc binary over the hostile
-#                                 parser corpus and the example programs
+#                                 fuzz, resilience, PM-substrate (pool,
+#                                 event log, enumerator, fault sweep) and
+#                                 interpreter (arena, instrumenter, dynamic
+#                                 checker) tests, then the deepmc binary over
+#                                 the hostile parser corpus and the example
+#                                 programs
 #   scripts/check.sh --obs        observability identity pass only: every
 #                                 corpus module's report must be byte-identical
 #                                 with --stats/--metrics-out/--trace-out on vs
@@ -59,9 +61,10 @@ run_san() {
   # Same filter as the asan test preset.
   cmake --build build-asan -j "$jobs" \
     --target fuzz_parser_test resilience_test ir_test pmem_test \
-             pmem_extra_test crash_test fault_injection_test deepmc
+             pmem_extra_test crash_test fault_injection_test interp_test \
+             interp_extra_test deepmc
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'FuzzParser|Resilience|Parser|TrackerTest|PoolTest|PersistOrderProperty|FaultInjection|AllocatorExtra|CrashOptionsExtra|CacheLineSpanning|HeaderSurvival|StatsExtra|EventRecorder|StoreReplay|Enumerator|RecoveryOracle|FaultSweep|PoolDifferential|PagedPool'
+    -R 'FuzzParser|Resilience|Parser|TrackerTest|PoolTest|PersistOrderProperty|FaultInjection|AllocatorExtra|CrashOptionsExtra|CacheLineSpanning|HeaderSurvival|StatsExtra|EventRecorder|StoreReplay|Enumerator|RecoveryOracle|FaultSweep|PoolDifferential|PagedPool|Interp|InstrumenterTest|DynamicChecker'
 
   # The binary itself over hostile and healthy inputs. Sanitizer aborts
   # exit with 99 so they can't be mistaken for deepmc's own exit codes
