@@ -1,5 +1,6 @@
 // Textual MIR emission. The output parses back via ir/parser.h (round-trip
-// is covered by tests/ir_roundtrip_test.cpp).
+// is covered by ParserTest.RoundTripThroughPrinter and RoundTripProperty in
+// tests/ir_test.cpp).
 #pragma once
 
 #include <iosfwd>
