@@ -1,28 +1,66 @@
 // Figure 12 reproduction: runtime overhead of DeepMC's dynamic checker.
 //
-// Runs each Table 6 application under each of its workloads twice — without
-// and with the dynamic checker attached (shadow-segment tracking of
-// persistent reads/writes + epoch metadata, §4.4) — and reports throughput
+// Serves each Table 6 suite's requests from a load::KvShard on the
+// framework that application was built on (Memcached on mnemosyne_mini,
+// Redis on pmdk_mini, NStore on nvmdirect_mini, whose hand-rolled
+// write_persist1 is Table 6's "low-level" persistence), once without and
+// once with an epoch-model RuntimeChecker attached, and reports throughput
 // plus the relative drop. Paper: 1.7–14.2% (Memcached), 2.5–16.1% (Redis),
 // 3.12–15.7% (NStore); overhead grows with the persistent write/read ratio.
 //
-// Scale: DEEPMC_FULL=1 runs the paper's 1M transactions per workload;
-// the default is 40K so the whole suite stays interactive.
+// The client loop opens no strand, so the checker's shadow segment stays
+// idle: what the checker costs here is its per-hook counters plus the
+// epoch notes Mnemosyne's transactions make.
+//
+// Each Table 6 request mix becomes a get:put:del OpMix with the same share
+// of persistent reads and writes per request: a put is an update, an
+// insert, a SET or an LPUSH; a get is a read or a GET; RMW, INCR and LPOP
+// are one get plus one put; a YCSB-E scan reads 8.5 keys on average.
+//
+// Scale: DEEPMC_FULL=1 runs the paper's 1M transactions per workload over
+// 10,000 keys; the default is 120K over 2,000 so the suite stays
+// interactive.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <string>
+#include <vector>
 
-#include "apps/runner.h"
 #include "bench_util.h"
+#include "load/shards.h"
+#include "load/workload.h"
+#include "support/stats.h"
 #include "support/str.h"
 
 using namespace deepmc;
-using namespace deepmc::apps;
 
 namespace {
 
+// Stand-in for the request path of the real servers (protocol parsing,
+// key hashing, response formatting) that dominates per-op cost in the
+// paper's testbed. Both the baseline and the instrumented run pay it, so
+// the measured instrumentation overhead is relative to a realistic op
+// cost rather than to bare memcpys.
+uint64_t request_codec(const load::LoadOp& op) {
+  char wire[96];
+  int n = std::snprintf(wire, sizeof(wire), "op=%d key=%016llx val=%016llx",
+                        static_cast<int>(op.kind),
+                        static_cast<unsigned long long>(op.key),
+                        static_cast<unsigned long long>(op.value));
+  uint64_t h = 1469598103934665603ull;  // FNV-1a over the wire request
+  for (int i = 0; i < n; ++i) {
+    h ^= static_cast<uint8_t>(wire[i]);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Workload {
+  const char* name;
+  load::OpMix mix;
+};
+
 struct OverheadResult {
-  std::string workload;
   double base_tps = 0;
   double checked_tps = 0;
   [[nodiscard]] double drop_pct() const {
@@ -30,46 +68,59 @@ struct OverheadResult {
   }
 };
 
-enum class App { kMemcached, kRedis, kNstore };
+/// Process-CPU seconds to serve `ops` from a fresh `framework` shard whose
+/// every slot is preloaded, so reads hit as they do under memslap/YCSB.
+double serve_ops(const std::string& framework,
+                 const std::vector<load::LoadOp>& ops, uint64_t keys,
+                 rt::RuntimeChecker* rt) {
+  load::ShardConfig cfg;
+  cfg.keys = keys;
+  cfg.rt = rt;
+  const std::unique_ptr<load::KvShard> shard = load::make_shard(framework, cfg);
+  for (uint64_t slot = 0; slot < shard->capacity(); ++slot)
+    shard->put(slot, slot * 1315423911ull | 1);
 
-std::unique_ptr<KvApp> make_app(App which, pmem::PmPool& pool,
-                                rt::RuntimeChecker* rt) {
-  switch (which) {
-    case App::kMemcached:
-      return std::make_unique<MemcachedMini>(pool, 1 << 14,
-                                             mnemosyne::PerfBugConfig{}, rt);
-    case App::kRedis:
-      return std::make_unique<RedisMini>(pool, 1 << 14,
-                                         pmdk::PerfBugConfig{}, rt);
-    case App::kNstore:
-      return std::make_unique<NstoreMini>(pool, 1 << 14, rt);
+  CpuStopwatch cpu;
+  uint64_t codec_sink = 0;
+  for (const load::LoadOp& op : ops) {
+    codec_sink ^= request_codec(op);
+    const uint64_t slot = shard->slot_of(op.key);
+    switch (op.kind) {
+      case load::OpKind::kGet: (void)shard->get(slot); break;
+      case load::OpKind::kPut: shard->put(slot, op.value); break;
+      case load::OpKind::kDel: shard->del(slot); break;
+    }
   }
-  return nullptr;
+  const double cpu_s = cpu.seconds();
+  // Keep the codec from being optimized out.
+  if (codec_sink == 0xdeadbeefcafef00dull) std::fprintf(stderr, "~");
+  return cpu_s;
 }
 
-OverheadResult measure(App which, const WorkloadSpec& spec, size_t ops,
-                       uint64_t keys) {
-  OverheadResult r;
-  r.workload = spec.name;
+OverheadResult measure(const std::string& framework, const load::OpMix& mix,
+                       size_t ops, uint64_t keys) {
+  load::WorkloadSpec spec;
+  spec.threads = 1;
+  spec.ops_per_thread = ops;
+  spec.keys = keys;
+  spec.mix = mix;
+  spec.seed = 42;
+  Rng rng = load::thread_rng(spec, 0);
+  std::vector<load::LoadOp> stream(ops);
+  for (load::LoadOp& op : stream) op = load::next_op(rng, spec);
+
   // Interleave repetitions and keep the fastest run of each variant: on a
-  // shared single-core machine the minimum is the least noisy estimator.
+  // shared machine the minimum is the least noisy estimator.
   constexpr int kReps = 5;
   double base_best = 1e99, checked_best = 1e99;
   for (int rep = 0; rep < kReps; ++rep) {
-    {
-      pmem::PmPool pool(1 << 26, pmem::LatencyModel::zero());
-      auto app = make_app(which, pool, nullptr);
-      auto res = run_workload(*app, pool, spec, ops, keys, 42);
-      base_best = std::min(base_best, res.cpu_seconds);
-    }
-    {
-      pmem::PmPool pool(1 << 26, pmem::LatencyModel::zero());
-      rt::RuntimeChecker rt(core::PersistencyModel::kEpoch);
-      auto app = make_app(which, pool, &rt);
-      auto res = run_workload(*app, pool, spec, ops, keys, 42);
-      checked_best = std::min(checked_best, res.cpu_seconds);
-    }
+    base_best =
+        std::min(base_best, serve_ops(framework, stream, keys, nullptr));
+    rt::RuntimeChecker rt(core::PersistencyModel::kEpoch);
+    checked_best =
+        std::min(checked_best, serve_ops(framework, stream, keys, &rt));
   }
+  OverheadResult r;
   r.base_tps = static_cast<double>(ops) / base_best;
   r.checked_tps = static_cast<double>(ops) / checked_best;
   return r;
@@ -83,34 +134,68 @@ int main() {
   const bool full = std::getenv("DEEPMC_FULL") != nullptr;
   const size_t ops = full ? 1'000'000 : 120'000;
   const uint64_t keys = full ? 10'000 : 2'000;
-  std::printf("Transactions per workload: %zu (%s; Table 6 uses 1M)\n\n",
-              ops, full ? "DEEPMC_FULL" : "set DEEPMC_FULL=1 for paper scale");
+  std::printf("Transactions per workload: %zu over %llu keys (%s; Table 6 "
+              "uses 1M)\n\n",
+              ops, static_cast<unsigned long long>(keys),
+              full ? "DEEPMC_FULL" : "set DEEPMC_FULL=1 for paper scale");
 
+  // get:put:del shares of persistent reads and writes per request.
+  const load::OpMix half{50, 50, 0}, read_mostly{95, 5, 0},
+      read_only{100, 0, 0}, rmw{67, 33, 0}, write_only{0, 100, 0},
+      scan{99, 1, 0};
   struct Suite {
-    App app;
     const char* name;
-    std::vector<WorkloadSpec> workloads;
+    const char* framework;
+    std::vector<Workload> workloads;
     double paper_lo, paper_hi;
   };
   const Suite suites[] = {
-      {App::kMemcached, "Memcached (memslap)", memcached_workloads(), 1.7,
+      {"Memcached (memslap)",
+       "mnemosyne_mini",
+       {{"memslap-50u-50r", half},
+        {"memslap-5u-95r", read_mostly},
+        {"memslap-100r", read_only},
+        {"memslap-5i-95r", read_mostly},
+        {"memslap-50rmw-50r", rmw}},
+       1.7,
        14.2},
-      {App::kRedis, "Redis (redis-benchmark)", redis_workloads(), 2.5, 16.1},
-      {App::kNstore, "NStore (YCSB)", ycsb_workloads(), 3.12, 15.7},
+      {"Redis (redis-benchmark)",
+       "pmdk_mini",
+       {{"redis-set", write_only},
+        {"redis-get", read_only},
+        {"redis-incr", half},
+        {"redis-lpush", write_only},
+        {"redis-lpop", half},
+        {"redis-mixed", half}},
+       2.5,
+       16.1},
+      {"NStore (YCSB)",
+       "nvmdirect_mini",
+       {{"ycsb-a", half},
+        {"ycsb-b", read_mostly},
+        {"ycsb-c", read_only},
+        {"ycsb-d", read_mostly},
+        {"ycsb-e", scan},
+        {"ycsb-f", rmw}},
+       3.12,
+       15.7},
   };
 
   bool shape_ok = true;
   for (const Suite& suite : suites) {
-    std::printf("--- %s — paper overhead range %.1f%%..%.1f%% ---\n",
-                suite.name, suite.paper_lo, suite.paper_hi);
-    bench::Table table({"Workload", "Baseline (tx/s)", "With DeepMC (tx/s)",
-                        "Overhead"});
+    std::printf("--- %s on %s — paper overhead range %.1f%%..%.1f%% ---\n",
+                suite.name, suite.framework, suite.paper_lo, suite.paper_hi);
+    bench::Table table({"Workload", "get:put:del", "Baseline (tx/s)",
+                        "With DeepMC (tx/s)", "Overhead"});
     double lo = 1e9, hi = -1e9;
-    for (const WorkloadSpec& spec : suite.workloads) {
-      OverheadResult r = measure(suite.app, spec, ops, keys);
+    for (const Workload& w : suite.workloads) {
+      const OverheadResult r = measure(suite.framework, w.mix, ops, keys);
       lo = std::min(lo, r.drop_pct());
       hi = std::max(hi, r.drop_pct());
-      table.add_row({r.workload, strformat("%.0f", r.base_tps),
+      table.add_row({w.name,
+                     strformat("%u:%u:%u", w.mix.get_pct, w.mix.put_pct,
+                               w.mix.del_pct),
+                     strformat("%.0f", r.base_tps),
                      strformat("%.0f", r.checked_tps),
                      strformat("%.1f%%", r.drop_pct())});
     }

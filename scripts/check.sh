@@ -6,10 +6,10 @@
 #
 #   scripts/check.sh              configure + build + full ctest + obs
 #                                 identity + resilience ladder
-#   scripts/check.sh --tsan       TSan build (-DDEEPMC_TSAN=ON) of the
+#   scripts/check.sh --tsan       TSan build (the tsan presets) of the
 #                                 thread-pool / parallel-driver / serve /
 #                                 runtime-checker / load-engine tests only
-#   scripts/check.sh --san        ASan+UBSan build (-DDEEPMC_ASAN=ON): parser
+#   scripts/check.sh --san        ASan+UBSan build (the asan presets): parser
 #                                 fuzz, resilience, PM-substrate (pool,
 #                                 event log, enumerator, fault sweep) and
 #                                 interpreter (arena, instrumenter, dynamic
@@ -43,28 +43,20 @@ run_tier1() {
 }
 
 run_tsan() {
-  cmake -B build-tsan -S . -DDEEPMC_TSAN=ON
-  # Only the targets the TSan pass exercises: the pool, the parallel
-  # driver (with and without crash-state enumeration), serve, the runtime
-  # checker (directly and under the multi-threaded load engine), and the
-  # binary the golden/CLI tests drive. Same filter as the tsan test preset.
-  cmake --build build-tsan -j "$jobs" \
-    --target thread_pool_test driver_test crash_test obs_test \
-             serve_test serve_chaos_test runtime_concurrency_test \
-             support_test load_test deepmc
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|Driver|Crashsim|ObsRegistry|Serve|RuntimeConcurrency|RuntimeThreading|LoadEngine'
+  # The tsan presets hold the pass's build targets (the pool, the parallel
+  # driver with and without crash-state enumeration, serve, the runtime
+  # checker directly and under the multi-threaded load engine, and the
+  # binary the golden/CLI tests drive) and its test filter.
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$jobs"
+  ctest --preset tsan -j "$jobs"
 }
 
 run_san() {
-  cmake -B build-asan -S . -DDEEPMC_ASAN=ON
-  # Same filter as the asan test preset.
-  cmake --build build-asan -j "$jobs" \
-    --target fuzz_parser_test resilience_test ir_test pmem_test \
-             pmem_extra_test crash_test fault_injection_test interp_test \
-             interp_extra_test deepmc
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'FuzzParser|Resilience|Parser|TrackerTest|PoolTest|PersistOrderProperty|FaultInjection|AllocatorExtra|CrashOptionsExtra|CacheLineSpanning|HeaderSurvival|StatsExtra|EventRecorder|StoreReplay|Enumerator|RecoveryOracle|FaultSweep|PoolDifferential|PagedPool|Interp|InstrumenterTest|DynamicChecker'
+  # The asan presets hold the pass's build targets and test filter.
+  cmake --preset asan
+  cmake --build --preset asan -j "$jobs"
+  ctest --preset asan -j "$jobs"
 
   # The binary itself over hostile and healthy inputs. Sanitizer aborts
   # exit with 99 so they can't be mistaken for deepmc's own exit codes

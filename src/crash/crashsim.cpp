@@ -128,7 +128,7 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
     // pool and the crashed one, so this reproduces the post-crash persisted
     // state exactly without cross-image contamination.
     pmem::PmPool replay_pool(opts.pool_bytes, pmem::LatencyModel::zero());
-    switch (oracle->classify(replay_pool, image, opts.invariant)) {
+    switch (oracle->classify(replay_pool, image, {})) {
       case RecoveryOutcome::kConsistent:
         ++out.images_consistent;
         break;

@@ -28,8 +28,6 @@ struct CrashSimOptions {
   /// Framework tag for the recovery oracle ("pmdk_mini", ...); empty or
   /// unknown disables recovery replay (images are then only enumerated).
   std::string framework;
-  /// Optional recovered-state invariant evaluated after each replay.
-  Invariant invariant;
   size_t max_subset_bits = 10;
   uint64_t pool_bytes = 1ull << 22;
   uint64_t max_steps = 2'000'000;

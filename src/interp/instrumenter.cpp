@@ -198,7 +198,7 @@ InstrumenterStats instrument_module(Module& module, const analysis::DSA& dsa,
             size = static_cast<uint64_t>(c->value());
           insert_hook(kRtWrite, ms->pointer(), size);
           ++stats.writes_instrumented;
-        } else if (op == Opcode::kLoad && opts.instrument_reads) {
+        } else if (op == Opcode::kLoad) {
           auto* l = static_cast<LoadInst*>(inst);
           if (!maybe_persistent(dsa, l->pointer())) {
             ++stats.accesses_skipped_not_persistent;

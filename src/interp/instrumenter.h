@@ -35,11 +35,10 @@ inline constexpr const char* kRtRead = "__deepmc_rt_read";
 }
 
 struct InstrumenterOptions {
-  /// Instrument every function, not only region-reachable code. Used by the
-  /// overhead ablation; the paper's default is region-scoped.
+  /// Instrument every function, not only region-reachable code. The
+  /// paper's default is region-scoped; tests turn this on to instrument
+  /// code that no region reaches.
   bool whole_program = false;
-  /// Instrument persistent loads too (RAW detection needs them).
-  bool instrument_reads = true;
 };
 
 struct InstrumenterStats {

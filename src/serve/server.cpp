@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "support/faultpoint.h"
+#include "support/flags.h"
 
 namespace deepmc::serve {
 
@@ -452,6 +454,25 @@ int client_main(const std::string& target, const std::vector<ClientJob>& jobs,
   return static_cast<int>(warnings > 63 ? 63 : warnings);
 }
 
+/// `flag N` or `flag=N` into `*out`: a plain unsigned decimal no larger
+/// than `max` or than `*out`'s type holds. Returns true when `arg` is
+/// `flag`, pointing `*bad` at it when the value is not.
+template <typename T>
+bool field_flag(const char* flag, const std::string& arg, int argc,
+                char** argv, int& i, T* out, const char** bad,
+                uint64_t max = std::numeric_limits<uint64_t>::max()) {
+  uint64_t n = 0;
+  bool ok = true;
+  max = std::min<uint64_t>(max, std::numeric_limits<T>::max());
+  if (!support::num_flag(flag, arg, argc, argv, i, &n, &ok, max)) return false;
+  if (ok) {
+    *out = static_cast<T>(n);
+  } else {
+    *bad = flag;
+  }
+  return true;
+}
+
 }  // namespace
 
 int serve_cli(int argc, char** argv) {
@@ -470,10 +491,11 @@ int serve_cli(int argc, char** argv) {
   bool cache_stats = false;
   bool shutdown = false;
   bool telemetry_on = true;
-  long trace_ring = 0;
+  uint64_t trace_ring = 0;
   std::string flight_out;
   TelemetryFetch telemetry;
   std::vector<ClientJob> jobs;
+  const char* bad_flag = nullptr;
 
   auto need_value = [&](int i) { return i + 1 < argc; };
   for (int i = 0; i < argc; ++i) {
@@ -490,46 +512,39 @@ int serve_cli(int argc, char** argv) {
     } else if (arg == "--connect") {
       if (!need_value(i)) return usage(stderr);
       connect_path = argv[++i];
-    } else if (arg == "--max-sessions") {
-      if (!need_value(i)) return usage(stderr);
-      daemon_opts.max_sessions = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--accept-queue") {
-      if (!need_value(i)) return usage(stderr);
-      daemon_opts.accept_queue = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--request-timeout-ms") {
-      if (!need_value(i)) return usage(stderr);
-      daemon_opts.request_timeout_ms =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--io-timeout-ms") {
-      if (!need_value(i)) return usage(stderr);
-      daemon_opts.io_timeout_ms = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--deadline-ms") {
-      if (!need_value(i)) return usage(stderr);
-      deadline_ms = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--max-retries") {
-      if (!need_value(i)) return usage(stderr);
-      retry_policy.max_retries = std::atoi(argv[++i]);
-    } else if (arg == "--retry-budget-ms") {
-      if (!need_value(i)) return usage(stderr);
-      retry_policy.retry_budget_ms =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
+    } else if (
+        field_flag("--max-sessions", arg, argc, argv, i,
+                   &daemon_opts.max_sessions, &bad_flag, support::kMaxJobs) ||
+        field_flag("--accept-queue", arg, argc, argv, i,
+                   &daemon_opts.accept_queue, &bad_flag) ||
+        field_flag("--request-timeout-ms", arg, argc, argv, i,
+                   &daemon_opts.request_timeout_ms, &bad_flag) ||
+        field_flag("--io-timeout-ms", arg, argc, argv, i,
+                   &daemon_opts.io_timeout_ms, &bad_flag) ||
+        field_flag("--deadline-ms", arg, argc, argv, i, &deadline_ms,
+                   &bad_flag) ||
+        field_flag("--max-retries", arg, argc, argv, i,
+                   &retry_policy.max_retries, &bad_flag) ||
+        field_flag("--retry-budget-ms", arg, argc, argv, i,
+                   &retry_policy.retry_budget_ms, &bad_flag) ||
+        field_flag("--cache-version", arg, argc, argv, i,
+                   &sopts.cache_version, &bad_flag) ||
+        field_flag("--cache-max-entries", arg, argc, argv, i,
+                   &sopts.cache_limits.max_entries, &bad_flag) ||
+        field_flag("--cache-max-bytes", arg, argc, argv, i,
+                   &sopts.cache_limits.max_bytes, &bad_flag) ||
+        field_flag("--jobs", arg, argc, argv, i, &sopts.driver.jobs,
+                   &bad_flag, support::kMaxJobs) ||
+        field_flag("--trace-ring", arg, argc, argv, i, &trace_ring,
+                   &bad_flag)) {
+      if (bad_flag != nullptr) {
+        std::fprintf(stderr, "deepmc serve: invalid value for %s\n",
+                     bad_flag);
+        return 64;
+      }
     } else if (arg == "--cache-dir") {
       if (!need_value(i)) return usage(stderr);
       sopts.cache_dir = argv[++i];
-    } else if (arg == "--cache-version") {
-      if (!need_value(i)) return usage(stderr);
-      sopts.cache_version = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--cache-max-entries") {
-      if (!need_value(i)) return usage(stderr);
-      sopts.cache_limits.max_entries =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--cache-max-bytes") {
-      if (!need_value(i)) return usage(stderr);
-      sopts.cache_limits.max_bytes =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--jobs") {
-      if (!need_value(i)) return usage(stderr);
-      sopts.driver.jobs = static_cast<size_t>(std::atoi(argv[++i]));
     } else if (arg == "--field-insensitive") {
       sopts.driver.checker.field_sensitive = false;
     } else if (arg == "--format") {
@@ -555,9 +570,6 @@ int serve_cli(int argc, char** argv) {
       telemetry.flight_dump = true;
     } else if (arg == "--no-telemetry") {
       telemetry_on = false;
-    } else if (arg == "--trace-ring") {
-      if (!need_value(i)) return usage(stderr);
-      trace_ring = std::atol(argv[++i]);
     } else if (arg == "--flight-out") {
       if (!need_value(i)) return usage(stderr);
       flight_out = argv[++i];

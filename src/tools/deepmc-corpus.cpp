@@ -56,10 +56,14 @@
 #include "gen/score.h"
 #include "ir/parser.h"
 #include "serve/service.h"
+#include "support/flags.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 
 using namespace deepmc;
+using support::num_flag;
+using support::real_flag;
+using support::str_flag;
 
 namespace {
 
@@ -78,58 +82,6 @@ void usage() {
       "                         [--min-recall R] [--min-precision P]\n"
       "                         [--baseline FILE] [--out FILE]\n"
       "                         [--serve [--serve-cache DIR]]\n");
-}
-
-bool num_flag(const std::string& flag, const std::string& arg, int argc,
-              char** argv, int& i, uint64_t* out, bool* ok) {
-  std::string text;
-  if (arg == flag) {
-    if (++i < argc) text = argv[i];
-  } else if (arg.size() > flag.size() + 1 &&
-             arg.compare(0, flag.size(), flag) == 0 &&
-             arg[flag.size()] == '=') {
-    text = arg.substr(flag.size() + 1);
-  } else {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-  *ok = !text.empty() && end == text.c_str() + text.size();
-  if (*ok) *out = static_cast<uint64_t>(n);
-  return true;
-}
-
-bool real_flag(const std::string& flag, const std::string& arg, int argc,
-               char** argv, int& i, double* out, bool* ok) {
-  std::string text;
-  if (arg == flag) {
-    if (++i < argc) text = argv[i];
-  } else if (arg.size() > flag.size() + 1 &&
-             arg.compare(0, flag.size(), flag) == 0 &&
-             arg[flag.size()] == '=') {
-    text = arg.substr(flag.size() + 1);
-  } else {
-    return false;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  *ok = !text.empty() && end == text.c_str() + text.size();
-  if (*ok) *out = v;
-  return true;
-}
-
-bool file_flag(const std::string& flag, const std::string& arg, int argc,
-               char** argv, int& i, std::string* out) {
-  if (arg == flag) {
-    if (++i < argc) *out = argv[i];
-    return true;
-  }
-  if (arg.size() > flag.size() + 1 && arg.compare(0, flag.size(), flag) == 0 &&
-      arg[flag.size()] == '=') {
-    *out = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
 }
 
 std::optional<corpus::Framework> parse_framework(const std::string& name) {
@@ -173,7 +125,7 @@ int cmd_gen(int argc, char** argv) {
                         &ok)) {
       if (!ok) return usage(), kExitUsage;
       have_touch = true;
-    } else if (file_flag("--framework", arg, argc, argv, i, &text)) {
+    } else if (str_flag("--framework", arg, argc, argv, i, &text)) {
       framework = parse_framework(text);
       if (!framework) {
         std::fprintf(stderr, "deepmc-corpus: unknown framework '%s'\n",
@@ -431,9 +383,9 @@ int cmd_run(int argc, char** argv) {
         real_flag("--min-precision", arg, argc, argv, i, &min_precision,
                   &ok)) {
       if (!ok) return usage(), kExitUsage;
-    } else if (file_flag("--baseline", arg, argc, argv, i, &baseline_path) ||
-               file_flag("--out", arg, argc, argv, i, &out_path) ||
-               file_flag("--serve-cache", arg, argc, argv, i, &serve_cache)) {
+    } else if (str_flag("--baseline", arg, argc, argv, i, &baseline_path) ||
+               str_flag("--out", arg, argc, argv, i, &out_path) ||
+               str_flag("--serve-cache", arg, argc, argv, i, &serve_cache)) {
       // handled
     } else if (arg == "--serve") {
       serve_mode = true;

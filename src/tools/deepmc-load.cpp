@@ -20,8 +20,12 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "support/faultpoint.h"
+#include "support/flags.h"
 
 using namespace deepmc;
+using support::num_flag;
+using support::real_flag;
+using support::str_flag;
 
 namespace {
 
@@ -57,58 +61,6 @@ void usage() {
       "del) and prints them with p50/p90/p99; --flight-out arms the flight\n"
       "recorder and dumps recent events (JSONL) at exit (also via\n"
       "DEEPMC_FLIGHT_OUT).\n");
-}
-
-bool num_flag(const std::string& flag, const std::string& arg, int argc,
-              char** argv, int& i, uint64_t* out, bool* ok) {
-  std::string text;
-  if (arg == flag) {
-    if (++i < argc) text = argv[i];
-  } else if (arg.size() > flag.size() + 1 &&
-             arg.compare(0, flag.size(), flag) == 0 &&
-             arg[flag.size()] == '=') {
-    text = arg.substr(flag.size() + 1);
-  } else {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-  *ok = !text.empty() && end == text.c_str() + text.size();
-  if (*ok) *out = static_cast<uint64_t>(n);
-  return true;
-}
-
-bool dbl_flag(const std::string& flag, const std::string& arg, int argc,
-              char** argv, int& i, double* out, bool* ok) {
-  std::string text;
-  if (arg == flag) {
-    if (++i < argc) text = argv[i];
-  } else if (arg.size() > flag.size() + 1 &&
-             arg.compare(0, flag.size(), flag) == 0 &&
-             arg[flag.size()] == '=') {
-    text = arg.substr(flag.size() + 1);
-  } else {
-    return false;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  *ok = !text.empty() && end == text.c_str() + text.size();
-  if (*ok) *out = v;
-  return true;
-}
-
-bool str_flag(const std::string& flag, const std::string& arg, int argc,
-              char** argv, int& i, std::string* out) {
-  if (arg == flag) {
-    if (++i < argc) *out = argv[i];
-    return true;
-  }
-  if (arg.size() > flag.size() + 1 && arg.compare(0, flag.size(), flag) == 0 &&
-      arg[flag.size()] == '=') {
-    *out = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
 }
 
 /// One op-type's latency summary as a flat JSON object. Quantiles are
@@ -281,14 +233,14 @@ int main(int argc, char** argv) {
     } else if (num_flag("--pool-bytes", arg, argc, argv, i, &pool_bytes,
                         &ok)) {
       if (ok) cfg.pool_bytes = pool_bytes;
-    } else if (dbl_flag("--duration", arg, argc, argv, i,
-                        &cfg.spec.duration_s, &ok) ||
-               dbl_flag("--hot-frac", arg, argc, argv, i, &cfg.spec.hot_frac,
-                        &ok) ||
-               dbl_flag("--hot-prob", arg, argc, argv, i, &cfg.spec.hot_prob,
-                        &ok)) {
-    } else if (dbl_flag("--zipf", arg, argc, argv, i, &cfg.spec.zipf_s,
-                        &ok)) {
+    } else if (real_flag("--duration", arg, argc, argv, i,
+                         &cfg.spec.duration_s, &ok) ||
+               real_flag("--hot-frac", arg, argc, argv, i, &cfg.spec.hot_frac,
+                         &ok) ||
+               real_flag("--hot-prob", arg, argc, argv, i, &cfg.spec.hot_prob,
+                         &ok)) {
+    } else if (real_flag("--zipf", arg, argc, argv, i, &cfg.spec.zipf_s,
+                         &ok)) {
       if (ok && cfg.spec.zipf_s < 0) {
         std::fprintf(stderr, "deepmc-load: --zipf must be >= 0\n");
         return kExitUsage;

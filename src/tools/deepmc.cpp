@@ -78,9 +78,12 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "support/faultpoint.h"
+#include "support/flags.h"
 #include "support/thread_pool.h"
 
 using namespace deepmc;
+using support::num_flag;
+using support::str_flag;
 
 namespace {
 
@@ -109,43 +112,6 @@ void usage() {
                "              [--corpus NAME] [--list-corpus] file.mir...\n"
                "       deepmc serve ...   incremental analysis server "
                "(deepmc serve --help)\n");
-}
-
-/// Accepts `--flag N` and `--flag=N` for a non-negative integer operand;
-/// returns true when `arg` is this flag, with `*ok` false on a bad value.
-bool num_flag(const std::string& flag, const std::string& arg, int argc,
-              char** argv, int& i, uint64_t* out, bool* ok) {
-  std::string text;
-  if (arg == flag) {
-    if (++i < argc) text = argv[i];
-  } else if (arg.size() > flag.size() + 1 &&
-             arg.compare(0, flag.size(), flag) == 0 &&
-             arg[flag.size()] == '=') {
-    text = arg.substr(flag.size() + 1);
-  } else {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-  *ok = !text.empty() && end == text.c_str() + text.size();
-  if (*ok) *out = static_cast<uint64_t>(n);
-  return true;
-}
-
-/// Accepts `--flag FILE` and `--flag=FILE`; fills `out` and returns true
-/// when `arg` is this flag (a missing operand leaves `out` empty).
-bool file_flag(const std::string& flag, const std::string& arg, int argc,
-               char** argv, int& i, std::string* out) {
-  if (arg == flag) {
-    if (++i < argc) *out = argv[i];
-    return true;
-  }
-  if (arg.size() > flag.size() + 1 && arg.compare(0, flag.size(), flag) == 0 &&
-      arg[flag.size()] == '=') {
-    *out = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
 }
 
 /// Corpus units force the framework's persistency model, like the serial
@@ -224,22 +190,22 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--stats") {
       stats = true;
-    } else if (file_flag("--metrics-out", arg, argc, argv, i, &metrics_out)) {
+    } else if (str_flag("--metrics-out", arg, argc, argv, i, &metrics_out)) {
       if (metrics_out.empty()) {
         usage();
         return kExitUsage;
       }
-    } else if (file_flag("--prom-out", arg, argc, argv, i, &prom_out)) {
+    } else if (str_flag("--prom-out", arg, argc, argv, i, &prom_out)) {
       if (prom_out.empty()) {
         usage();
         return kExitUsage;
       }
-    } else if (file_flag("--trace-out", arg, argc, argv, i, &trace_out)) {
+    } else if (str_flag("--trace-out", arg, argc, argv, i, &trace_out)) {
       if (trace_out.empty()) {
         usage();
         return kExitUsage;
       }
-    } else if (file_flag("--flight-out", arg, argc, argv, i, &flight_out)) {
+    } else if (str_flag("--flight-out", arg, argc, argv, i, &flight_out)) {
       if (flight_out.empty()) {
         usage();
         return kExitUsage;
@@ -265,7 +231,7 @@ int main(int argc, char** argv) {
       }
       char* end = nullptr;
       const unsigned long n = std::strtoul(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 1 || n > 1024) {
+      if (end == argv[i] || *end != '\0' || n < 1 || n > support::kMaxJobs) {
         std::fprintf(stderr, "deepmc: invalid --jobs value '%s'\n", argv[i]);
         return kExitUsage;
       }

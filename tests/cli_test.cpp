@@ -1,20 +1,23 @@
 // CLI contract tests for the deepmc binary: exit-code partitioning
 // (warning counts vs usage vs input errors), --jobs determinism at the
-// process level, and --format json output.
+// process level, --format json output, and `deepmc serve` rejecting bad
+// numeric flags before it binds.
 //
 // Exit codes under test (see src/tools/deepmc.cpp):
 //   0      clean, 1..63 warning count (capped), 64 usage, 65 input error.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 namespace deepmc {
 namespace {
 
-std::pair<std::string, int> run_command(const std::string& args) {
-  const std::string cmd =
-      std::string("\"") + DEEPMC_BIN + "\" " + args + " 2>/dev/null";
+/// Runs a shell command line and returns (stdout, exit code).
+std::pair<std::string, int> run_shell(const std::string& cmd) {
   FILE* pipe = popen(cmd.c_str(), "r");
   if (!pipe) return {"", -1};
   std::string out;
@@ -23,6 +26,11 @@ std::pair<std::string, int> run_command(const std::string& args) {
   while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
   const int status = pclose(pipe);
   return {out, WIFEXITED(status) ? WEXITSTATUS(status) : -1};
+}
+
+std::pair<std::string, int> run_command(const std::string& args) {
+  return run_shell(std::string("\"") + DEEPMC_BIN + "\" " + args +
+                   " 2>/dev/null");
 }
 
 std::string example(const char* name) {
@@ -153,6 +161,28 @@ TEST(CliCrashsim, JsonCarriesValidationVerdicts) {
   EXPECT_NE(out.find("\"validation\": \"confirmed\""), std::string::npos);
   EXPECT_NE(out.find("\"crashsim\": {"), std::string::npos);
   EXPECT_NE(out.find("\"framework\": \"pmfs_mini\""), std::string::npos);
+}
+
+TEST(CliServe, BadNumericFlagIsUsageError64BeforeBinding) {
+  // Each value is rejected while parsing, so the daemon never binds its
+  // socket (`timeout` turns a daemon that did start into a failure, not a
+  // hang).
+  const std::string sock = ::testing::TempDir() + "deepmc_cli_serve.sock";
+  for (const char* bad :
+       {"--max-sessions -1", "--max-sessions 99999999999999999999",
+        "--jobs abc", "--cache-max-bytes 1x"}) {
+    std::remove(sock.c_str());
+    auto [out, code] =
+        run_shell(std::string("timeout 30 \"") + DEEPMC_BIN +
+                  "\" serve --socket \"" + sock + "\" " + bad + " 2>&1");
+    const std::string flag(bad, std::strchr(bad, ' '));
+    EXPECT_EQ(code, 64) << bad;
+    EXPECT_NE(out.find("deepmc serve: invalid value for " + flag),
+              std::string::npos)
+        << bad << ": " << out;
+    EXPECT_EQ(out.find("listening"), std::string::npos) << bad;
+    EXPECT_NE(access(sock.c_str(), F_OK), 0) << bad << ": socket was bound";
+  }
 }
 
 }  // namespace

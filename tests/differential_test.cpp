@@ -1,17 +1,18 @@
 // Differential fuzz tests: the persistent data structures are driven with
 // long random operation sequences and compared against in-memory reference
-// models (std::map / std::unordered_map) — including across crash +
+// models (std::vector / std::map) — including across crash +
 // recovery boundaries, where the persistent structure must agree with the
 // reference snapshot taken at the last durable point.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <tuple>
+#include <vector>
 
-#include "apps/kvstores.h"
 #include "frameworks/pmfs_mini.h"
+#include "load/shards.h"
 #include "support/rng.h"
 
 namespace deepmc {
@@ -19,86 +20,61 @@ namespace {
 
 pmem::LatencyModel zero() { return pmem::LatencyModel::zero(); }
 
-// --- MemcachedMini vs unordered_map -----------------------------------------------
+// --- load::KvShard vs a slot array, across crashes --------------------------
 
-class MemcachedFuzz : public ::testing::TestWithParam<uint64_t> {};
+// Every framework's shard against a plain slot-array model. Keys are drawn
+// from a wider range than the shard holds, so they wrap onto slots; every
+// 250 ops the pool crashes with no flushed-but-unfenced line surviving and
+// the shard recovers, after which every slot must still equal the model
+// (puts and deletes are durable when they return).
+class ShardFuzz
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
-TEST_P(MemcachedFuzz, AgreesWithReferenceModel) {
-  pmem::PmPool pool(1 << 24, zero());
-  apps::MemcachedMini mc(pool, 512);
-  std::unordered_map<uint64_t, uint64_t> ref;
-  Rng rng(GetParam());
+TEST_P(ShardFuzz, AgreesWithReferenceModelAcrossCrashes) {
+  const auto& [framework, seed] = GetParam();
+  load::ShardConfig cfg;
+  cfg.keys = 64;
+  const std::unique_ptr<load::KvShard> shard = load::make_shard(framework, cfg);
+  std::vector<uint64_t> ref(shard->capacity(), 0);
+  Rng rng(seed);
 
-  for (int step = 0; step < 2000; ++step) {
-    const uint64_t key = rng.below(200);
-    switch (rng.below(4)) {
+  for (int step = 1; step <= 2000; ++step) {
+    const uint64_t slot = shard->slot_of(rng.below(200));
+    switch (rng.below(3)) {
       case 0: {
-        const uint64_t v = rng.next();
-        mc.set(key, v);
-        ref[key] = v;
+        const uint64_t v = rng.next() | 1;  // 0 reads as absent
+        shard->put(slot, v);
+        ref[slot] = v;
         break;
       }
-      case 1: {
-        auto got = mc.get(key);
-        auto it = ref.find(key);
-        if (it == ref.end()) {
-          EXPECT_EQ(got, std::nullopt) << "step " << step << " key " << key;
-        } else {
-          ASSERT_TRUE(got.has_value()) << "step " << step << " key " << key;
-          EXPECT_EQ(*got, it->second);
-        }
+      case 1:
+        EXPECT_EQ(shard->get(slot), ref[slot])
+            << "step " << step << " slot " << slot;
         break;
-      }
-      case 2: {
-        const bool erased = mc.erase(key);
-        EXPECT_EQ(erased, ref.erase(key) > 0) << "step " << step;
+      case 2:
+        shard->del(slot);
+        ref[slot] = 0;
         break;
-      }
-      case 3: {
-        const uint64_t updated = mc.rmw(key, 1);
-        ref[key] = ref.count(key) ? ref[key] + 1 : 1;
-        EXPECT_EQ(updated, ref[key]) << "step " << step;
-        break;
-      }
     }
-  }
-  EXPECT_EQ(mc.size(), ref.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MemcachedFuzz,
-                         ::testing::Values(1, 2, 3, 4, 5));
-
-// --- MemcachedMini across crashes --------------------------------------------------
-
-class MemcachedCrashFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MemcachedCrashFuzz, DurableOpsSurviveRandomCrashes) {
-  pmem::PmPool pool(1 << 24, zero());
-  mnemosyne::Mnemosyne recovery(pool);
-  apps::MemcachedMini mc(pool, 256);
-  std::unordered_map<uint64_t, uint64_t> ref;
-  Rng rng(GetParam());
-
-  for (int round = 0; round < 8; ++round) {
-    for (int step = 0; step < 100; ++step) {
-      const uint64_t key = rng.below(100);
-      const uint64_t v = rng.next();
-      mc.set(key, v);
-      ref[key] = v;
-    }
-    // Every set committed before the crash must survive it; nothing may
-    // tear (set is a durable transaction).
-    pool.crash();
-    recovery.recover();
-    for (const auto& [key, v] : ref) {
-      auto got = mc.get(key);
-      ASSERT_TRUE(got.has_value()) << "round " << round << " key " << key;
-      EXPECT_EQ(*got, v) << "round " << round << " key " << key;
+    if (step % 250 == 0) {
+      pmem::CrashOptions worst;
+      worst.pending_survives = 0;
+      shard->pool().crash(worst);
+      shard->recover();
+      for (uint64_t s = 0; s < ref.size(); ++s)
+        ASSERT_EQ(shard->get(s), ref[s]) << "step " << step << " slot " << s;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MemcachedCrashFuzz, ::testing::Values(7, 8));
+INSTANTIATE_TEST_SUITE_P(
+    Frameworks, ShardFuzz,
+    ::testing::Combine(::testing::ValuesIn(load::framework_names()),
+                       ::testing::Values(31, 32, 33)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- Pmfs vs a reference directory --------------------------------------------------
 
@@ -180,64 +156,6 @@ TEST_P(PmfsFuzz, SurvivesCrashRemountCycles) {
     ref[name] = data;
   }
 }
-
-// --- RedisMini vs reference ----------------------------------------------------------
-
-class RedisFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RedisFuzz, AgreesWithReferenceModel) {
-  pmem::PmPool pool(1 << 24, zero());
-  apps::RedisMini rd(pool, 512);
-  std::unordered_map<uint64_t, uint64_t> ref;
-  std::vector<uint64_t> ref_list;
-  Rng rng(GetParam());
-
-  for (int step = 0; step < 1500; ++step) {
-    const uint64_t key = rng.below(150);
-    switch (rng.below(5)) {
-      case 0: {
-        const uint64_t v = rng.next();
-        rd.set(key, v);
-        ref[key] = v;
-        break;
-      }
-      case 1: {
-        auto got = rd.get(key);
-        auto it = ref.find(key);
-        if (it == ref.end()) EXPECT_EQ(got, std::nullopt);
-        else EXPECT_EQ(got, it->second);
-        break;
-      }
-      case 2: {
-        const uint64_t v = rd.incr(key);
-        ref[key] = ref.count(key) ? ref[key] + 1 : 1;
-        EXPECT_EQ(v, ref[key]);
-        break;
-      }
-      case 3: {
-        if (ref_list.size() < 500) {
-          const uint64_t v = rng.next();
-          rd.lpush(v);
-          ref_list.push_back(v);
-        }
-        break;
-      }
-      case 4: {
-        auto got = rd.lpop();
-        if (ref_list.empty()) {
-          EXPECT_EQ(got, std::nullopt);
-        } else {
-          EXPECT_EQ(got, ref_list.front());
-          ref_list.erase(ref_list.begin());
-        }
-        break;
-      }
-    }
-  }
-  EXPECT_EQ(rd.list_length(), ref_list.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RedisFuzz, ::testing::Values(21, 22, 23));
 
 }  // namespace
 }  // namespace deepmc

@@ -1,13 +1,17 @@
-// Tests for the support layer: string utilities, deterministic RNG,
-// diagnostics engine, accumulators — plus thread-safety of the runtime
-// checker under concurrent instrumented threads (the Figure 12 apps run
-// multi-threaded in the paper).
+// Tests for the support layer: string utilities, command-line flag
+// parsing, deterministic RNG, diagnostics engine, accumulators — plus
+// thread-safety of the runtime checker under concurrent instrumented
+// threads (the Figure 12 apps run multi-threaded in the paper).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "runtime/dynamic_checker.h"
 #include "support/diagnostics.h"
+#include "support/flags.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/str.h"
@@ -49,6 +53,45 @@ TEST(StrTest, Trim) {
 TEST(StrTest, StartsWith) {
   EXPECT_TRUE(starts_with("pm.flush", "pm."));
   EXPECT_FALSE(starts_with("pm", "pm."));
+}
+
+// --- flags --------------------------------------------------------------------
+
+/// Parses `--n VALUE` (or `--n=VALUE` when `value` is null and `arg`
+/// carries it) and returns (is the flag, ok, value).
+std::tuple<bool, bool, uint64_t> parse_num(const char* arg, const char* value,
+                                           uint64_t max = UINT64_MAX) {
+  std::vector<char*> argv{const_cast<char*>(arg)};
+  if (value != nullptr) argv.push_back(const_cast<char*>(value));
+  int i = 0;
+  uint64_t out = 7;
+  bool ok = true;
+  const bool is_flag =
+      support::num_flag("--n", arg, static_cast<int>(argv.size()),
+                        argv.data(), i, &out, &ok, max);
+  return {is_flag, ok, out};
+}
+
+TEST(FlagsTest, NumFlagTakesPlainDecimalsUpToMax) {
+  using R = std::tuple<bool, bool, uint64_t>;
+  EXPECT_EQ(parse_num("--n", "42"), R(true, true, 42));
+  EXPECT_EQ(parse_num("--n=0", nullptr), R(true, true, 0));
+  EXPECT_EQ(parse_num("--n", "18446744073709551615"),
+            R(true, true, UINT64_MAX));
+  EXPECT_EQ(parse_num("--n", "1024", 1024), R(true, true, 1024));
+  EXPECT_EQ(parse_num("--number", "1"), R(false, true, 7));
+}
+
+TEST(FlagsTest, NumFlagRejectsSignsGarbageAndOverflow) {
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "abc", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    const auto [is_flag, ok, out] = parse_num("--n", bad);
+    EXPECT_TRUE(is_flag) << bad;
+    EXPECT_FALSE(ok) << bad;
+    EXPECT_EQ(out, 7u) << bad << ": a rejected value must not be stored";
+  }
+  EXPECT_FALSE(std::get<1>(parse_num("--n", "1025", 1024)));
+  EXPECT_FALSE(std::get<1>(parse_num("--n", nullptr)));  // missing operand
 }
 
 // --- rng -----------------------------------------------------------------------
