@@ -12,6 +12,20 @@ namespace {
 thread_local StrandId tl_strand = 0;
 thread_local uint64_t tl_addr_tag = 0;
 
+std::atomic<uint64_t> g_next_checker_id{1};
+std::atomic<uint64_t> g_next_thread_serial{1};
+/// Identifies the calling thread to a checker's slot table. Unlike
+/// std::thread::id, a serial is never reused by a later thread, so a new
+/// thread never inherits a dead thread's slot (and its epoch records).
+thread_local const uint64_t tl_thread_serial =
+    g_next_thread_serial.fetch_add(1, std::memory_order_relaxed);
+
+/// Adds one to a counter only its owning thread writes: no locked
+/// read-modify-write, and other threads still read it race-free.
+void bump(std::atomic<uint64_t>& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 /// Every deduplicated runtime finding lands in the flight recorder: the
 /// post-mortem of a crashed/degraded load run shows which warnings the
 /// checker had already discovered, in discovery order.
@@ -72,14 +86,29 @@ std::string RuntimeBarrierReport::str() const {
          " begins while earlier flushes await a persist barrier";
 }
 
+thread_local RuntimeChecker::SlotCache RuntimeChecker::slot_cache_;
+
 RuntimeChecker::RuntimeChecker(core::PersistencyModel model,
                                const RtOptions& opts)
     : model_(model),
-      sample_period_(opts.sample_period == 0 ? 1 : opts.sample_period) {}
+      sample_period_(opts.sample_period == 0 ? 1 : opts.sample_period),
+      id_(g_next_checker_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-bool RuntimeChecker::sampled(std::atomic<uint64_t>& tick) {
-  return sample_period_ == 1 ||
-         tick.fetch_add(1, std::memory_order_relaxed) % sample_period_ == 0;
+RuntimeChecker::ThreadSlot& RuntimeChecker::attach_slot() {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  ThreadSlot* mine = nullptr;
+  for (const std::unique_ptr<ThreadSlot>& t : slots_)
+    if (t->owner == tl_thread_serial) mine = t.get();
+  if (mine == nullptr) {
+    mine = slots_.emplace_back(std::make_unique<ThreadSlot>()).get();
+    mine->owner = tl_thread_serial;
+  }
+  slot_cache_ = {id_, mine};
+  return *mine;
+}
+
+bool RuntimeChecker::sampled(uint64_t& tick) const {
+  return sample_period_ == 1 || tick++ % sample_period_ == 0;
 }
 
 void RuntimeChecker::record_race(RaceKind kind, uint64_t addr, StrandId first,
@@ -143,7 +172,10 @@ uint64_t RuntimeChecker::object_of(uint64_t addr) const {
 StrandId RuntimeChecker::strand_begin() {
   // A strand's whole happens-before identity is (birth fence-seq, end
   // fence-seq): O(1) instead of a clock copy.
-  const StrandId s = clocks_.begin(fence_seq_.load(std::memory_order_acquire));
+  ThreadSlot& me = slot();
+  const StrandId s =
+      clocks_.begin(fence_seq_.load(std::memory_order_acquire), &me.ids);
+  bump(me.strands_opened);
   if (!strand_seen_.load(std::memory_order_relaxed))
     strand_seen_.store(true, std::memory_order_relaxed);
   return s;
@@ -154,22 +186,20 @@ void RuntimeChecker::strand_end(StrandId s) {
 }
 
 void RuntimeChecker::epoch_begin() {
-  epochs_opened_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  in_epoch_ = true;
-  current_epoch_ = EpochRecord{};
-  epoch_open_.store(true, std::memory_order_relaxed);
+  ThreadSlot& me = slot();
+  bump(me.epochs_opened);
+  me.in_epoch = true;
+  me.current_epoch = EpochRecord{};
 }
 
 void RuntimeChecker::epoch_end() {
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  epoch_open_.store(false, std::memory_order_relaxed);
-  if (!in_epoch_) return;
-  in_epoch_ = false;
-  if (sampled(epoch_tick_) && have_previous_epoch_) {
-    for (const auto& [base, rec] : current_epoch_.objects_written) {
-      auto prev = previous_epoch_.objects_written.find(base);
-      if (prev == previous_epoch_.objects_written.end()) continue;
+  ThreadSlot& me = slot();
+  if (!me.in_epoch) return;
+  me.in_epoch = false;
+  if (sampled(me.epoch_tick) && me.have_previous_epoch) {
+    for (const auto& [base, rec] : me.current_epoch.objects_written) {
+      auto prev = me.previous_epoch.objects_written.find(base);
+      if (prev == me.previous_epoch.objects_written.end()) continue;
       // Only disjoint word sets are the "different fields of one object"
       // bug; overlapping sets are repeated updates of the same fields.
       bool overlap = false;
@@ -193,18 +223,16 @@ void RuntimeChecker::epoch_end() {
   // The previous epoch always rotates, checked or not: state evolution is
   // identical at every sampling period, which is what makes the sampled
   // warning set a subset of the full one.
-  previous_epoch_ = std::move(current_epoch_);
-  current_epoch_ = EpochRecord{};
-  have_previous_epoch_ = true;
+  me.previous_epoch = std::move(me.current_epoch);
+  me.current_epoch = EpochRecord{};
+  me.have_previous_epoch = true;
 }
 
-void RuntimeChecker::note_epoch_write(uint64_t addr, uint64_t size,
-                                      const SourceLoc& loc) {
+void RuntimeChecker::note_epoch_write(ThreadSlot& me, uint64_t addr,
+                                      uint64_t size, const SourceLoc& loc) {
   const uint64_t base = object_of(addr);
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (!in_epoch_) return;
   const uint64_t key = base ? base : addr;
-  auto [it, inserted] = current_epoch_.objects_written.try_emplace(key);
+  auto [it, inserted] = me.current_epoch.objects_written.try_emplace(key);
   if (inserted) it->second.first_loc = loc;
   for (uint64_t a = addr / 8 * 8; a < addr + size; a += 8)
     it->second.words.insert(a);
@@ -213,12 +241,13 @@ void RuntimeChecker::note_epoch_write(uint64_t addr, uint64_t size,
 void RuntimeChecker::on_write(StrandId s, uint64_t addr, uint64_t size,
                               SourceLoc loc) {
   addr += tl_addr_tag;
-  writes_seen_.fetch_add(1, std::memory_order_relaxed);
+  ThreadSlot& me = slot();
+  bump(me.writes_seen);
   // The shadow segment feeds strand race detection; until a strand has
   // been opened nothing can race, and shadow maintenance would be pure
   // overhead (§5.2 scalability).
   if (strand_seen_.load(std::memory_order_relaxed)) {
-    const bool check = sampled(check_tick_);
+    const bool check = sampled(me.check_tick);
     shadow_.for_each_word(
         addr, size, [&](uint64_t word, ShardedShadowSegment::Cell& cell) {
           // WAW: prior write by a strand not ordered before us. Writes
@@ -233,16 +262,16 @@ void RuntimeChecker::on_write(StrandId s, uint64_t addr, uint64_t size,
           cell.last_loc = loc;
         });
   }
-  if (epoch_open_.load(std::memory_order_relaxed))
-    note_epoch_write(addr, size, loc);
+  if (me.in_epoch) note_epoch_write(me, addr, size, loc);
 }
 
 void RuntimeChecker::on_read(StrandId s, uint64_t addr, uint64_t size,
                              SourceLoc loc) {
   addr += tl_addr_tag;
-  reads_seen_.fetch_add(1, std::memory_order_relaxed);
+  ThreadSlot& me = slot();
+  bump(me.reads_seen);
   // Reads feed RAW detection only; outside strands they cannot race.
-  if (s == 0 || !sampled(check_tick_)) return;
+  if (s == 0 || !sampled(me.check_tick)) return;
   shadow_.for_each_word(
       addr, size, [&](uint64_t word, ShardedShadowSegment::Cell& cell) {
         // RAW: reading data written by a concurrent (unordered) strand.
@@ -265,10 +294,15 @@ void RuntimeChecker::on_fence(StrandId) {
 
 RuntimeStats RuntimeChecker::stats() const {
   RuntimeStats s;
-  s.writes_tracked = writes_seen_.load(std::memory_order_relaxed);
-  s.reads_tracked = reads_seen_.load(std::memory_order_relaxed);
-  s.strands_opened = clocks_.strands();
-  s.epochs_opened = epochs_opened_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    for (const std::unique_ptr<ThreadSlot>& t : slots_) {
+      s.writes_tracked += t->writes_seen.load(std::memory_order_relaxed);
+      s.reads_tracked += t->reads_seen.load(std::memory_order_relaxed);
+      s.strands_opened += t->strands_opened.load(std::memory_order_relaxed);
+      s.epochs_opened += t->epochs_opened.load(std::memory_order_relaxed);
+    }
+  }
   s.fences = fence_seq_.load(std::memory_order_relaxed);
   return s;
 }

@@ -20,14 +20,20 @@
 // global fence counter, and T happens-before S iff end_seq(T) <
 // birth_seq(S) (EpochClockTable, runtime/clock_table.h).
 //
-// The runtime is thread-safe: the shadow segment is lock-sharded, strand
-// clocks are lock-free, and instrumented multi-threaded apps (Figure 12
-// workloads, src/load) call it concurrently.
+// The runtime is thread-safe, and instrumented multi-threaded apps (Figure
+// 12 workloads, src/load) call it concurrently. Each calling thread gets
+// its own cache-line-aligned slot for the state only it writes: a block of
+// strand ids, its event counters and sampling ticks, and its epoch records
+// (epoch persistency splits each thread's own execution into epochs). The
+// shadow segment is lock-sharded by 4 KiB page and strand clocks are
+// lock-free, so threads working on their own memory share few written
+// cache lines; the global fence counter is the main one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -96,8 +102,8 @@ struct RuntimeStats {
 
 /// Optional event sampling for high-traffic runs (src/load). Every event
 /// is still *recorded* into the shadow state; only the race/epoch
-/// comparisons run every Nth event, so the sampled warning set is a subset
-/// of the full-checking one on the same execution.
+/// comparisons run every Nth event of the calling thread, so the sampled
+/// warning set is a subset of the full-checking one on the same execution.
 struct RtOptions {
   uint32_t sample_period = 1;  ///< run checks every Nth event (1 = all)
 };
@@ -119,6 +125,8 @@ class RuntimeChecker {
   void strand_end(StrandId s);
 
   // --- epoch lifecycle --------------------------------------------------------
+  /// Epochs belong to the calling thread: epoch_end compares the objects
+  /// this thread wrote in its epoch with those it wrote in its previous one.
   void epoch_begin();
   void epoch_end();
 
@@ -168,33 +176,7 @@ class RuntimeChecker {
  private:
   static constexpr uint32_t kShadowShards = 64;
 
-  /// Base offset of the registered object containing `addr` (0 if unknown).
-  uint64_t object_of(uint64_t addr) const;
-  /// Whether this event runs its checks under sampling; `tick` is only
-  /// touched when sampling is on.
-  bool sampled(std::atomic<uint64_t>& tick);
-  void record_race(RaceKind kind, uint64_t addr, StrandId first,
-                   const SourceLoc& first_loc, StrandId second,
-                   const SourceLoc& second_loc);
-  void note_epoch_write(uint64_t addr, uint64_t size, const SourceLoc& loc);
-
-  core::PersistencyModel model_;
-  uint32_t sample_period_;
-  ShardedShadowSegment shadow_{kShadowShards};
-  EpochClockTable clocks_;
-  std::atomic<uint64_t> fence_seq_{0};  ///< global persist-barrier counter
-  std::atomic<bool> strand_seen_{false};  ///< a strand has been opened
-  std::atomic<bool> epoch_open_{false};
-  std::atomic<uint64_t> writes_seen_{0};
-  std::atomic<uint64_t> reads_seen_{0};
-  std::atomic<uint64_t> epochs_opened_{0};
-  std::atomic<uint64_t> check_tick_{0};  ///< sampling counter (events)
-  std::atomic<uint64_t> epoch_tick_{0};  ///< sampling counter (epochs)
-
-  mutable std::mutex objects_mu_;
-  std::map<uint64_t, uint64_t> objects_;  ///< base -> size
-
-  // Epoch-mismatch tracking (per-process; epochs are sequential per run).
+  // Epoch-mismatch tracking: the objects one epoch wrote.
   struct EpochObjectRecord {
     std::set<uint64_t> words;  ///< written word addresses within the object
     SourceLoc first_loc;
@@ -202,11 +184,64 @@ class RuntimeChecker {
   struct EpochRecord {
     std::map<uint64_t, EpochObjectRecord> objects_written;  ///< by base
   };
-  std::mutex epoch_mu_;  ///< guards the epoch records
-  EpochRecord current_epoch_;
-  EpochRecord previous_epoch_;
-  bool in_epoch_ = false;
-  bool have_previous_epoch_ = false;
+
+  /// The state one thread writes. Only the owning thread touches it,
+  /// except that stats() reads the counters, which are therefore relaxed
+  /// atomics.
+  struct alignas(64) ThreadSlot {
+    uint64_t owner = 0;  ///< serial of the owning thread (never reused)
+    EpochClockTable::IdBlock ids;
+    std::atomic<uint64_t> writes_seen{0};
+    std::atomic<uint64_t> reads_seen{0};
+    std::atomic<uint64_t> strands_opened{0};
+    std::atomic<uint64_t> epochs_opened{0};
+    uint64_t check_tick = 0;  ///< sampling counter (events)
+    uint64_t epoch_tick = 0;  ///< sampling counter (epochs)
+    bool in_epoch = false;
+    bool have_previous_epoch = false;
+    EpochRecord current_epoch;
+    EpochRecord previous_epoch;
+  };
+  /// The thread's last-used checker and its slot there. Keyed by id_,
+  /// which no later checker reuses, so a stale entry never matches.
+  struct SlotCache {
+    uint64_t checker = 0;
+    ThreadSlot* slot = nullptr;
+  };
+  static thread_local SlotCache slot_cache_;
+
+  /// The calling thread's slot, created on its first call.
+  ThreadSlot& slot() {
+    return slot_cache_.checker == id_ ? *slot_cache_.slot : attach_slot();
+  }
+  ThreadSlot& attach_slot();
+
+  /// Base offset of the registered object containing `addr` (0 if unknown).
+  uint64_t object_of(uint64_t addr) const;
+  /// Whether this event runs its checks under sampling; `tick` is only
+  /// touched when sampling is on.
+  bool sampled(uint64_t& tick) const;
+  void record_race(RaceKind kind, uint64_t addr, StrandId first,
+                   const SourceLoc& first_loc, StrandId second,
+                   const SourceLoc& second_loc);
+  void note_epoch_write(ThreadSlot& me, uint64_t addr, uint64_t size,
+                        const SourceLoc& loc);
+
+  core::PersistencyModel model_;
+  uint32_t sample_period_;
+  const uint64_t id_;  ///< unique per checker, never reused
+  std::atomic<bool> strand_seen_{false};  ///< a strand has been opened
+  ShardedShadowSegment shadow_{kShadowShards};
+  EpochClockTable clocks_;
+  /// Global persist-barrier counter, the one word every thread writes; on
+  /// its own cache line so the read-mostly fields above stay shared.
+  alignas(64) std::atomic<uint64_t> fence_seq_{0};
+
+  alignas(64) mutable std::mutex objects_mu_;
+  std::map<uint64_t, uint64_t> objects_;  ///< base -> size
+
+  mutable std::mutex slots_mu_;  ///< guards slots_
+  std::vector<std::unique_ptr<ThreadSlot>> slots_;
 
   mutable std::mutex mu_;  ///< guards the reports
   std::vector<RaceReport> races_;

@@ -7,7 +7,9 @@
 //  * ShardedShadowSegment — per-shard locking must serialize same-word
 //    access while threads on disjoint words never corrupt each other;
 //  * RuntimeChecker — concurrent instrumented events must neither crash
-//    nor invent races between fence-ordered strands.
+//    nor invent races between fence-ordered strands, the per-thread
+//    counters must fold to exact totals, and each thread's epochs are
+//    compared only with that thread's own.
 //
 // The RuntimeConcurrency suite is in the TSan preset filter
 // (CMakePresets.json), so those tests also run under ThreadSanitizer; the
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <map>
 #include <set>
 #include <thread>
@@ -242,6 +245,25 @@ TEST(RuntimeConcurrency, ShardedShadowGeometry) {
   });
   EXPECT_EQ(seen, (std::vector<uint64_t>{16, 24, 32}));
   EXPECT_EQ(seg.tracked_words(), 3u);
+
+  // The shard is picked by the word's 4 KiB page: every word of a page
+  // shares one lock, tagged address spaces included.
+  for (const uint64_t page : {uint64_t{0}, uint64_t{0x7000},
+                              (uint64_t{3} << 44) + 0x2000}) {
+    uint64_t elsewhere = 0;
+    for (uint64_t a = page; a < page + 4096; a += kShadowWordBytes)
+      elsewhere += seg.shard_index(a) != seg.shard_index(page);
+    EXPECT_EQ(elsewhere, 0u) << "page 0x" << std::hex << page;
+  }
+
+  // The address-space tag (bit 44 and up) reaches the index, so the same
+  // offset in different workers' pools does not always share a lock.
+  for (uint64_t off = 0; off < (uint64_t{1} << 20); off += 4096 * 17 + 8) {
+    std::set<uint32_t> shards;
+    for (uint64_t tag = 1; tag <= 4; ++tag)
+      shards.insert(seg.shard_index((tag << 44) + off));
+    EXPECT_GT(shards.size(), 1u) << "offset 0x" << std::hex << off;
+  }
 }
 
 TEST(RuntimeConcurrency, ShardedShadowDisjointWritersNeverInterfere) {
@@ -373,11 +395,16 @@ TEST(RuntimeConcurrency, ScalableCheckerConcurrentFencedStrandsStayClean) {
     threads.emplace_back([&rt, t] {
       // Thread-disjoint addresses, and every strand is closed by a fence
       // before the next one reuses its word: nothing here may race.
+      // Each write sits in its own epoch; consecutive epochs write
+      // different words that belong to no registered object, so no epoch
+      // mismatch either.
       const uint64_t base = uint64_t(t + 1) << 32;
       for (int i = 0; i < kOpsPerThread; ++i) {
         const StrandId s = rt.strand_begin();
         const uint64_t addr = base + uint64_t(i % 16) * 8;
+        rt.epoch_begin();
         rt.on_write(s, addr, 8, loc(uint32_t(100 + t)));
+        rt.epoch_end();
         rt.on_read(s, addr, 8, loc(uint32_t(200 + t)));
         rt.strand_end(s);
         rt.on_fence(0);
@@ -387,12 +414,83 @@ TEST(RuntimeConcurrency, ScalableCheckerConcurrentFencedStrandsStayClean) {
   for (std::thread& th : threads) th.join();
 
   EXPECT_TRUE(rt.races().empty());
+  EXPECT_TRUE(rt.epoch_mismatches().empty());
+  // Every thread's counters fold into exact totals.
   const RuntimeStats s = rt.stats();
   EXPECT_EQ(s.writes_tracked, uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(s.reads_tracked, uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(s.strands_opened, uint64_t{kThreads} * kOpsPerThread);
-  EXPECT_GE(s.fences, uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(s.epochs_opened, uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(s.fences, uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(rt.tracked_words(), uint64_t{kThreads} * 16);
+}
+
+TEST(RuntimeConcurrency, InterleavedEpochsReportEachThreadsMismatchOnce) {
+  // Two threads, each with its own pool (address-space tag) and a 64-byte
+  // object at 0x4000, each run two epochs that write different words of
+  // that object: one seeded mismatch per thread. Thread 1's whole epoch
+  // runs while thread 0's epoch is open, both times, so a checker that
+  // shared one epoch record between threads would lose thread 0's writes.
+  RuntimeChecker rt(core::PersistencyModel::kEpoch);
+  constexpr int kEpochs = 2;
+  std::barrier sync(2);
+
+  std::thread t0([&] {
+    AddrSpaceScope space(uint64_t{1} << 44);
+    rt.on_alloc(0x4000, 64);
+    for (int e = 0; e < kEpochs; ++e) {
+      rt.epoch_begin();
+      sync.arrive_and_wait();  // thread 0's epoch is open
+      sync.arrive_and_wait();  // thread 1's epoch has run
+      rt.on_write(0, 0x4000 + uint64_t(e) * 16, 8, loc(uint32_t(300 + e)));
+      rt.epoch_end();
+      sync.arrive_and_wait();
+    }
+  });
+  std::thread t1([&] {
+    AddrSpaceScope space(uint64_t{2} << 44);
+    rt.on_alloc(0x4000, 64);
+    for (int e = 0; e < kEpochs; ++e) {
+      sync.arrive_and_wait();
+      rt.epoch_begin();
+      rt.on_write(0, 0x4000 + uint64_t(e) * 16, 8, loc(uint32_t(400 + e)));
+      rt.epoch_end();
+      sync.arrive_and_wait();
+      sync.arrive_and_wait();
+    }
+  });
+  t0.join();
+  t1.join();
+
+  ASSERT_EQ(rt.epoch_mismatches().size(), 2u);
+  std::map<uint64_t, EpochMismatchReport> by_base;
+  for (const EpochMismatchReport& r : rt.epoch_mismatches())
+    by_base[r.object_base] = r;
+  ASSERT_EQ(by_base.size(), 2u);
+  for (const uint32_t t : {0u, 1u}) {
+    const uint64_t base = (uint64_t{t + 1} << 44) + 0x4000;
+    ASSERT_EQ(by_base.count(base), 1u) << "thread " << t;
+    EXPECT_EQ(by_base[base].first_loc, loc(300 + 100 * t)) << "thread " << t;
+    EXPECT_EQ(by_base[base].second_loc, loc(301 + 100 * t)) << "thread " << t;
+  }
+  EXPECT_EQ(rt.stats().epochs_opened, uint64_t{2} * kEpochs);
+}
+
+TEST(RuntimeConcurrency, LaterThreadStartsWithoutAnEarlierThreadsEpoch) {
+  // Two threads, one after the other, each run one epoch on the same
+  // object. The second thread has no previous epoch of its own, even if it
+  // reuses the first one's std::thread::id, so nothing is compared.
+  RuntimeChecker rt(core::PersistencyModel::kEpoch);
+  rt.on_alloc(0x4000, 64);
+  for (const uint32_t t : {0u, 1u}) {
+    std::thread([&rt, t] {
+      rt.epoch_begin();
+      rt.on_write(0, 0x4000 + uint64_t{t} * 16, 8, loc(500 + t));
+      rt.epoch_end();
+    }).join();
+  }
+  EXPECT_TRUE(rt.epoch_mismatches().empty());
+  EXPECT_EQ(rt.stats().epochs_opened, 2u);
 }
 
 TEST(RuntimeConcurrency, SampledScalableCheckerFindsSubsetOfFull) {

@@ -42,10 +42,17 @@ TEST(ShadowTest, UnalignedRangeCoversBothWords) {
 // --- strand clock table ----------------------------------------------------------
 
 TEST(EpochClockTableTest, BeginPastCapacityThrows) {
-  // Fills the whole table (16 bytes per strand, ~268 MB).
+  // Fills the whole table (16 bytes per strand, ~268 MB); a block of ids
+  // takes the last 10, so that block is cut short at the capacity.
   EpochClockTable table;
-  for (uint64_t i = 0; i < EpochClockTable::kCapacity; ++i) table.begin(0);
+  for (uint64_t i = 0; i + 10 < EpochClockTable::kCapacity; ++i)
+    table.begin(0);
+  EpochClockTable::IdBlock block;
+  for (uint32_t i = 1; i <= 10; ++i)
+    EXPECT_EQ(table.begin(0, &block),
+              StrandId(EpochClockTable::kCapacity - 10 + i));
   EXPECT_EQ(table.strands(), EpochClockTable::kCapacity);
+  EXPECT_THROW(table.begin(0, &block), std::length_error);
   try {
     table.begin(0);
     FAIL() << "begin() past capacity must throw";
