@@ -1,12 +1,14 @@
 // High-traffic workload bench: the Figure 12 analog for the
 // dynamic-checker runtime. For every mini framework, `deepmc-load`'s
 // engine (src/load/) replays the same 8-thread, 1M+-op keyed KV schedule
-// twice — checker off (framework-only baseline) and checker shared (one
-// RuntimeChecker instrumenting all workers) — and reports
-// ops/sec plus the overhead ratio between them.
+// three times — checker off (framework-only baseline), checker shared (one
+// RuntimeChecker instrumenting all workers) and checker per-shard (one
+// RuntimeChecker per worker) — and reports ops/sec, the overhead ratio
+// off/shared, and shared/per-shard: how much of the per-worker checkers'
+// throughput one shared checker keeps (reported, not gated).
 //
 // Pass criteria (scripts/bench.sh load gate):
-//   * both runs complete every op with zero verify failures and an
+//   * every run completes every op with zero verify failures and an
 //     identical schedule hash (same execution, instrumented or not), and
 //   * checker-on throughput is within --max-overhead (default 16x) of the
 //     baseline on every framework.
@@ -49,7 +51,8 @@ int main(int argc, char** argv) {
   json.add("total_ops_per_run", uint64_t{threads} * ops_per_thread);
 
   bench::Table table({"framework", "off ops/s", "checker ops/s", "overhead",
-                      "races", "tracked words"});
+                      "per-shard ops/s", "shared/per-shard", "races",
+                      "tracked words"});
   bool ok = true;
   double worst_overhead = 0;
 
@@ -65,36 +68,48 @@ int main(int argc, char** argv) {
     const load::EngineResult off = load::run_load(cfg);
     cfg.checker = load::CheckerMode::kShared;
     const load::EngineResult on = load::run_load(cfg);
+    cfg.checker = load::CheckerMode::kPerShard;
+    const load::EngineResult per = load::run_load(cfg);
 
     const double overhead =
         on.ops_per_sec > 0 ? off.ops_per_sec / on.ops_per_sec : 0.0;
     if (overhead > worst_overhead) worst_overhead = overhead;
+    const double shared_share =
+        per.ops_per_sec > 0 ? on.ops_per_sec / per.ops_per_sec : 0.0;
 
     table.add_row({fw, fmt(off.ops_per_sec), fmt(on.ops_per_sec),
-                   fmt(overhead), std::to_string(on.races),
+                   fmt(overhead), fmt(per.ops_per_sec), fmt(shared_share),
+                   std::to_string(on.races),
                    std::to_string(on.tracked_words)});
 
     json.add(fw + ".off_ops_per_sec", off.ops_per_sec);
     json.add(fw + ".checker_ops_per_sec", on.ops_per_sec);
     json.add(fw + ".overhead", overhead);
+    json.add(fw + ".per_shard_ops_per_sec", per.ops_per_sec);
+    json.add(fw + ".shared_over_per_shard", shared_share);
     json.add(fw + ".races", on.races);
     json.add(fw + ".epoch_mismatches", on.epoch_mismatches);
     json.add(fw + ".tracked_words", on.tracked_words);
 
-    // Same schedule, fully executed, clean, in both modes — otherwise the
-    // two timings are not measuring the same work.
+    // Same schedule, fully executed, clean, in every mode — otherwise the
+    // timings are not measuring the same work.
     const uint64_t want = uint64_t{threads} * ops_per_thread;
-    if (!off.ok || !on.ok || off.total_ops != want || on.total_ops != want ||
-        off.schedule_hash != on.schedule_hash) {
-      std::fprintf(stderr, "bench_load: %s run mismatch (ok=%d/%d ops=%llu/%llu)\n",
-                   fw.c_str(), int(off.ok), int(on.ok),
-                   static_cast<unsigned long long>(off.total_ops),
-                   static_cast<unsigned long long>(on.total_ops));
-      ok = false;
-    }
-    if (on.races != 0) {
-      std::fprintf(stderr, "bench_load: %s clean workload raced\n", fw.c_str());
-      ok = false;
+    for (const load::EngineResult* r : {&on, &per}) {
+      const char* mode = r == &on ? "shared" : "per-shard";
+      if (!off.ok || !r->ok || off.total_ops != want ||
+          r->total_ops != want || off.schedule_hash != r->schedule_hash) {
+        std::fprintf(stderr,
+                     "bench_load: %s %s run mismatch (ok=%d/%d ops=%llu/%llu)\n",
+                     fw.c_str(), mode, int(off.ok), int(r->ok),
+                     static_cast<unsigned long long>(off.total_ops),
+                     static_cast<unsigned long long>(r->total_ops));
+        ok = false;
+      }
+      if (r->races != 0) {
+        std::fprintf(stderr, "bench_load: %s clean workload raced (%s)\n",
+                     fw.c_str(), mode);
+        ok = false;
+      }
     }
     if (overhead > max_overhead) {
       std::fprintf(stderr, "bench_load: %s overhead %.2fx exceeds gate %.2fx\n",
