@@ -11,6 +11,7 @@
 #include "analysis/dsg_printer.h"
 #include "analysis/trace.h"
 #include "core/fixit.h"
+#include "corpus/corpus.h"
 #include "crash/crashsim.h"
 #include "interp/instrumenter.h"
 #include "interp/interp.h"
@@ -249,6 +250,19 @@ AnalysisUnit make_file_unit(std::string path,
       b.error = e.what();
       b.error_reason = "parse-error";
     }
+    return b;
+  };
+  return u;
+}
+
+AnalysisUnit make_corpus_unit(std::string name) {
+  AnalysisUnit u;
+  u.name = name;
+  u.build = [name = std::move(name)] {
+    corpus::CorpusModule cm = corpus::build_module(name);
+    BuiltUnit b;
+    b.module = std::move(cm.module);
+    b.model = corpus::framework_model(cm.framework);
     return b;
   };
   return u;

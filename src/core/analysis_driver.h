@@ -85,6 +85,11 @@ AnalysisUnit make_source_unit(std::string name, std::string source,
 AnalysisUnit make_file_unit(std::string path,
                             std::optional<PersistencyModel> model = {});
 
+/// Unit over a built-in corpus module (`deepmc --corpus NAME`), analyzed
+/// under its framework's persistency model. An unknown name fails the
+/// unit with corpus::build_module's error.
+AnalysisUnit make_corpus_unit(std::string name);
+
 /// Resilience budgets (0 = unlimited). Step budgets are deterministic:
 /// each meter is private to one root / one unit-serial stage, so the trip
 /// point is a pure function of the input. `wall_ms` is the watchdog and

@@ -114,21 +114,6 @@ void usage() {
                "(deepmc serve --help)\n");
 }
 
-/// Corpus units force the framework's persistency model, like the serial
-/// CLI always did.
-core::AnalysisUnit corpus_unit(const std::string& name) {
-  core::AnalysisUnit u;
-  u.name = name;
-  u.build = [name] {
-    corpus::CorpusModule cm = corpus::build_module(name);
-    core::BuiltUnit b;
-    b.module = std::move(cm.module);
-    b.model = corpus::framework_model(cm.framework);
-    return b;
-  };
-  return u;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -296,7 +281,7 @@ int main(int argc, char** argv) {
   std::vector<core::AnalysisUnit> units;
   units.reserve(corpus_modules.size() + files.size());
   for (const std::string& name : corpus_modules)
-    units.push_back(corpus_unit(name));
+    units.push_back(core::make_corpus_unit(name));
   for (const std::string& file : files)
     units.push_back(core::make_file_unit(file));
 

@@ -523,26 +523,13 @@ TEST(RecoveryOracle, MakeOracleKnowsAllFrameworks) {
 // End-to-end validation matrix over the corpus
 // ---------------------------------------------------------------------------
 
-AnalysisUnit corpus_unit(const std::string& name) {
-  AnalysisUnit u;
-  u.name = name;
-  u.build = [name] {
-    corpus::CorpusModule cm = corpus::build_module(name);
-    core::BuiltUnit b;
-    b.module = std::move(cm.module);
-    b.model = corpus::framework_model(cm.framework);
-    return b;
-  };
-  return u;
-}
-
 Report run_crashsim_sweep(size_t jobs) {
   DriverOptions opts;
   opts.crashsim = true;
   opts.jobs = jobs;
   std::vector<AnalysisUnit> units;
   for (const std::string& name : corpus::module_names())
-    units.push_back(corpus_unit(name));
+    units.push_back(core::make_corpus_unit(name));
   AnalysisDriver driver(opts);
   return driver.run(units);
 }
@@ -660,7 +647,7 @@ TEST(CrashsimValidation, JsonCarriesValidationAndCrashsimObject) {
   DriverOptions opts;
   opts.crashsim = true;
   AnalysisDriver driver(opts);
-  const Report report = driver.run({corpus_unit("pmdk/btree_map")});
+  const Report report = driver.run({core::make_corpus_unit("pmdk/btree_map")});
   const std::string json = report.json(/*include_timing=*/false);
   EXPECT_NE(json.find("\"schema\": \"deepmc-report-v3\""), std::string::npos);
   EXPECT_NE(json.find("\"validation\": \"confirmed\""), std::string::npos);
@@ -671,7 +658,7 @@ TEST(CrashsimValidation, JsonCarriesValidationAndCrashsimObject) {
 
 TEST(CrashsimValidation, OffByDefaultKeepsV1ShapedPayload) {
   AnalysisDriver driver(DriverOptions{});
-  const Report report = driver.run({corpus_unit("pmdk/btree_map")});
+  const Report report = driver.run({core::make_corpus_unit("pmdk/btree_map")});
   const std::string json = report.json(false);
   EXPECT_EQ(json.find("\"crashsim\""), std::string::npos);
   EXPECT_EQ(json.find("\"validation\""), std::string::npos);

@@ -38,23 +38,10 @@ entry:
 }
 )";
 
-AnalysisUnit corpus_unit(const std::string& name) {
-  AnalysisUnit u;
-  u.name = name;
-  u.build = [name] {
-    corpus::CorpusModule cm = corpus::build_module(name);
-    core::BuiltUnit b;
-    b.module = std::move(cm.module);
-    b.model = corpus::framework_model(cm.framework);
-    return b;
-  };
-  return u;
-}
-
 std::vector<AnalysisUnit> corpus_sweep_units() {
   std::vector<AnalysisUnit> units;
   for (const std::string& name : corpus::module_names())
-    units.push_back(corpus_unit(name));
+    units.push_back(core::make_corpus_unit(name));
   return units;
 }
 
@@ -159,7 +146,7 @@ TEST(Driver, DynamicRunThroughDriverFindsRuntimeBugs) {
   DriverOptions opts;
   opts.dynamic_run = true;
   AnalysisDriver driver(opts);
-  Report report = driver.run({corpus_unit("pmdk/hashmap_atomic")});
+  Report report = driver.run({core::make_corpus_unit("pmdk/hashmap_atomic")});
   ASSERT_EQ(report.units().size(), 1u);
   const core::UnitReport& u = report.units()[0];
   EXPECT_FALSE(u.failed);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/analysis_driver.h"
-#include "corpus/corpus.h"
 #include "support/budget.h"
 #include "support/faultpoint.h"
 
@@ -71,25 +70,12 @@ exit:
 }
 )";
 
-AnalysisUnit corpus_unit(const std::string& name) {
-  AnalysisUnit u;
-  u.name = name;
-  u.build = [name] {
-    corpus::CorpusModule cm = corpus::build_module(name);
-    core::BuiltUnit b;
-    b.module = std::move(cm.module);
-    b.model = corpus::framework_model(cm.framework);
-    return b;
-  };
-  return u;
-}
-
 std::vector<AnalysisUnit> mixed_units() {
   std::vector<AnalysisUnit> units;
   units.push_back(core::make_source_unit("loopy", kLoopy));
-  units.push_back(corpus_unit("pmdk/btree_map"));
+  units.push_back(core::make_corpus_unit("pmdk/btree_map"));
   units.push_back(core::make_source_unit("exec", kExecutable));
-  units.push_back(corpus_unit("pmfs/journal"));
+  units.push_back(core::make_corpus_unit("pmfs/journal"));
   return units;
 }
 
@@ -109,7 +95,7 @@ TEST(ResilienceBudget, TinyTraceBudgetDegradesInsteadOfFailing) {
   opts.budgets.trace_steps = 5;
   opts.jobs = 1;
   AnalysisDriver driver(opts);
-  Report report = driver.run({corpus_unit("pmdk/btree_map")});
+  Report report = driver.run({core::make_corpus_unit("pmdk/btree_map")});
   ASSERT_EQ(report.units().size(), 1u);
   const core::UnitReport& u = report.units()[0];
   EXPECT_FALSE(u.failed);
@@ -128,7 +114,7 @@ TEST(ResilienceBudget, PartialResultsBeatNoReport) {
   opts.budgets.trace_steps = 5;
   opts.jobs = 1;
   AnalysisDriver driver(opts);
-  Report report = driver.run({corpus_unit("pmdk/btree_map")});
+  Report report = driver.run({core::make_corpus_unit("pmdk/btree_map")});
   const core::UnitReport& u = report.units()[0];
   EXPECT_FALSE(u.degraded.roots_budget_exhausted.empty());
   EXPECT_NE(u.text.find("trace budget exhausted"), std::string::npos);
@@ -169,7 +155,7 @@ TEST(ResilienceBudget, DsaBudgetTripsDeterministically) {
   opts.budgets.dsa_steps = 3;
   opts.jobs = 1;
   AnalysisDriver driver(opts);
-  Report report = driver.run({corpus_unit("pmdk/btree_map")});
+  Report report = driver.run({core::make_corpus_unit("pmdk/btree_map")});
   const core::UnitReport& u = report.units()[0];
   // DSA cost does not shrink with trace bounds, so every rung trips and
   // the unit ends failed with the budget as its machine-readable reason.
@@ -218,7 +204,7 @@ TEST(ResilienceLadder, SkippedStagesAreReported) {
   opts.budgets.trace_steps = 5;
   opts.jobs = 1;
   AnalysisDriver driver(opts);
-  Report report = driver.run({corpus_unit("pmdk/btree_map")});
+  Report report = driver.run({core::make_corpus_unit("pmdk/btree_map")});
   const core::UnitReport& u = report.units()[0];
   ASSERT_EQ(u.status, UnitStatus::kDegraded);
   ASSERT_EQ(u.degraded.skipped_stages.size(), 1u);
@@ -323,9 +309,9 @@ TEST(ResilienceFailFast, LaterUnitsAreReportedNotRun) {
   opts.keep_going = false;
   opts.jobs = 4;
   std::vector<AnalysisUnit> units;
-  units.push_back(corpus_unit("pmdk/btree_map"));
+  units.push_back(core::make_corpus_unit("pmdk/btree_map"));
   units.push_back(core::make_source_unit("broken", "define oops"));
-  units.push_back(corpus_unit("pmfs/journal"));
+  units.push_back(core::make_corpus_unit("pmfs/journal"));
   Report report = AnalysisDriver(opts).run(units);
   ASSERT_EQ(report.units().size(), 3u);
   EXPECT_FALSE(report.units()[0].failed);
@@ -339,7 +325,7 @@ TEST(ResilienceFailFast, KeepGoingStillAnalyzesEveryUnit) {
   opts.jobs = 4;  // keep_going defaults to true
   std::vector<AnalysisUnit> units;
   units.push_back(core::make_source_unit("broken", "define oops"));
-  units.push_back(corpus_unit("pmfs/journal"));
+  units.push_back(core::make_corpus_unit("pmfs/journal"));
   Report report = AnalysisDriver(opts).run(units);
   EXPECT_TRUE(report.units()[0].failed);
   EXPECT_FALSE(report.units()[1].failed);
