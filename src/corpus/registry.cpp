@@ -27,15 +27,6 @@ PersistencyModel framework_model(Framework f) {
   return PersistencyModel::kStrict;
 }
 
-const char* provenance_name(Provenance p) {
-  switch (p) {
-    case Provenance::kStudied: return "studied (Table 3)";
-    case Provenance::kNewlyFound: return "new (Table 8)";
-    case Provenance::kFalsePositive: return "false positive";
-  }
-  return "?";
-}
-
 namespace {
 
 std::vector<BugSite> make_registry() {

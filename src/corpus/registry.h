@@ -37,7 +37,6 @@ enum class Provenance : uint8_t {
   kNewlyFound,     ///< Table 8 (new bugs found by DeepMC)
   kFalsePositive,  ///< warning validated as not-a-bug (§5.4)
 };
-const char* provenance_name(Provenance p);
 
 enum class Detector : uint8_t { kStatic, kDynamic };
 

@@ -77,12 +77,6 @@ BasicBlock* Function::create_block(std::string name) {
   return blocks_.back().get();
 }
 
-BasicBlock* Function::find_block(const std::string& name) const {
-  for (const auto& bb : blocks_)
-    if (bb->name() == name) return bb.get();
-  return nullptr;
-}
-
 Function* Module::create_function(
     std::string name, const Type* return_type,
     std::vector<std::pair<std::string, const Type*>> params) {

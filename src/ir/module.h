@@ -84,7 +84,6 @@ class Function {
   [[nodiscard]] const std::vector<std::unique_ptr<BasicBlock>>& blocks() const {
     return blocks_;
   }
-  [[nodiscard]] BasicBlock* find_block(const std::string& name) const;
 
   /// Declaration-only functions (external; no body).
   [[nodiscard]] bool is_declaration() const { return blocks_.empty(); }

@@ -143,10 +143,6 @@ void Tracer::set_ring_capacity(size_t cap) {
   impl_->ring_cap.store(cap, std::memory_order_relaxed);
 }
 
-size_t Tracer::ring_capacity() const {
-  return impl_->ring_cap.load(std::memory_order_relaxed);
-}
-
 void Tracer::write(std::ostream& os) {
   std::vector<TraceEvent> events;
   {

@@ -38,7 +38,6 @@ class Tracer {
   /// 0 (the default) keeps the historical unbounded behavior for
   /// one-shot runs. Applies to spans recorded after the call.
   void set_ring_capacity(size_t cap);
-  [[nodiscard]] size_t ring_capacity() const;
 
   /// Microseconds since start().
   [[nodiscard]] double now_us() const;

@@ -251,16 +251,6 @@ int serve_stream(AnalysisService& service, int in_fd, int out_fd,
   }
 }
 
-int serve_unix_socket(AnalysisService& service, const std::string& path) {
-  ServeDaemon daemon(service, DaemonOptions{});
-  std::string err;
-  if (!daemon.listen_unix(path, &err)) {
-    std::fprintf(stderr, "deepmc serve: %s\n", err.c_str());
-    return 65;
-  }
-  return daemon.run();
-}
-
 namespace {
 
 int usage(FILE* out) {

@@ -1,11 +1,10 @@
-// `deepmc serve` entry points: the session loop over one framed stream,
-// the Unix-socket daemon wrapper, and the CLI that dispatches between
-// daemon mode (--socket / --listen / --stdin) and client mode
-// (--connect, built on the retrying ServeClient).
+// `deepmc serve` entry points: the session loop over one framed stream
+// and the CLI that dispatches between daemon mode (--socket / --listen /
+// --stdin) and client mode (--connect, built on the retrying
+// ServeClient).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace deepmc::serve {
 
@@ -33,11 +32,6 @@ struct SessionHooks {
 /// frame-read timeout, 1 when a shutdown request was served.
 int serve_stream(AnalysisService& service, int in_fd, int out_fd,
                  const SessionHooks* hooks = nullptr);
-
-/// Bind `path` and serve connections with a default-option ServeDaemon
-/// (bounded concurrent sessions) until a shutdown request. Returns a CLI
-/// exit code.
-int serve_unix_socket(AnalysisService& service, const std::string& path);
 
 /// `deepmc serve ...`: daemon (--socket / --listen / --stdin) or client
 /// (--connect).
