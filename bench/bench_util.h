@@ -8,6 +8,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/report.h"
+#include "support/flags.h"
+
 namespace deepmc::bench {
 
 inline std::string cpu_model() {
@@ -86,13 +89,22 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Value of a `--json <path>` argument, or "" when absent. Every bench
-/// binary accepts this flag; scripts/bench.sh uses it to collect
-/// machine-readable results (BENCH_<name>.json) next to the text report.
+/// The one `--json FILE` (or `--json=FILE`) parser: true when argv[i] is
+/// the flag, with `i` advanced past a separate operand and the path in
+/// `*path` (left empty when the operand is missing). scripts/bench.sh uses
+/// the flag to collect machine-readable results (BENCH_<name>.json) next
+/// to the text report.
+inline bool json_out_path(int argc, char** argv, int& i, std::string* path) {
+  return support::str_flag("--json", argv[i], argc, argv, i, path);
+}
+
+/// Value of the first `--json` argument, or "" when absent, for a binary
+/// that takes no other flag.
 inline std::string json_out_path(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--json") return argv[i + 1];
-  return {};
+  std::string path;
+  for (int i = 1; i < argc; ++i)
+    if (json_out_path(argc, argv, i, &path)) break;
+  return path;
 }
 
 /// Minimal machine-readable result sink: a flat JSON object of metrics in
@@ -102,7 +114,7 @@ class JsonResult {
   explicit JsonResult(std::string bench) { add("bench", std::move(bench)); }
 
   void add(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, quote(value));
+    entries_.emplace_back(key, core::json_quote(value));
   }
   void add(const std::string& key, double value) {
     char buf[64];
@@ -127,21 +139,6 @@ class JsonResult {
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) >= 0x20) {
-        out += c;
-      } else {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      }
-    }
-    return out + "\"";
-  }
-
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 

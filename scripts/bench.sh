@@ -6,16 +6,23 @@
 # the script loudly, by name — results must never be silently dropped.
 #
 #   scripts/bench.sh             run the default set
-#   scripts/bench.sh crashsim    run a single bench by short name
+#   scripts/bench.sh serve       run a single bench by short name
+#
+# A name with its own source, bench/bench_<name>.cpp, is a paper table or
+# figure binary; any other name is a layer gate, run as `bench_gates <name>`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs="$(nproc 2>/dev/null || echo 4)"
-benches=(crashsim table1_detection parallel_sweep obs_overhead resilience_overhead corpus serve serve_concurrency load)
+benches=(table1_detection parallel_sweep obs_overhead resilience_overhead serve serve_concurrency load)
 if [[ $# -gt 0 ]]; then benches=("$@"); fi
 
+is_gate() { [[ ! -f "bench/bench_$1.cpp" ]]; }
+
 targets=()
-for b in "${benches[@]}"; do targets+=("bench_${b}"); done
+for b in "${benches[@]}"; do
+  if is_gate "$b"; then targets+=(bench_gates); else targets+=("bench_${b}"); fi
+done
 
 cmake -B build -S .
 cmake --build build -j "$jobs" --target "${targets[@]}"
@@ -55,7 +62,9 @@ status=0
 for b in "${benches[@]}"; do
   out="$(json_file "$b")"
   echo "== bench_${b} =="
-  if ! "build/bench/bench_${b}" --json "$out"; then
+  cmd=("build/bench/bench_${b}")
+  if is_gate "$b"; then cmd=(build/bench/bench_gates "$b"); fi
+  if ! "${cmd[@]}" --json "$out"; then
     echo "bench_${b}: FAILED" >&2
     status=1
   fi

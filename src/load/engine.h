@@ -1,6 +1,6 @@
 // The load engine: N worker threads, each owning one KvShard of the chosen
 // framework, replaying its deterministic op stream (workload.h) — the
-// high-traffic harness behind `deepmc-load` and bench_load.
+// high-traffic harness behind `deepmc-load` and `bench_gates load`.
 //
 // Checker modes:
 //   kOff       no instrumentation: the framework-only baseline.

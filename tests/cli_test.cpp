@@ -1,7 +1,8 @@
 // CLI contract tests for the deepmc binary: exit-code partitioning
 // (warning counts vs usage vs input errors), --jobs determinism at the
 // process level, --format json output, and `deepmc serve` rejecting bad
-// numeric flags before it binds.
+// numeric flags before it binds. Also bench_gates' usage errors, which
+// must exit 64 before any measurement starts.
 //
 // Exit codes under test (see src/tools/deepmc.cpp):
 //   0      clean, 1..63 warning count (capped), 64 usage, 65 input error.
@@ -182,6 +183,48 @@ TEST(CliServe, BadNumericFlagIsUsageError64BeforeBinding) {
         << bad << ": " << out;
     EXPECT_EQ(out.find("listening"), std::string::npos) << bad;
     EXPECT_NE(access(sock.c_str(), F_OK), 0) << bad << ": socket was bound";
+  }
+}
+
+TEST(BenchGates, UsageErrorsExit64BeforeAnyWork) {
+  // Each input is rejected while parsing: the message names the problem,
+  // and the banner every gate prints before measuring never appears. The
+  // removed bound and repeat flags are unknown flags, so none can loosen
+  // or empty a gate.
+  const struct {
+    const char* args;
+    const char* problem;
+  } cases[] = {
+      {"", "no gate named"},
+      {"nonesuch", "unknown gate 'nonesuch'"},
+      {"crashsim --repeats 3", "unknown gate 'crashsim'"},
+      {"corpus", "unknown gate 'corpus'"},
+      {"serve --bogus", "unknown flag '--bogus'"},
+      {"serve --json", "missing or invalid value for --json"},
+      {"serve --threads 2", "unknown flag '--threads'"},
+      {"serve --min-speedup 1", "unknown flag '--min-speedup'"},
+      {"serve --min-speedup x", "unknown flag '--min-speedup'"},
+      {"serve_concurrency --min-speedup 1", "unknown flag '--min-speedup'"},
+      {"obs_overhead --repeats 0", "unknown flag '--repeats'"},
+      {"obs_overhead --max-overhead 100", "unknown flag '--max-overhead'"},
+      {"resilience_overhead --repeats 0", "unknown flag '--repeats'"},
+      {"resilience_overhead --max-overhead 100",
+       "unknown flag '--max-overhead'"},
+      {"load --max-overhead 100", "unknown flag '--max-overhead'"},
+      {"load --ops abc", "missing or invalid value for --ops"},
+      {"load --ops 0", "missing or invalid value for --ops"},
+      {"load --threads 0", "missing or invalid value for --threads"},
+      {"load --threads -1", "missing or invalid value for --threads"},
+      {"load --threads 1025", "missing or invalid value for --threads"},
+      {"load --threads", "missing or invalid value for --threads"},
+  };
+  for (const auto& c : cases) {
+    auto [out, code] = run_shell(std::string("\"") + BENCH_GATES_BIN +
+                                 "\" " + c.args + " 2>&1");
+    EXPECT_EQ(code, 64) << c.args;
+    EXPECT_NE(out.find(c.problem), std::string::npos) << c.args << ": " << out;
+    EXPECT_EQ(out.find("System configuration"), std::string::npos)
+        << c.args << ": the gate started";
   }
 }
 
