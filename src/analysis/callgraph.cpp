@@ -38,6 +38,19 @@ const std::vector<const Function*>& CallGraph::callees(
   return it == edges_.end() ? empty : it->second;
 }
 
+std::set<const Function*> CallGraph::closure(
+    const std::vector<const Function*>& roots) const {
+  std::set<const Function*> seen;
+  std::vector<const Function*> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    const Function* f = stack.back();
+    stack.pop_back();
+    if (!seen.insert(f).second) continue;
+    for (const Function* callee : callees(f)) stack.push_back(callee);
+  }
+  return seen;
+}
+
 const std::vector<const CallInst*>& CallGraph::call_sites(
     const Function* f) const {
   static const std::vector<const CallInst*> empty;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "ir/module.h"
@@ -21,6 +22,11 @@ class CallGraph {
   /// the module; unknown external names are skipped).
   [[nodiscard]] const std::vector<const ir::Function*>& callees(
       const ir::Function* f) const;
+
+  /// Every function reachable from `roots` along call edges, the roots
+  /// included. Declared callees are reached too; they have no callees.
+  [[nodiscard]] std::set<const ir::Function*> closure(
+      const std::vector<const ir::Function*>& roots) const;
 
   /// Call sites within `f`.
   [[nodiscard]] const std::vector<const ir::CallInst*>& call_sites(

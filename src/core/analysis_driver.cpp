@@ -168,7 +168,7 @@ std::vector<LadderRung> degradation_ladder(const DriverOptions& opts) {
   LadderRung full;
   full.name = "full";
   full.trace = opts.checker.trace;
-  full.max_subset_bits = opts.max_subset_bits;
+  full.max_subset_bits = 10;
   full.run_crashsim = opts.crashsim;
   full.run_dynamic = opts.dynamic_run;
   ladder.push_back(full);
@@ -176,7 +176,7 @@ std::vector<LadderRung> degradation_ladder(const DriverOptions& opts) {
   LadderRung tightened = full;
   tightened.name = "tightened";
   tightened.trace = tighten(full.trace);
-  tightened.max_subset_bits = std::min<size_t>(full.max_subset_bits, 6);
+  tightened.max_subset_bits = 6;
   ladder.push_back(tightened);
 
   LadderRung static_only = tightened;
@@ -288,6 +288,12 @@ bool Report::any_degraded() const {
   for (const UnitReport& u : units_)
     if (u.status == UnitStatus::kDegraded) return true;
   return false;
+}
+
+int Report::exit_code() const {
+  if (any_failed()) return 65;
+  if (any_degraded()) return 66;
+  return static_cast<int>(std::min<size_t>(total_warnings(), 63));
 }
 
 void Report::print_text(std::ostream& os) const {
@@ -495,22 +501,20 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   // signal is rethrown afterwards, preferred over the CancelledError
   // echoes it provoked in siblings.
   //
-  // Seeded roots (the serve cache's dirty-cone path) skip check_root and
-  // merge the pre-computed result in the same position of the same order,
-  // so a seeded merge is byte-equivalent to a fresh one. Seeds apply only
-  // on the full rung: they were produced at full bounds.
-  const bool use_seeds =
-      opts_.seeded_roots != nullptr && rung.name == "full";
-  std::vector<const CheckResult*> seeded(roots.size(), nullptr);
+  // On the full rung a root cache (the serve daemon's dirty-cone path)
+  // may answer some roots; each answer merges in its root's position of
+  // the same order, so a cached merge is byte-equivalent to a fresh one.
+  RootCache* const root_cache =
+      rung.name == "full" ? opts_.root_cache : nullptr;
+  std::vector<std::optional<CheckResult>> cached =
+      root_cache != nullptr
+          ? root_cache->lookup(module, checker.dsa().callgraph(), roots)
+          : std::vector<std::optional<CheckResult>>(roots.size());
+  std::vector<std::optional<CheckResult>> fresh(
+      root_cache != nullptr ? roots.size() : 0);
   std::vector<std::future<CheckResult>> futs(roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
-    if (use_seeds) {
-      auto it = opts_.seeded_roots->find(roots[i]->name());
-      if (it != opts_.seeded_roots->end()) {
-        seeded[i] = &it->second;
-        continue;
-      }
-    }
+    if (cached[i]) continue;
     const ir::Function* f = roots[i];
     futs[i] = pool.submit([&checker, f, &faults] {
       support::FaultActivation act(&faults);
@@ -520,15 +524,14 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   CheckResult result;
   std::exception_ptr budget_ex, cancel_ex, other_ex;
   for (size_t i = 0; i < futs.size(); ++i) {
-    if (seeded[i] != nullptr) {
-      result.merge(*seeded[i]);
+    if (cached[i]) {
+      result.merge(*cached[i]);
       continue;
     }
     try {
       CheckResult root_result = pool.await(std::move(futs[i]));
-      if (opts_.collect_root_results)
-        out.root_results.emplace_back(roots[i]->name(), root_result);
       result.merge(root_result);
+      if (root_cache != nullptr) fresh[i] = std::move(root_result);
     } catch (const support::BudgetExceeded&) {
       if (rung.tolerate_root_budget && roots_exhausted != nullptr) {
         // Final rung: this root contributes nothing, the unit survives
@@ -659,10 +662,11 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
     if (cs_cancel) std::rethrow_exception(cs_cancel);
 
     os << "-- crash-state enumeration --\n";
-    std::vector<std::string> executed_roots;
+    std::vector<const ir::Function*> executed_roots;
     std::set<SourceLoc> witness_locs;
     std::map<SourceLoc, std::string> witness_rule;  // first rule per loc
-    for (const crash::RootCrashSim& sim : sims) {
+    for (size_t i = 0; i < sims.size(); ++i) {
+      const crash::RootCrashSim& sim = sims[i];
       CrashSimRootSummary rs;
       rs.root = sim.root;
       rs.executed = sim.executed;
@@ -680,7 +684,7 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
                         sim.root.c_str(), sim.error.c_str());
         continue;
       }
-      executed_roots.push_back(sim.root);
+      executed_roots.push_back(sim_roots[i]);
       os << strformat(
           "  root @%s: %llu crash point(s), %llu image(s), %zu "
           "witness(es), pruning %.1f%%\n",
@@ -696,13 +700,13 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
       }
     }
 
-    const std::set<std::string> executed =
-        crash::call_closure(module, executed_roots);
+    const std::set<const ir::Function*> executed =
+        checker.dsa().callgraph().closure(executed_roots);
     for (const Warning& w : result.warnings()) {
       Validation v;
       if (w.bug_class() == BugClass::kPerformance)
         v = Validation::kSkipped;  // perf findings have no crash image
-      else if (!executed.count(w.function))
+      else if (!executed.count(module.find_function(w.function)))
         v = Validation::kSkipped;  // never executed by any root
       else if (witness_locs.count(w.loc))
         v = Validation::kConfirmed;
@@ -784,6 +788,8 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   out.result = std::move(result);
   os << strformat("%zu warning(s)\n\n", out.warning_count());
   out.text = os.str();
+  // A full-rung attempt that gets here is the unit ending ok.
+  if (root_cache != nullptr) root_cache->store(fresh);
 }
 
 UnitReport AnalysisDriver::analyze_unit(const AnalysisUnit& unit,

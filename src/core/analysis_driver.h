@@ -33,11 +33,9 @@
 #include <chrono>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/report.h"
@@ -107,6 +105,26 @@ struct BudgetOptions {
   }
 };
 
+/// Per-root results kept between runs (the serve daemon's cache,
+/// src/serve/service.cpp). The driver consults it only on the full rung,
+/// after verify and prepare(), with the module it analyzes, that module's
+/// call graph and its trace roots, so the cache keys roots on exactly what
+/// the checker sees. Calls come from the thread analyzing the unit, which
+/// may be any pool worker.
+class RootCache {
+ public:
+  virtual ~RootCache() = default;
+  /// One slot per root, in `roots` order: the cached result, or empty for
+  /// a root the driver must check.
+  virtual std::vector<std::optional<CheckResult>> lookup(
+      const ir::Module& module, const analysis::CallGraph& callgraph,
+      const std::vector<const ir::Function*>& roots) = 0;
+  /// The unit ended ok. `fresh` is parallel to lookup's slots: each root
+  /// lookup left empty now holds its freshly checked result, and each
+  /// root lookup answered is empty.
+  virtual void store(const std::vector<std::optional<CheckResult>>& fresh) = 0;
+};
+
 struct DriverOptions {
   PersistencyModel model = PersistencyModel::kStrict;
   StaticChecker::Options checker;  ///< field sensitivity + trace bounds
@@ -125,20 +143,13 @@ struct DriverOptions {
   /// remaining units are reported as not run instead of analyzed. true
   /// (default) keeps the long-standing keep-going behavior.
   bool keep_going = true;
-  size_t max_subset_bits = 10;  ///< crashsim subset cap at the full rung
-
-  // --- incremental serving hooks (src/serve/) ---
-  /// Pre-computed raw per-root check results keyed by root function name.
-  /// On the "full" ladder rung the driver merges a seeded result in root
-  /// order instead of re-running check_root for that root; the caller is
-  /// responsible for only seeding results that an identical configuration
-  /// produced (the serve cache keys enforce this). Non-owning; must
-  /// outlive the run. Tightened rungs ignore the seeds — they were
-  /// computed at full bounds.
-  const std::map<std::string, CheckResult>* seeded_roots = nullptr;
-  /// Record every freshly computed per-root result in
-  /// UnitReport::root_results so the caller can persist it.
-  bool collect_root_results = false;
+  /// Cached per-root results for the full rung (incremental serving).
+  /// Each cached result merges at its root's position in trace_roots()
+  /// order, where a fresh check_root result would; the caller only caches
+  /// results an identical configuration produced (the serve cache keys
+  /// enforce this). Tightened rungs never consult it: their bounds differ.
+  /// Non-owning; must outlive the run.
+  RootCache* root_cache = nullptr;
   /// Absolute wall-clock deadline covering the unit's *whole* degradation
   /// ladder (serve per-request deadlines). Unlike budgets.wall_ms — which
   /// restarts per attempt — every rung's token is armed against this same
@@ -249,11 +260,6 @@ struct UnitReport {
   std::string error;       ///< build/verify failure message
   std::string fail_reason; ///< machine-readable, e.g. "input-error",
                            ///< "parse-error", "fault-injected:<point>"
-  /// Raw (unfolded, unsorted) per-root results computed by this run, in
-  /// trace_roots() order; roots satisfied from DriverOptions::seeded_roots
-  /// do not appear. Filled only under collect_root_results and never
-  /// rendered into the report itself.
-  std::vector<std::pair<std::string, CheckResult>> root_results;
 
   [[nodiscard]] size_t warning_count() const {
     return result.count() + dynamic.size();
@@ -270,6 +276,9 @@ class Report {
   [[nodiscard]] size_t total_warnings() const;
   [[nodiscard]] bool any_failed() const;
   [[nodiscard]] bool any_degraded() const;
+  /// The tools' exit code: 65 if any unit failed, else 66 if any degraded,
+  /// else the warning count capped at 63.
+  [[nodiscard]] int exit_code() const;
 
   /// Concatenated unit text blocks — byte-identical to what a serial
   /// deepmc run prints. Failed units contribute nothing here (their error

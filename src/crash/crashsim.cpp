@@ -144,30 +144,4 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
   return out;
 }
 
-std::set<std::string> call_closure(const ir::Module& module,
-                                   const std::vector<std::string>& roots) {
-  std::set<std::string> seen;
-  std::vector<const ir::Function*> work;
-  for (const std::string& r : roots) {
-    const ir::Function* f = module.find_function(r);
-    if (f && !f->is_declaration() && seen.insert(f->name()).second)
-      work.push_back(f);
-  }
-  while (!work.empty()) {
-    const ir::Function* f = work.back();
-    work.pop_back();
-    for (const auto& bb : f->blocks()) {
-      for (const auto& inst : bb->instructions()) {
-        if (inst->opcode() != ir::Opcode::kCall) continue;
-        const auto* call = static_cast<const ir::CallInst*>(inst.get());
-        const ir::Function* callee = module.find_function(call->callee());
-        if (callee && !callee->is_declaration() &&
-            seen.insert(callee->name()).second)
-          work.push_back(callee);
-      }
-    }
-  }
-  return seen;
-}
-
 }  // namespace deepmc::crash

@@ -12,7 +12,6 @@
 // order for byte-identical reports at any --jobs value.
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -56,10 +55,5 @@ struct RootCrashSim {
 /// Simulate crashes for one zero-argument root function.
 RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
                            const CrashSimOptions& opts);
-
-/// Names of defined functions reachable (via direct calls) from the given
-/// roots — used to classify warnings in never-executed code as `skipped`.
-std::set<std::string> call_closure(const ir::Module& module,
-                                   const std::vector<std::string>& roots);
 
 }  // namespace deepmc::crash

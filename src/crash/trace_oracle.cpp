@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include "support/str.h"
-
 namespace deepmc::crash {
 
 namespace {
@@ -67,13 +65,7 @@ void rule_rollback_exposure(const StoreReplay& replay,
       if (p == kNoEvent) continue;
       Witness w;
       w.rule = "crash.rollback-exposure";
-      w.point = p;
       add_culprit(w.culprits, s.loc);
-      w.detail = strformat(
-          "unlogged store %s can persist across a crash inside the "
-          "transaction at %s; recovery rolls back the log but not this store",
-          s.loc.str().c_str(), ri.begin_loc.str().c_str());
-      w.image = replay.image_at(p, {u});
       out.push_back(std::move(w));
     }
   }
@@ -86,43 +78,33 @@ void rule_unfenced_boundary(const StoreReplay& replay,
   const size_t n = replay.log().events.size();
   // Candidate boundary positions: first valid crash point at-or-after every
   // non-strand region begin/end marker, plus the end of the trace.
-  std::vector<std::pair<size_t, SourceLoc>> boundaries;
+  std::vector<size_t> boundaries;
   for (const RegionInfo& ri : replay.regions()) {
     if (ri.kind == kRegionStrand) continue;
     if (ri.begin_event != kNoEvent) {
       const size_t p = replay.crash_point_after(
           ri.begin_event == 0 ? 0 : ri.begin_event - 1, n);
-      if (p != kNoEvent) boundaries.emplace_back(p, ri.begin_loc);
+      if (p != kNoEvent) boundaries.push_back(p);
     }
     if (ri.end_event != kNoEvent) {
       const size_t p = replay.crash_point_after(ri.end_event - 1, n);
-      if (p != kNoEvent) boundaries.emplace_back(p, ri.end_loc);
+      if (p != kNoEvent) boundaries.push_back(p);
     }
   }
-  boundaries.emplace_back(n, SourceLoc());
+  boundaries.push_back(n);
   std::sort(boundaries.begin(), boundaries.end());
-  boundaries.erase(std::unique(boundaries.begin(), boundaries.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.first == b.first;
-                               }),
+  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
                    boundaries.end());
 
   for (size_t u = 0; u < replay.units().size(); ++u) {
     const StoreUnit& s = replay.units()[u];
     if (s.logged || !s.loc.valid()) continue;
-    for (const auto& [p, bloc] : boundaries) {
+    for (const size_t p : boundaries) {
       if (!s.staged_by(p) || s.durable_by(p)) continue;
       Witness w;
       w.rule = "crash.unfenced-boundary";
-      w.point = p;
       add_culprit(w.culprits, s.loc);
       add_culprit(w.culprits, s.staged_loc);
-      w.detail = strformat(
-          "store %s flushed at %s is still unfenced at %s; a crash here "
-          "may lose it even though execution moved on",
-          s.loc.str().c_str(), s.staged_loc.str().c_str(),
-          p == n ? "the end of the run" : bloc.str().c_str());
-      w.image = replay.image_at(p, {});
       out.push_back(std::move(w));
       break;  // one boundary witness per store suffices
     }
@@ -146,14 +128,8 @@ void rule_torn_fence_group(const StoreReplay& replay,
     if (bases.size() < 2) continue;
     Witness w;
     w.rule = "crash.torn-fence-group";
-    w.point = pf;
     for (size_t u : group) add_culprit(w.culprits, replay.units()[u].loc);
     add_culprit(w.culprits, replay.log().events[pf].loc);
-    w.detail = strformat(
-        "one fence at %s seals stores to %zu distinct objects; a crash at "
-        "the fence can persist any strict subset, tearing the update",
-        replay.log().events[pf].loc.str().c_str(), bases.size());
-    w.image = replay.image_at(pf, {group.front()});
     out.push_back(std::move(w));
   }
 }
@@ -219,15 +195,8 @@ void rule_cross_region_tear(const StoreReplay& replay,
       if (!prev_durable) continue;
       Witness w;
       w.rule = "crash.cross-region-tear";
-      w.point = p;
       for (size_t u : prev_units) add_culprit(w.culprits, replay.units()[u].loc);
       for (size_t u : cur_units) add_culprit(w.culprits, replay.units()[u].loc);
-      w.detail = strformat(
-          "regions at %s and %s update disjoint parts of one object; a "
-          "crash between them persists a half-updated state neither "
-          "region's recovery covers",
-          pi.begin_loc.str().c_str(), ci.begin_loc.str().c_str());
-      w.image = replay.image_at(p, {});
       out.push_back(std::move(w));
     }
   }
@@ -249,13 +218,7 @@ void rule_order_inversion(const StoreReplay& replay,
       if (p == kNoEvent) continue;
       Witness w;
       w.rule = "crash.order-inversion";
-      w.point = p;
       add_culprit(w.culprits, s.loc);
-      w.detail = strformat(
-          "under strict persistency the store %s must persist before the "
-          "later store %s, but only the later one is durable at this crash",
-          s.loc.str().c_str(), t.loc.str().c_str());
-      w.image = replay.image_at(p, {});
       out.push_back(std::move(w));
       break;  // one inversion witness per store suffices
     }
@@ -279,13 +242,7 @@ void rule_region_exit_unflushed(const StoreReplay& replay,
       if (s.overwritten_at != kNoEvent && s.overwritten_at < p) continue;
       Witness w;
       w.rule = "crash.region-exit-unflushed";
-      w.point = p;
       add_culprit(w.culprits, s.loc);
-      w.detail = strformat(
-          "store %s is still volatile when its region at %s completes; the "
-          "region's durability contract ended with the data unflushed",
-          s.loc.str().c_str(), ri.begin_loc.str().c_str());
-      w.image = replay.image_at(p, {});
       out.push_back(std::move(w));
     }
   }

@@ -1,6 +1,6 @@
-// Trace oracle: turns a recorded execution into crash *witnesses* — concrete
-// (crash point, persisted-line subset) pairs whose image provably violates a
-// persistency invariant, tagged with the source locations responsible.
+// Trace oracle: turns a recorded execution into crash *witnesses* — the
+// rule a reachable crash image provably violates, tagged with the source
+// locations responsible.
 //
 // This is the dynamic half of end-to-end warning validation: the static
 // checker names a suspicious line; a witness whose culprit set contains that
@@ -47,10 +47,7 @@ namespace deepmc::crash {
 
 struct Witness {
   std::string rule;                ///< crash.* rule id (see header comment)
-  size_t point = 0;                ///< crash position into the event log
   std::vector<SourceLoc> culprits; ///< locations this witness implicates
-  std::string detail;              ///< one-line human-readable explanation
-  CrashImage image;                ///< the violating persisted image
 };
 
 /// Analyze one recorded root execution. Deterministic: witnesses are emitted

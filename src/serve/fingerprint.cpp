@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/callgraph.h"
 #include "core/model.h"
 #include "ir/printer.h"
 #include "ir/type.h"
@@ -26,20 +25,6 @@ bool is_coupling(const ir::Function& f) {
   return ret != nullptr && !ret->is_void();
 }
 
-/// Call closure of `root` (root included), over CallGraph edges.
-std::set<const ir::Function*> closure_of(const analysis::CallGraph& cg,
-                                         const ir::Function* root) {
-  std::set<const ir::Function*> seen;
-  std::vector<const ir::Function*> stack{root};
-  while (!stack.empty()) {
-    const ir::Function* f = stack.back();
-    stack.pop_back();
-    if (!seen.insert(f).second) continue;
-    for (const ir::Function* callee : cg.callees(f)) stack.push_back(callee);
-  }
-  return seen;
-}
-
 size_t uf_find(std::vector<size_t>& parent, size_t i) {
   while (parent[i] != i) {
     parent[i] = parent[parent[i]];
@@ -48,15 +33,15 @@ size_t uf_find(std::vector<size_t>& parent, size_t i) {
   return i;
 }
 
-/// Struct layout lines from the printed module. TypeContext keeps structs
-/// in a std::map, so the printed order is deterministic; a layout change
-/// anywhere invalidates every root key (field offsets feed the checker).
-std::string structs_fingerprint(const std::string& printed_module) {
+/// Every struct layout in the module. TypeContext keeps structs in a
+/// std::map, so the order is deterministic; a layout change anywhere
+/// invalidates every root key (field offsets feed the checker).
+std::string structs_fingerprint(const ir::Module& module) {
   Hasher h;
-  std::istringstream in(printed_module);
-  std::string line;
-  while (std::getline(in, line))
-    if (line.rfind("struct ", 0) == 0) h.field(line);
+  for (const auto& [name, st] : module.types().structs()) {
+    h.field(name).update_u64(st->field_count());
+    for (size_t i = 0; i < st->field_count(); ++i) h.field(st->field(i)->str());
+  }
   return h.hex();
 }
 
@@ -74,7 +59,6 @@ std::string options_fingerprint(const core::DriverOptions& opts) {
   h.update_u64(opts.checker.dsa_step_budget);
   h.update_u64(opts.checker.trace_step_budget);
   h.update_u64(opts.suggest ? 1 : 0);
-  h.update_u64(opts.max_subset_bits);
   return h.hex();
 }
 
@@ -89,27 +73,14 @@ std::string unit_key(const std::string& options_fp, const std::string& name,
 }
 
 ModulePlan plan_module(const ir::Module& module,
+                       const analysis::CallGraph& callgraph,
+                       const std::vector<const ir::Function*>& roots,
                        const std::string& options_fp) {
-  const analysis::CallGraph cg(module);
-
-  // Same root selection as StaticChecker::trace_roots(), module order.
-  std::set<const ir::Function*> called;
-  for (const auto& f : module.functions())
-    for (const ir::Function* callee : cg.callees(f.get()))
-      called.insert(callee);
-  std::vector<const ir::Function*> roots;
-  for (const auto& f : module.functions())
-    if (!f->is_declaration() && !called.count(f.get()))
-      roots.push_back(f.get());
-  if (roots.empty()) {
-    for (const auto& f : module.functions())
-      if (!f->is_declaration()) roots.push_back(f.get());
-  }
-
   // Union roots that share a coupling function in their closures.
   std::vector<std::set<const ir::Function*>> closures;
   closures.reserve(roots.size());
-  for (const ir::Function* root : roots) closures.push_back(closure_of(cg, root));
+  for (const ir::Function* root : roots)
+    closures.push_back(callgraph.closure({root}));
   std::vector<size_t> parent(roots.size());
   for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
   std::map<const ir::Function*, size_t> owner;
@@ -132,8 +103,7 @@ ModulePlan plan_module(const ir::Module& module,
     auto& fns = group_fns[uf_find(parent, i)];
     fns.insert(closures[i].begin(), closures[i].end());
   }
-  const std::string printed = ir::to_string(module);
-  const std::string structs_fp = structs_fingerprint(printed);
+  const std::string structs_fp = structs_fingerprint(module);
   std::map<size_t, std::string> group_hash;
   for (const auto& [rep, fns] : group_fns) {
     std::vector<const ir::Function*> sorted(fns.begin(), fns.end());
@@ -154,17 +124,16 @@ ModulePlan plan_module(const ir::Module& module,
 
   ModulePlan plan;
   plan.groups = group_fns.size();
-  plan.roots.reserve(roots.size());
+  plan.keys.reserve(roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
     const std::string& gh = group_hash[uf_find(parent, i)];
-    plan.roots.push_back({roots[i]->name(),
-                          Hasher()
-                              .field("deepmc-root-v1")
-                              .field(options_fp)
-                              .field(structs_fp)
-                              .field(gh)
-                              .field(roots[i]->name())
-                              .hex()});
+    plan.keys.push_back(Hasher()
+                            .field("deepmc-root-v1")
+                            .field(options_fp)
+                            .field(structs_fp)
+                            .field(gh)
+                            .field(roots[i]->name())
+                            .hex());
   }
   return plan;
 }

@@ -6,8 +6,8 @@
 //               replays the whole UnitReport without parsing or analysis.
 //   root key  — options fingerprint + module struct layout + the content
 //               of the root's *coupling group* + the root name. A hit
-//               seeds the driver with that root's raw CheckResult and
-//               only the dirty cone is recomputed.
+//               hands the driver that root's raw CheckResult and only the
+//               dirty cone is recomputed.
 //
 // Coupling groups make per-root reuse sound: DSA's Bottom-Up/Top-Down
 // phases flow points-to facts through shared callees, so two roots whose
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/callgraph.h"
 #include "core/analysis_driver.h"
 #include "ir/module.h"
 
@@ -37,19 +38,16 @@ std::string options_fingerprint(const core::DriverOptions& opts);
 std::string unit_key(const std::string& options_fp, const std::string& name,
                      const std::string& text);
 
-struct RootPlan {
-  std::string name;  ///< root function name, in trace_roots() order
-  std::string key;   ///< per-root cache key
-};
-
 struct ModulePlan {
-  std::vector<RootPlan> roots;
-  size_t groups = 0;  ///< number of distinct coupling groups
+  std::vector<std::string> keys;  ///< per-root cache keys, in `roots` order
+  size_t groups = 0;              ///< number of distinct coupling groups
 };
 
-/// Roots and per-root keys for `module`. Replicates
-/// StaticChecker::trace_roots() ordering without running DSA.
+/// Per-root keys for `roots` of `module`, whose call graph is `callgraph`:
+/// the driver passes its own module, call graph and trace_roots().
 ModulePlan plan_module(const ir::Module& module,
+                       const analysis::CallGraph& callgraph,
+                       const std::vector<const ir::Function*>& roots,
                        const std::string& options_fp);
 
 }  // namespace deepmc::serve

@@ -273,7 +273,6 @@ int usage(FILE* out) {
       "  --io-timeout-ms N    per-frame read bound; a stalled frame closes\n"
       "                       its session (default 30000, 0 = off)\n"
       "  --cache-dir DIR      persist per-function results under DIR\n"
-      "  --cache-version N    override the cache entry format version\n"
       "  --cache-max-entries N  LRU bound on cached entries (0 = unbounded)\n"
       "  --cache-max-bytes N    LRU bound on cached bytes (0 = unbounded)\n"
       "  --jobs N             analysis threads (0 = hardware)\n"
@@ -517,8 +516,6 @@ int serve_cli(int argc, char** argv) {
                    &retry_policy.max_retries, &bad_flag) ||
         field_flag("--retry-budget-ms", arg, argc, argv, i,
                    &retry_policy.retry_budget_ms, &bad_flag) ||
-        field_flag("--cache-version", arg, argc, argv, i,
-                   &sopts.cache_version, &bad_flag) ||
         field_flag("--cache-max-entries", arg, argc, argv, i,
                    &sopts.cache_limits.max_entries, &bad_flag) ||
         field_flag("--cache-max-bytes", arg, argc, argv, i,

@@ -3,13 +3,14 @@
 #include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
-#include "ir/parser.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "serve/fingerprint.h"
 #include "serve/wire.h"
+#include "support/faultpoint.h"
 
 namespace deepmc::serve {
 
@@ -38,7 +39,7 @@ obs::Counter& unit_misses_total() {
 obs::Counter& root_hits_total() {
   static obs::Counter c = obs::registry().counter(
       "serve.cache.root_hits_total", obs::Volatility::kVolatile,
-      "per-root cache hits seeded into the driver");
+      "per-root cache hits merged by the driver");
   return c;
 }
 obs::Counter& root_misses_total() {
@@ -92,12 +93,70 @@ bool cache_safe(const core::DriverOptions& o) {
          !o.budgets.enum_images && !o.budgets.interp_steps;
 }
 
-int exit_code_for(const core::Report& report) {
-  if (report.any_failed()) return 65;
-  if (report.any_degraded()) return 66;
-  const size_t warnings = report.total_warnings();
-  return static_cast<int>(warnings > 63 ? 63 : warnings);
-}
+/// The root level of the cache for one request. The driver calls it with
+/// the module it parsed and verified, so the keys cover exactly what the
+/// checker analyzes. The driver may call from any pool worker, so every
+/// DiskCache call runs under the fault scope of the session that built
+/// this object: a cache.read / cache.write trip then degrades to a miss or
+/// a dropped entry, as it does for the unit entry, and never cancels the
+/// unit.
+class DiskRootCache final : public core::RootCache {
+ public:
+  DiskRootCache(DiskCache& cache, std::string options_fp, std::string rid_arg)
+      : cache_(cache),
+        options_fp_(std::move(options_fp)),
+        rid_arg_(std::move(rid_arg)),
+        faults_(support::active_fault_scope()) {}
+  DiskRootCache(const DiskRootCache&) = delete;
+  DiskRootCache& operator=(const DiskRootCache&) = delete;
+
+  std::vector<std::optional<core::CheckResult>> lookup(
+      const ir::Module& module, const analysis::CallGraph& callgraph,
+      const std::vector<const ir::Function*>& roots) override {
+    {
+      obs::Span s("serve.plan", "serve", rid_arg_);
+      keys_ = plan_module(module, callgraph, roots, options_fp_).keys;
+    }
+    planned_ = true;
+    support::FaultActivation activation(faults_);
+    std::vector<std::optional<core::CheckResult>> cached(keys_.size());
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (auto payload = cache_.get(keys_[i])) {
+        core::CheckResult result;
+        if (decode_check_result(*payload, &result)) {
+          cached[i] = std::move(result);
+          ++hits_;
+          continue;
+        }
+      }
+      ++misses_;
+    }
+    return cached;
+  }
+
+  void store(
+      const std::vector<std::optional<core::CheckResult>>& fresh) override {
+    support::FaultActivation activation(faults_);
+    for (size_t i = 0; i < fresh.size(); ++i)
+      if (fresh[i]) cache_.put(keys_[i], encode_check_result(*fresh[i]));
+  }
+
+  /// Read after the driver run: whether the driver reached the full rung's
+  /// lookup, and how many roots hit and missed there.
+  [[nodiscard]] bool planned() const { return planned_; }
+  [[nodiscard]] size_t hits() const { return hits_; }
+  [[nodiscard]] size_t misses() const { return misses_; }
+
+ private:
+  DiskCache& cache_;
+  const std::string options_fp_;
+  const std::string rid_arg_;
+  support::FaultScope* const faults_;
+  std::vector<std::string> keys_;
+  bool planned_ = false;
+  size_t hits_ = 0;
+  size_t misses_ = 0;
+};
 
 std::string render(const core::Report& report, const RequestOptions& req) {
   return req.format == core::ReportFormat::kJson
@@ -186,7 +245,7 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
         units.push_back(std::move(unit));
         const core::Report report = core::Report::from_units(std::move(units));
         res.body = render(report, req);
-        res.exit_code = exit_code_for(report);
+        res.exit_code = report.exit_code();
         res.failed = false;
         res.degraded = false;
         res.warnings = report.total_warnings();
@@ -200,78 +259,42 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
     ++stats_.unit_misses;
   }
 
-  // Level 2: plan per-root keys from a private parse and seed every clean
-  // root. The parse here is for planning only — the driver always builds
-  // its own module from the raw text, so a parse failure below simply
-  // means "no plan" and the driver reports the error the one-shot way.
-  ModulePlan plan;
-  bool plan_ok = false;
-  if (eligible) {
-    obs::Span s("serve.plan", "serve", rid_arg);
-    try {
-      const std::unique_ptr<ir::Module> module = ir::parse_module(text);
-      plan = plan_module(*module, options_fp);
-      plan_ok = true;
-    } catch (const std::exception&) {
-      plan_ok = false;
-    }
-  }
-
-  std::map<std::string, core::CheckResult> seeded;
-  size_t dirty = 0;
-  if (plan_ok) {
-    for (const RootPlan& root : plan.roots) {
-      if (auto payload = cache_.get(root.key)) {
-        core::CheckResult result;
-        if (decode_check_result(*payload, &result)) {
-          seeded.emplace(root.name, std::move(result));
-          continue;
-        }
-      }
-      ++dirty;
-    }
-    root_hits_total().inc(seeded.size());
-    root_misses_total().inc(dirty);
-    dirty_cone_hist().observe(dirty);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.root_hits += seeded.size();
-      stats_.root_misses += dirty;
-      stats_.last_dirty_roots = dirty;
-    }
-    if (!seeded.empty()) res.cache = "warm";
-  }
-
-  if (!seeded.empty()) dopts.seeded_roots = &seeded;
-  dopts.collect_root_results = plan_ok;
+  // Level 2: per-root reuse. The driver asks the root cache on the full
+  // rung, once it has verified the module and built its call graph.
+  DiskRootCache root_cache(cache_, options_fp, rid_arg);
+  if (eligible) dopts.root_cache = &root_cache;
   core::AnalysisDriver driver(dopts);
   std::vector<core::AnalysisUnit> units;
   units.push_back(core::make_source_unit(name, text, req.model));
   core::Report report = [&] {
-    obs::Span s("serve.recompute", "serve",
-                join_args(obs::span_arg_num("dirty_roots",
-                                            static_cast<double>(dirty)),
-                          rid_arg));
+    obs::Span s("serve.recompute", "serve", rid_arg);
     return driver.run(units, pool_);
   }();
 
-  const core::UnitReport& u = report.units().front();
-  if (plan_ok && !u.failed && u.status == core::UnitStatus::kOk) {
-    std::map<std::string, const std::string*> key_of;
-    for (const RootPlan& root : plan.roots) key_of[root.name] = &root.key;
-    for (const auto& [root_name, result] : u.root_results) {
-      auto it = key_of.find(root_name);
-      if (it != key_of.end())
-        cache_.put(*it->second, encode_check_result(result));
+  if (root_cache.planned()) {
+    root_hits_total().inc(root_cache.hits());
+    root_misses_total().inc(root_cache.misses());
+    dirty_cone_hist().observe(root_cache.misses());
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.root_hits += root_cache.hits();
+      stats_.root_misses += root_cache.misses();
+      stats_.last_dirty_roots = root_cache.misses();
     }
+    if (root_cache.hits() > 0) res.cache = "warm";
+  }
+
+  // The driver stored the unit's fresh root results once it ended ok; the
+  // unit entry goes in after them.
+  const core::UnitReport& u = report.units().front();
+  if (eligible && !u.failed && u.status == core::UnitStatus::kOk) {
     core::UnitReport to_store = u;
-    to_store.root_results.clear();
     to_store.stats.elapsed_ms = 0;
     cache_.put(ukey, encode_unit_report(to_store));
   }
 
   res.body = render(report, req);
-  res.exit_code = exit_code_for(report);
+  res.exit_code = report.exit_code();
   res.failed = report.any_failed();
   res.degraded = report.any_degraded();
   res.warnings = report.total_warnings();

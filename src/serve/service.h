@@ -6,8 +6,10 @@
 // one-shot `deepmc` run over the same input and options prints (modulo
 // elapsed_ms, which the server omits by default). Cached unit replays go
 // through Report::from_units into the exact print paths a fresh run
-// uses; cached per-root results are merged by the driver in
-// trace_roots() order, exactly where a fresh check_root result would be.
+// uses. Per-root results reach the driver through core::RootCache: it
+// keys them on the module, call graph and trace roots the driver built,
+// and merges each in trace_roots() order, exactly where a fresh
+// check_root result would be. One parse per request, by the driver.
 //
 // Cache safety: results are only cached/replayed for configurations the
 // wire format can represent faithfully — static analysis without
@@ -17,7 +19,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>

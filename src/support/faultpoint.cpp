@@ -167,6 +167,8 @@ void FaultScope::hit(int idx, const char* name) {
   throw FaultInjected(name);
 }
 
+FaultScope* active_fault_scope() { return detail::tl_scope; }
+
 FaultActivation::FaultActivation(FaultScope* scope) : prev_(detail::tl_scope) {
   detail::tl_scope = scope;
 }

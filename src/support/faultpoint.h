@@ -102,6 +102,9 @@ class FaultScope {
   CancelToken token_;
 };
 
+/// This thread's active fault scope, or null when none is installed.
+[[nodiscard]] FaultScope* active_fault_scope();
+
 /// RAII: installs `scope` as this thread's active fault scope for the
 /// duration (restoring the previous one on destruction). Null is allowed
 /// and deactivates fault injection on the thread.

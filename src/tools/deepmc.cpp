@@ -87,7 +87,6 @@ using support::str_flag;
 
 namespace {
 
-constexpr int kMaxWarningExit = 63;
 constexpr int kExitUsage = 64;
 constexpr int kExitError = 65;
 constexpr int kExitDegraded = 66;
@@ -369,8 +368,5 @@ int main(int argc, char** argv) {
                    u.degraded.rung.c_str());
     }
   }
-  if (report.any_failed()) return finish(kExitError);
-  if (report.any_degraded()) return finish(kExitDegraded);
-  return finish(static_cast<int>(
-      std::min<size_t>(report.total_warnings(), kMaxWarningExit)));
+  return finish(report.exit_code());
 }

@@ -3,6 +3,8 @@
 // bounded trace collector.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "analysis/callgraph.h"
 #include "analysis/dsa.h"
 #include "analysis/trace.h"
@@ -101,6 +103,52 @@ entry:
   CallGraph cg(*m);
   EXPECT_EQ(cg.call_sites(m->find_function("f")).size(), 2u);
   EXPECT_EQ(cg.callees(m->find_function("f")).size(), 1u);
+}
+
+TEST(CallGraphTest, ClosureFollowsDirectCallsFromRoots) {
+  auto m = parse_checked(R"(
+module "m"
+struct %obj { i64 }
+declare void @external(%obj*)
+
+define void @leaf(%obj* %o) {
+entry:
+  ret
+}
+
+define void @mid(%obj* %o) {
+entry:
+  call @leaf(%o)
+  ret
+}
+
+define void @root() {
+entry:
+  %o = pm.alloc %obj
+  call @mid(%o)
+  call @external(%o)
+  ret
+}
+
+define void @orphan() {
+entry:
+  ret
+}
+)");
+  CallGraph cg(*m);
+  const std::set<const Function*> closure =
+      cg.closure({m->find_function("root")});
+  auto in = [&](const char* name) {
+    return closure.count(m->find_function(name)) > 0;
+  };
+  EXPECT_TRUE(in("root"));
+  EXPECT_TRUE(in("mid"));
+  EXPECT_TRUE(in("leaf"));
+  // Declared callees are reached too: the serve cache's coupling rule
+  // needs them. The --crashsim verdict asks only about functions that
+  // hold warnings, and those are always defined.
+  EXPECT_TRUE(in("external"));
+  EXPECT_FALSE(in("orphan"));
 }
 
 // --- DSA -----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // CLI contract tests for the deepmc binary: exit-code partitioning
 // (warning counts vs usage vs input errors), --jobs determinism at the
 // process level, --format json output, and `deepmc serve` rejecting bad
-// numeric flags before it binds. Also bench_gates' usage errors, which
-// must exit 64 before any measurement starts.
+// numeric flags and unknown flags before it binds. Also bench_gates' usage
+// errors, which must exit 64 before any measurement starts.
 //
 // Exit codes under test (see src/tools/deepmc.cpp):
 //   0      clean, 1..63 warning count (capped), 64 usage, 65 input error.
@@ -184,6 +184,23 @@ TEST(CliServe, BadNumericFlagIsUsageError64BeforeBinding) {
     EXPECT_EQ(out.find("listening"), std::string::npos) << bad;
     EXPECT_NE(access(sock.c_str(), F_OK), 0) << bad << ": socket was bound";
   }
+}
+
+TEST(CliServe, CacheVersionIsAnUnknownFlag) {
+  // The cache entry format version is fixed by the build; a flag that
+  // could only make every entry read as a miss is rejected before the
+  // daemon binds its socket.
+  const std::string sock = ::testing::TempDir() + "deepmc_cli_serve_cv.sock";
+  std::remove(sock.c_str());
+  auto [out, code] =
+      run_shell(std::string("timeout 30 \"") + DEEPMC_BIN +
+                "\" serve --socket \"" + sock + "\" --cache-version 2 2>&1");
+  EXPECT_EQ(code, 64);
+  EXPECT_NE(out.find("deepmc serve: unknown flag --cache-version"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("listening"), std::string::npos);
+  EXPECT_NE(access(sock.c_str(), F_OK), 0) << "socket was bound";
 }
 
 TEST(BenchGates, UsageErrorsExit64BeforeAnyWork) {

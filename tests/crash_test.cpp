@@ -385,46 +385,6 @@ entry:
   EXPECT_EQ(sim.error, "PmPool: access beyond pool end");
 }
 
-TEST(CallClosure, FollowsDirectCallsFromRoots) {
-  const char* mir = R"(
-module "m"
-struct %obj { i64 }
-declare void @external(%obj*)
-
-define void @leaf(%obj* %o) {
-entry:
-  ret
-}
-
-define void @mid(%obj* %o) {
-entry:
-  call @leaf(%o)
-  ret
-}
-
-define void @root() {
-entry:
-  %o = pm.alloc %obj
-  call @mid(%o)
-  call @external(%o)
-  ret
-}
-
-define void @orphan() {
-entry:
-  ret
-}
-)";
-  auto module = ir::parse_module(mir);
-  const std::set<std::string> closure =
-      crash::call_closure(*module, {"root"});
-  EXPECT_TRUE(closure.count("root"));
-  EXPECT_TRUE(closure.count("mid"));
-  EXPECT_TRUE(closure.count("leaf"));
-  EXPECT_FALSE(closure.count("external"));  // declaration only
-  EXPECT_FALSE(closure.count("orphan"));
-}
-
 // ---------------------------------------------------------------------------
 // Recovery oracles
 // ---------------------------------------------------------------------------

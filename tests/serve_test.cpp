@@ -22,6 +22,7 @@
 
 #include "core/analysis_driver.h"
 #include "core/report.h"
+#include "core/static_checker.h"
 #include "corpus/corpus.h"
 #include "gen/generator.h"
 #include "ir/parser.h"
@@ -261,13 +262,51 @@ entry:
 }
 
 TEST(ServeDirtyCone, PlanGroupsIndependentRootsSeparately) {
+  // The plan keys the roots the checker itself chose, over its call graph.
   const auto module = ir::parse_module(kTwoRoots);
-  const serve::ModulePlan plan = serve::plan_module(*module, "fp");
-  ASSERT_EQ(plan.roots.size(), 2u);
+  core::StaticChecker checker(*module, core::PersistencyModel::kStrict);
+  checker.prepare();
+  const std::vector<const ir::Function*> roots = checker.trace_roots();
+  const serve::ModulePlan plan =
+      serve::plan_module(*module, checker.dsa().callgraph(), roots, "fp");
+  ASSERT_EQ(plan.keys.size(), 2u);
   EXPECT_EQ(plan.groups, 2u);
-  EXPECT_EQ(plan.roots[0].name, "alpha");
-  EXPECT_EQ(plan.roots[1].name, "beta");
-  EXPECT_NE(plan.roots[0].key, plan.roots[1].key);
+  EXPECT_EQ(roots[0]->name(), "alpha");
+  EXPECT_EQ(roots[1]->name(), "beta");
+  EXPECT_NE(plan.keys[0], plan.keys[1]);
+}
+
+TEST(ServeDirtyCone, VerifyFailureNeverConsultsTheRootCache) {
+  // Parses, but @beta calls @alpha with an argument @alpha does not take,
+  // so verification fails: the response is the one-shot error (reason
+  // "verify-error"), and no root is looked up, because the driver stops at
+  // verify, before it asks the root cache.
+  constexpr const char* kBad = R"(module "bad"
+struct %rec { i64, i64 }
+define void @alpha() {
+entry:
+  %r = pm.alloc %rec
+  %f = gep %r, 0
+  store i64 1, %f !loc("bad.c", 3)
+  ret
+}
+define void @beta() {
+entry:
+  call @alpha(1)
+  ret
+}
+)";
+  AnalysisService service(cached_opts(fresh_dir("verifyfail")));
+  RequestOptions req;
+  for (int round = 0; round < 2; ++round) {
+    const ServeResult r = service.analyze_report("bad", kBad, req);
+    EXPECT_EQ(r.body, oneshot_json("bad", kBad));
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(r.exit_code, 65);
+    EXPECT_EQ(r.cache, "cold");
+  }
+  EXPECT_EQ(service.stats().root_hits, 0u);
+  EXPECT_EQ(service.stats().root_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the support layer: string utilities, command-line flag
-// parsing, deterministic RNG, diagnostics engine, accumulators — plus
-// thread-safety of the runtime checker under concurrent instrumented
-// threads (the Figure 12 apps run multi-threaded in the paper).
+// parsing, deterministic RNG, accumulators — plus thread-safety of the
+// runtime checker under concurrent instrumented threads (the Figure 12
+// apps run multi-threaded in the paper).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "runtime/dynamic_checker.h"
-#include "support/diagnostics.h"
 #include "support/flags.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -136,23 +135,6 @@ TEST(RngTest, SkewedFavorsHotSet) {
   for (int i = 0; i < 10000; ++i)
     if (rng.skewed(n) < n / 5 + 1) ++hot;
   EXPECT_GT(hot, 7000);  // ~80/20 skew
-}
-
-// --- diagnostics ------------------------------------------------------------------
-
-TEST(DiagnosticsTest, CollectAndQuery) {
-  DiagnosticEngine diag;
-  diag.warn(SourceLoc("a.c", 1), "rule.x", "first");
-  diag.warn(SourceLoc("a.c", 2), "rule.y", "second");
-  diag.report(Severity::kError, SourceLoc("b.c", 3), "rule.x", "third");
-  EXPECT_EQ(diag.warning_count(), 2u);
-  EXPECT_EQ(diag.error_count(), 1u);
-  EXPECT_EQ(diag.by_rule("rule.x").size(), 2u);
-  EXPECT_EQ(diag.at("a.c", 2).size(), 1u);
-  EXPECT_EQ(diag.at("a.c", 9).size(), 0u);
-  EXPECT_NE(diag.diagnostics()[0].str().find("a.c:1"), std::string::npos);
-  diag.clear();
-  EXPECT_TRUE(diag.empty());
 }
 
 // --- accumulator --------------------------------------------------------------------
