@@ -509,10 +509,12 @@ int run_obs_overhead(const Gate& gate, const Flags& flags) {
 //
 // The module has independent diamond-heavy roots, so per-root trace
 // checking dominates and the dirty-cone win is measurable. Each phase is
-// the min of 3 requests. Warm bodies must equal the cold body and every
-// request must land in its phase's cache state (cold / unit-hit / warm);
-// the gate is the one-function diff being >= `bound` times faster than
-// cold.
+// the min of 3 requests. Every service runs the driver at jobs 1, so cold
+// and diff do their work on one core and the ratio compares work, not how
+// many idle cores the cold request's roots fan out over. Warm bodies must
+// equal the cold body and every request must land in its phase's cache
+// state (cold / unit-hit / warm); the gate is the one-function diff being
+// >= `bound` times faster than cold.
 // ---------------------------------------------------------------------------
 
 int run_serve(const Gate& gate, const Flags& flags) {
@@ -524,6 +526,12 @@ int run_serve(const Gate& gate, const Flags& flags) {
     text += diamond_root(n, kDiamonds, "bench_serve.c", 10 * n + 1, 100 * n) +
             "\n";
   serve::RequestOptions req;  // json, no timing: deterministic bytes
+  const auto serial_service = [](const std::string& cache_dir) {
+    serve::ServeOptions opts;
+    opts.driver.jobs = 1;
+    opts.cache_dir = cache_dir;
+    return opts;
+  };
   const auto timed = [&](serve::AnalysisService& service,
                          const std::string& module, const char* cache) {
     Stopwatch sw;
@@ -540,14 +548,14 @@ int run_serve(const Gate& gate, const Flags& flags) {
   std::string cold_body;
   const double cold_ms = min_of(kReps, [&](size_t rep) {
     serve::AnalysisService service(
-        {{}, fresh_dir("serve_cold" + std::to_string(rep)), 1, {}});
+        serial_service(fresh_dir("serve_cold" + std::to_string(rep))));
     auto [ms, body] = timed(service, text, "cold");
     cold_body = std::move(body);
     return ms;
   });
 
   // Warm: identical resubmission against a warmed cache (unit replay).
-  serve::AnalysisService service({{}, fresh_dir("serve_warm"), 1, {}});
+  serve::AnalysisService service(serial_service(fresh_dir("serve_warm")));
   service.analyze_report("bench_serve", text, req);
   const double warm_ms = min_of(kReps, [&](size_t) {
     const auto [ms, body] = timed(service, text, "unit-hit");
