@@ -15,7 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "analysis/dsa.h"
@@ -71,20 +72,26 @@ struct TraceOptions {
 
 class TraceCollector {
  public:
+  /// Receives one finished path's events. They live in the walk's own
+  /// buffer, so they are valid only for the duration of the call.
+  using PathVisitor = std::function<void(std::span<const TraceEvent>)>;
+
   TraceCollector(const ir::Module& module, const DSA& dsa,
                  TraceOptions opts = {});
 
-  /// All bounded traces rooted at `f`. When `budget` is non-null, every
-  /// instruction step charges one unit against it; the budget must be
-  /// private to this invocation (see support/budget.h) so trip points
-  /// stay deterministic. Throws support::BudgetExceeded /
-  /// support::CancelledError out of the walk.
+  /// Walk the bounded paths rooted at `f` depth-first and hand each
+  /// finished path to `visit`, in path order; returns the path count.
+  /// When `budget` is non-null, every instruction step charges one unit
+  /// against it; the budget must be private to this invocation (see
+  /// support/budget.h) so trip points stay deterministic. Throws
+  /// support::BudgetExceeded / support::CancelledError out of the walk;
+  /// the trace.* metrics count only walks that complete.
+  size_t walk(const ir::Function& f, support::Budget* budget,
+              const PathVisitor& visit) const;
+
+  /// All bounded traces rooted at `f`: walk() with each path copied out.
   [[nodiscard]] std::vector<Trace> collect(
       const ir::Function& f, support::Budget* budget = nullptr) const;
-
-  /// Traces for every defined function in the module, keyed by function.
-  [[nodiscard]] std::map<const ir::Function*, std::vector<Trace>>
-  collect_all() const;
 
  private:
   struct Walker;

@@ -54,10 +54,15 @@ std::string to_json(const Warning& w) {
 }
 
 void CheckResult::add(Warning w) {
-  for (const Warning& e : warnings_) {
-    if (e.rule == w.rule && e.loc == w.loc) return;  // dedup
-  }
+  if (contains(w.rule, w.loc)) return;  // dedup
   warnings_.push_back(std::move(w));
+}
+
+bool CheckResult::contains(std::string_view rule, const SourceLoc& loc) const {
+  for (const Warning& w : warnings_)
+    if (w.loc.line == loc.line && w.rule == rule && w.loc.file == loc.file)
+      return true;
+  return false;
 }
 
 void CheckResult::merge(const CheckResult& other) {

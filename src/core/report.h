@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/model.h"
@@ -38,8 +39,12 @@ std::string to_json(const Warning& w);
 /// sorted by location.
 class CheckResult {
  public:
+  /// Append `w` unless a warning with its (rule, file, line) is present.
   void add(Warning w);
   void merge(const CheckResult& other);
+  /// Is a warning with this (rule, file, line) present?
+  [[nodiscard]] bool contains(std::string_view rule,
+                              const SourceLoc& loc) const;
 
   [[nodiscard]] const std::vector<Warning>& warnings() const {
     return warnings_;

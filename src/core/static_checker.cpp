@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -39,7 +41,6 @@ obs::Counter& checker_traces_scanned() {
 using analysis::DSA;
 using analysis::EventKind;
 using analysis::MemRegion;
-using analysis::Trace;
 using analysis::TraceCollector;
 using analysis::TraceEvent;
 using ir::Function;
@@ -53,38 +54,19 @@ std::string func_of(const TraceEvent& ev) {
   return "?";
 }
 
-/// Whole-object byte coverage test for the field-sensitivity rule: does the
-/// set of written ranges cover every field of the struct the flush spans?
-bool all_fields_written(const ir::StructType* st,
-                        const std::vector<MemRegion>& writes,
-                        const analysis::DSNode* node) {
-  for (size_t i = 0; i < st->field_count(); ++i) {
-    const uint64_t lo = st->field_offset(i);
-    const uint64_t hi = lo + st->field(i)->size();
-    bool covered = false;
-    for (const MemRegion& w : writes) {
-      if (w.node != node) continue;
-      if (!w.exact) return true;  // conservative: assume covered
-      if (w.offset <= lo && hi <= w.offset + w.size) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 // ===========================================================================
 // Per-trace rule scanner
 // ===========================================================================
 
+/// One per root: scan() checks one path and adds its warnings to the
+/// root's result, and the containers are cleared, not reallocated,
+/// between paths.
 struct StaticChecker::TraceScanner {
   const StaticChecker& checker;
   PersistencyModel model;
-  const Trace& trace;
+  CheckResult& result;
 
   struct PendingWarning {
     Warning w;
@@ -142,19 +124,49 @@ struct StaticChecker::TraceScanner {
   std::map<size_t, bool> awaiting_fence_after_end_;
   std::vector<size_t> writes_since_fence_;  ///< outside-region writes
 
-  TraceScanner(const StaticChecker& c, const Trace& t)
-      : checker(c), model(c.model()), trace(t) {}
+  TraceScanner(const StaticChecker& c, CheckResult& r)
+      : checker(c), model(c.model()), result(r) {}
 
-  void emit(std::string rule, BugCategory cat, const TraceEvent& ev,
-            std::string msg, size_t ev_idx, bool suppressible = false) {
+  /// CheckResult::add keeps the first warning per (rule, file, line), so
+  /// one the result already holds is dropped before it is built.
+  [[nodiscard]] bool reported(std::string_view rule,
+                              const TraceEvent& ev) const {
+    return result.contains(rule, ev.loc());
+  }
+
+  void emit(std::string_view rule, BugCategory cat, const TraceEvent& ev,
+            std::string_view msg, size_t ev_idx, bool suppressible = false) {
+    if (reported(rule, ev)) return;
     Warning w;
-    w.rule = std::move(rule);
+    w.rule = rule;
     w.category = cat;
     w.model = model;
     w.loc = ev.loc();
     w.function = func_of(ev);
-    w.message = std::move(msg);
+    w.message = msg;
     pending.push_back({std::move(w), ev_idx, suppressible});
+  }
+
+  /// Whole-object byte coverage test for the field-sensitivity rule: do
+  /// the writes to `node` so far cover every field of its struct type?
+  [[nodiscard]] bool all_fields_written(const ir::StructType* st,
+                                        const analysis::DSNode* node) const {
+    for (size_t i = 0; i < st->field_count(); ++i) {
+      const uint64_t lo = st->field_offset(i);
+      const uint64_t hi = lo + st->field(i)->size();
+      bool covered = false;
+      for (const WriteRec& rec : writes_) {
+        const MemRegion& w = rec.r;
+        if (w.node != node) continue;
+        if (!w.exact) return true;  // conservative: assume covered
+        if (w.offset <= lo && hi <= w.offset + w.size) {
+          covered = true;
+          break;
+        }
+      }
+      if (!covered) return false;
+    }
+    return true;
   }
 
   // --- event handlers -------------------------------------------------------
@@ -194,9 +206,7 @@ struct StaticChecker::TraceScanner {
 
     // Mark covered writes as flushed.
     bool any_prior_write = false;
-    std::vector<MemRegion> prior_writes_same_object;
     for (WriteRec& w : writes_) {
-      if (w.r.same_object(ev.region)) prior_writes_same_object.push_back(w.r);
       if (ev.region.covers(w.r)) w.flushed = true;
       if (w.r.overlaps(ev.region)) any_prior_write = true;
     }
@@ -229,7 +239,7 @@ struct StaticChecker::TraceScanner {
       const auto* st = static_cast<const ir::StructType*>(
           ev.region.node->type());
       if (st->field_count() >= 2 &&
-          !all_fields_written(st, prior_writes_same_object, ev.region.node)) {
+          !all_fields_written(st, ev.region.node)) {
         emit("perf.flush-unmodified", BugCategory::kFlushUnmodified, ev,
              "flushing entire object although only some fields were "
              "modified",
@@ -277,7 +287,7 @@ struct StaticChecker::TraceScanner {
     size_t flushed_count = 0;
     for (size_t widx : writes_since_fence_)
       if (writes_[widx].flushed) ++flushed_count;
-    if (flushed_count >= 2) {
+    if (flushed_count >= 2 && !reported("strict.multiple-writes", ev)) {
       emit("strict.multiple-writes", BugCategory::kMultipleWritesAtOnce, ev,
            strformat("%zu writes made durable by a single persist barrier; "
                      "the %s model requires one barrier per persist",
@@ -486,9 +496,17 @@ struct StaticChecker::TraceScanner {
     }
   }
 
-  void scan() {
-    for (size_t i = 0; i < trace.events.size(); ++i) {
-      const TraceEvent& ev = trace.events[i];
+  /// Check one path and add its warnings to the result.
+  void scan(std::span<const TraceEvent> trace) {
+    pending.clear();
+    writes_.clear();
+    flushes_.clear();
+    frames_.clear();
+    last_sibling_.clear();
+    awaiting_fence_after_end_.clear();
+    writes_since_fence_.clear();
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const TraceEvent& ev = trace[i];
       switch (ev.kind) {
         case EventKind::kStore:
           on_store(ev, i);
@@ -513,7 +531,8 @@ struct StaticChecker::TraceScanner {
           break;
       }
     }
-    finish(trace.events.size());
+    finish(trace.size());
+    for (PendingWarning& pw : pending) result.add(std::move(pw.w));
   }
 };
 
@@ -585,15 +604,14 @@ void StaticChecker::check_traces(const Function& f, CheckResult& result) const {
   // walk alone, never of sibling roots or scheduling.
   support::Budget budget = make_root_budget();
   budget.check_cancel();
-  auto traces = collector_->collect(f, &budget);
-  if (obs::enabled()) checker_traces_scanned().inc(traces.size());
-  result.traces_checked += traces.size();
+  // Each path is scanned as the walk finishes it, in the walk's buffer.
+  TraceScanner scanner(*this, result);
+  const size_t paths = collector_->walk(
+      f, &budget,
+      [&](std::span<const TraceEvent> path) { scanner.scan(path); });
+  if (obs::enabled()) checker_traces_scanned().inc(paths);
+  result.traces_checked += paths;
   ++result.functions_checked;
-  for (const Trace& t : traces) {
-    TraceScanner scanner(*this, t);
-    scanner.scan();
-    for (auto& pw : scanner.pending) result.add(std::move(pw.w));
-  }
 }
 
 CheckResult StaticChecker::run() {
