@@ -11,11 +11,12 @@
 #                                 runtime-checker / load-engine tests only
 #   scripts/check.sh --san        ASan+UBSan build (the asan presets): parser
 #                                 fuzz, resilience, PM-substrate (pool,
-#                                 event log, enumerator, fault sweep) and
+#                                 event log, enumerator, fault sweep),
 #                                 interpreter (arena, instrumenter, dynamic
-#                                 checker) tests, then the deepmc binary over
-#                                 the hostile parser corpus and the example
-#                                 programs
+#                                 checker) and static-checker (trace walk,
+#                                 rule scanner, multi-path golden) tests,
+#                                 then the deepmc binary over the hostile
+#                                 parser corpus and the example programs
 #   scripts/check.sh --obs        observability identity pass only: every
 #                                 corpus module's report must be byte-identical
 #                                 with --stats/--metrics-out/--trace-out on vs
