@@ -117,13 +117,25 @@ Sweep sweep(core::DriverOptions opts,
   return {sw.seconds(), std::move(report)};
 }
 
-/// A fresh, empty /tmp/deepmc_bench_<tag>.
-std::string fresh_dir(const std::string& tag) {
-  const std::string dir = "/tmp/deepmc_bench_" + tag;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+/// A fresh, empty deepmc_bench_<tag>.<pid> under the temp directory
+/// (TMPDIR), removed with everything in it when the gate is done with it.
+struct ScratchDir {
+  std::string path;
+
+  explicit ScratchDir(const std::string& tag)
+      : path((fs::temp_directory_path() /
+              ("deepmc_bench_" + tag + "." + std::to_string(getpid())))
+                 .string()) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
 
 /// One root of the serve workloads: a persistent record hammered through a
 /// chain of `diamonds` diamonds (2^diamonds paths). Every store writes an
@@ -350,22 +362,15 @@ std::string serve_module_text() {
 
 /// Warm-request loop: every request is a whole-unit cache hit.
 struct ServeScenario {
-  std::string dir = (fs::temp_directory_path() /
-                     ("bench_obs_serve." + std::to_string(getpid())))
-                        .string();
+  ScratchDir dir{"obs_serve"};
   std::string name = "bench_obs_serve";
   std::string text = serve_module_text();
   static constexpr int kRequests = 1200;
 
-  ~ServeScenario() {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
-
   double run_once() const {
     serve::ServeOptions sopts;
     sopts.driver.jobs = 2;
-    sopts.cache_dir = dir;
+    sopts.cache_dir = dir.path;
     serve::AnalysisService service(sopts);
     serve::RequestOptions req;
     req.request_id = "bench";
@@ -547,15 +552,16 @@ int run_serve(const Gate& gate, const Flags& flags) {
   // Cold: a fresh cache and service per rep, every root analyzed.
   std::string cold_body;
   const double cold_ms = min_of(kReps, [&](size_t rep) {
-    serve::AnalysisService service(
-        serial_service(fresh_dir("serve_cold" + std::to_string(rep))));
+    const ScratchDir dir("serve_cold" + std::to_string(rep));
+    serve::AnalysisService service(serial_service(dir.path));
     auto [ms, body] = timed(service, text, "cold");
     cold_body = std::move(body);
     return ms;
   });
 
   // Warm: identical resubmission against a warmed cache (unit replay).
-  serve::AnalysisService service(serial_service(fresh_dir("serve_warm")));
+  const ScratchDir warm_dir("serve_warm");
+  serve::AnalysisService service(serial_service(warm_dir.path));
   service.analyze_report("bench_serve", text, req);
   const double warm_ms = min_of(kReps, [&](size_t) {
     const auto [ms, body] = timed(service, text, "unit-hit");
@@ -640,9 +646,10 @@ struct PhaseResult {
 
 PhaseResult run_phase(size_t nclients) {
   const std::string tag = std::to_string(nclients) + "c";
+  const ScratchDir cache_dir("conc_" + tag);
   serve::ServeOptions sopts;
   sopts.driver.jobs = 1;  // all parallelism comes from the session pool
-  sopts.cache_dir = fresh_dir("conc_" + tag);
+  sopts.cache_dir = cache_dir.path;
   serve::AnalysisService service(std::move(sopts));
 
   serve::DaemonOptions dopts;
