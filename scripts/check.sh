@@ -13,10 +13,12 @@
 #                                 fuzz, resilience, PM-substrate (pool,
 #                                 event log, enumerator, fault sweep),
 #                                 interpreter (arena, instrumenter, dynamic
-#                                 checker) and static-checker (trace walk,
-#                                 rule scanner, multi-path golden) tests,
-#                                 then the deepmc binary over the hostile
-#                                 parser corpus and the example programs
+#                                 checker), static-checker (trace walk,
+#                                 rule scanner, multi-path golden) and
+#                                 serve cache/wire (log records, payload
+#                                 decoding) tests, then the deepmc binary
+#                                 over the hostile parser corpus and the
+#                                 example programs
 #   scripts/check.sh --obs        observability identity pass only: every
 #                                 corpus module's report must be byte-identical
 #                                 with --stats/--metrics-out/--trace-out on vs
