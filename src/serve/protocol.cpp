@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -96,7 +97,11 @@ bool write_exact(int fd, const void* buf, size_t n) {
   const char* p = static_cast<const char*>(buf);
   size_t sent = 0;
   while (sent < n) {
-    const ssize_t rc = ::write(fd, p + sent, n - sent);
+    // On a socket whose peer has closed (a shed client, a vanished daemon)
+    // send() fails with EPIPE instead of raising SIGPIPE, which would kill
+    // a client process; pipes and files take write().
+    ssize_t rc = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
+    if (rc < 0 && errno == ENOTSOCK) rc = ::write(fd, p + sent, n - sent);
     if (rc > 0) {
       sent += static_cast<size_t>(rc);
       continue;
