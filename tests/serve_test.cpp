@@ -9,6 +9,8 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1571,6 +1574,249 @@ TEST(ServeFleet, IoTimeoutClosesStalledSessionAndFreesSlot) {
   ResponseFrame resp;
   ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
   EXPECT_EQ(resp.status, serve::kStatusOk);
+}
+
+// ---------------------------------------------------------------------------
+// Transport contract: frame reads under the daemon's I/O bound, and the
+// endpoint syntax --listen and --connect accept
+// ---------------------------------------------------------------------------
+
+/// The I/O bound the frame tests run the daemon under. Every wait below is
+/// a fraction of it, far enough from 1 that scheduling noise cannot flip
+/// an outcome.
+constexpr uint64_t kFrameWindowMs = 500;
+
+void sleep_windows(double fraction) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      static_cast<int64_t>(static_cast<double>(kFrameWindowMs) * fraction)));
+}
+
+/// A raw connection whose reads give up after 10 s, so a daemon that
+/// neither answers nor closes fails the test instead of hanging it.
+int raw_connect(const std::string& target) {
+  std::string err;
+  const int fd = serve::connect_target(target, &err);
+  EXPECT_GE(fd, 0) << err;
+  if (fd >= 0) {
+    const timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
+  return fd;
+}
+
+/// A request head in the documented layout: magic, then version,
+/// header_len and body_len as little-endian u32s.
+std::string request_head(const char* magic, uint32_t version,
+                         uint32_t header_len, uint32_t body_len) {
+  std::string out(magic, 4);
+  for (const uint32_t v : {version, header_len, body_len})
+    for (int i = 0; i < 4; ++i) out += static_cast<char>(v >> (8 * i));
+  return out;
+}
+
+constexpr std::string_view kPingHeader = "{\"op\": \"ping\"}";
+
+std::string ping_bytes() {
+  return request_head("DMRQ", 1, kPingHeader.size(), 0) +
+         std::string(kPingHeader);
+}
+
+void expect_pong(int fd) {
+  ResponseFrame resp;
+  ASSERT_EQ(serve::read_response(fd, &resp), 1);
+  EXPECT_EQ(resp.status, serve::kStatusOk);
+  EXPECT_TRUE(serve::json_bool_field(resp.meta, "pong").value_or(false))
+      << resp.meta;
+}
+
+/// One "malformed request frame" error, then EOF.
+void expect_malformed_then_eof(int fd) {
+  ResponseFrame resp;
+  ASSERT_EQ(serve::read_response(fd, &resp), 1);
+  EXPECT_EQ(resp.status, serve::kStatusError);
+  EXPECT_EQ(serve::json_string_field(resp.meta, "error").value_or(""),
+            "malformed request frame");
+  EXPECT_EQ(serve::read_response(fd, &resp), 0);
+}
+
+serve::DaemonOptions frame_daemon_opts() {
+  serve::DaemonOptions dopts;
+  dopts.io_timeout_ms = kFrameWindowMs;
+  return dopts;
+}
+
+TEST(ServeFrame, IdleClockRestartsAtTheFirstByte) {
+  // 1.2 windows from connect to the frame's last byte: answered, because
+  // the idle window ends at the first byte and the rest gets a fresh one.
+  AnalysisService service(cached_opts(""));
+  FleetDaemon fleet(service, frame_daemon_opts(), "frame_idle");
+  const int fd = raw_connect(fleet.socket_path());
+  ASSERT_GE(fd, 0);
+  const std::string frame = ping_bytes();
+  sleep_windows(0.6);
+  ASSERT_TRUE(serve::write_exact(fd, frame.data(), 1));
+  sleep_windows(0.6);
+  ASSERT_TRUE(serve::write_exact(fd, frame.data() + 1, frame.size() - 1));
+  expect_pong(fd);
+  ::close(fd);
+}
+
+TEST(ServeFrame, FrameDrippedWithinOneWindowIsAnswered) {
+  AnalysisService service(cached_opts(""));
+  FleetDaemon fleet(service, frame_daemon_opts(), "frame_drip");
+  const int fd = raw_connect(fleet.socket_path());
+  ASSERT_GE(fd, 0);
+  const std::string frame = ping_bytes();  // 30 bytes over 0.3 windows
+  for (const char& c : frame) {
+    ASSERT_TRUE(serve::write_exact(fd, &c, 1));
+    sleep_windows(0.01);
+  }
+  expect_pong(fd);
+  ::close(fd);
+}
+
+TEST(ServeFrame, StalledPayloadIsClosedWithoutAResponse) {
+  AnalysisService service(cached_opts(""));
+  FleetDaemon fleet(service, frame_daemon_opts(), "frame_stall");
+  const int fd = raw_connect(fleet.socket_path());
+  ASSERT_GE(fd, 0);
+  const std::string partial =
+      request_head("DMRQ", 1, kPingHeader.size(), 0) +
+      std::string(kPingHeader.substr(0, kPingHeader.size() / 2));
+  ASSERT_TRUE(serve::write_exact(fd, partial.data(), partial.size()));
+  ResponseFrame resp;
+  EXPECT_EQ(serve::read_response(fd, &resp), 0);  // closed, nothing owed
+  ::close(fd);
+}
+
+TEST(ServeFrame, BadHeadGetsOneErrorThenEof) {
+  // No payload follows any of these heads: each is judged on its 16 bytes,
+  // before the daemon waits for a payload byte.
+  AnalysisService service(cached_opts(""));
+  FleetDaemon fleet(service, frame_daemon_opts(), "frame_badhead");
+  const struct {
+    const char* what;
+    std::string head;
+  } cases[] = {
+      {"magic", request_head("DMRX", 1, kPingHeader.size(), 0)},
+      {"version", request_head("DMRQ", 2, kPingHeader.size(), 0)},
+      {"header_len", request_head("DMRQ", 1, (1u << 20) + 1, 0)},
+      {"body_len", request_head("DMRQ", 1, 0, (256u << 20) + 1)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const int fd = raw_connect(fleet.socket_path());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(serve::write_exact(fd, c.head.data(), c.head.size()));
+    expect_malformed_then_eof(fd);
+    ::close(fd);
+  }
+}
+
+TEST(ServeFrame, HalfCloseMidFrameGetsMalformedResponse) {
+  AnalysisService service(cached_opts(""));
+  FleetDaemon fleet(service, frame_daemon_opts(), "frame_halfclose");
+  const std::string frame = ping_bytes();
+  for (const size_t sent : {size_t{8}, frame.size() - 3}) {
+    SCOPED_TRACE(sent);
+    const int fd = raw_connect(fleet.socket_path());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(serve::write_exact(fd, frame.data(), sent));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    expect_malformed_then_eof(fd);
+    ::close(fd);
+  }
+}
+
+/// Pings the daemon at `target` over a fresh connection.
+void expect_reachable(const std::string& target) {
+  SCOPED_TRACE(target);
+  const int fd = raw_connect(target);
+  ASSERT_GE(fd, 0);
+  RequestFrame ping;
+  ping.header = std::string(kPingHeader);
+  ASSERT_TRUE(serve::write_request(fd, ping));
+  expect_pong(fd);
+  ::close(fd);
+}
+
+/// Runs `daemon` on a thread for the life of the object.
+class DaemonRunner {
+ public:
+  explicit DaemonRunner(serve::ServeDaemon& daemon)
+      : daemon_(daemon), thread_([this] { daemon_.run(); }) {}
+  ~DaemonRunner() {
+    daemon_.begin_drain("test-teardown");
+    thread_.join();
+  }
+  DaemonRunner(const DaemonRunner&) = delete;
+  DaemonRunner& operator=(const DaemonRunner&) = delete;
+
+ private:
+  serve::ServeDaemon& daemon_;
+  std::thread thread_;
+};
+
+TEST(ServeEndpoint, ListenTcpBindsAnEphemeralPortForEachSpelling) {
+  AnalysisService service(cached_opts(""));
+  for (const char* spec : {"127.0.0.1:0", ":0", "0"}) {
+    SCOPED_TRACE(spec);
+    serve::ServeDaemon daemon(service, {});
+    std::string err;
+    ASSERT_TRUE(daemon.listen_tcp(spec, &err)) << err;
+    ASSERT_NE(daemon.tcp_port(), 0);
+    const std::string port = std::to_string(daemon.tcp_port());
+    DaemonRunner runner(daemon);
+    expect_reachable("127.0.0.1:" + port);
+    expect_reachable(":" + port);
+  }
+}
+
+TEST(ServeEndpoint, BadListenSpecsFailWithTheirMessages) {
+  AnalysisService service(cached_opts(""));
+  const struct {
+    const char* spec;
+    const char* message;
+  } cases[] = {
+      {"host:", "bad TCP listen spec 'host:' (want host:port)"},
+      {"127.0.0.1:70000",
+       "bad TCP listen spec '127.0.0.1:70000' (want host:port)"},
+      {"not-an-ip:80", "bad TCP listen address 'not-an-ip'"},
+  };
+  for (const auto& c : cases) {
+    serve::ServeDaemon daemon(service, {});
+    std::string err;
+    EXPECT_FALSE(daemon.listen_tcp(c.spec, &err)) << c.spec;
+    EXPECT_EQ(err, c.message);
+  }
+}
+
+TEST(ServeEndpoint, UnixPathWithAColonStaysAPath) {
+  // "x:1.sock" ends in something that is not a port: a path on both sides.
+  AnalysisService service(cached_opts(""));
+  const std::string path = fresh_dir("endpoint_colon") + "/x:1.sock";
+  serve::ServeDaemon daemon(service, {});
+  std::string err;
+  ASSERT_TRUE(daemon.listen_unix(path, &err)) << err;
+  DaemonRunner runner(daemon);
+  expect_reachable(path);
+}
+
+TEST(ServeEndpoint, OverlongUnixPathFailsOnBothSides) {
+  AnalysisService service(cached_opts(""));
+  const size_t limit = sizeof(sockaddr_un::sun_path);
+  for (const size_t length : {limit, limit + 20}) {
+    const std::string dir = ::testing::TempDir();
+    const std::string path = dir + std::string(length - dir.size(), 'p');
+    ASSERT_EQ(path.size(), length);
+    serve::ServeDaemon daemon(service, {});
+    std::string err;
+    EXPECT_FALSE(daemon.listen_unix(path, &err));
+    EXPECT_EQ(err, "socket path too long: " + path);
+    err.clear();
+    EXPECT_EQ(serve::connect_target(path, &err), -1);
+    EXPECT_EQ(err, "socket path too long: " + path);
+  }
 }
 
 }  // namespace
