@@ -167,7 +167,7 @@ std::vector<LadderRung> degradation_ladder(const DriverOptions& opts) {
   std::vector<LadderRung> ladder;
   LadderRung full;
   full.name = "full";
-  full.trace = opts.checker.trace;
+  full.trace = opts.trace;
   full.max_subset_bits = 10;
   full.run_crashsim = opts.crashsim;
   full.run_dynamic = opts.dynamic_run;
@@ -437,6 +437,42 @@ AnalysisDriver::AnalysisDriver(DriverOptions opts) : opts_(std::move(opts)) {}
 
 namespace {
 
+/// Awaits every pending future of `futs` (the tasks reference the caller's
+/// frame, so none may outlive it) and hands task i's result to take(i, r).
+/// A budget trip that tolerate(i) accepts is dropped. Of the rest, the
+/// first error that is neither a budget trip nor a cancellation is
+/// rethrown, else the first budget trip, else the first cancellation; the
+/// first two cancel the siblings still running, whose CancelledError
+/// echoes lose to them.
+template <typename T, typename Take, typename Tolerate>
+void await_all(support::ThreadPool& pool, std::vector<std::future<T>>& futs,
+               const support::CancelToken& cancel, Take take,
+               Tolerate tolerate) {
+  std::exception_ptr budget_ex, cancel_ex, other_ex;
+  for (size_t i = 0; i < futs.size(); ++i) {
+    if (!futs[i].valid()) continue;
+    try {
+      take(i, pool.await(std::move(futs[i])));
+    } catch (const support::BudgetExceeded&) {
+      if (tolerate(i)) continue;
+      if (!budget_ex) {
+        budget_ex = std::current_exception();
+        cancel.cancel("sibling budget exhausted");
+      }
+    } catch (const support::CancelledError&) {
+      if (!cancel_ex) cancel_ex = std::current_exception();
+    } catch (...) {
+      if (!other_ex) {
+        other_ex = std::current_exception();
+        cancel.cancel("sibling subtask failed");
+      }
+    }
+  }
+  if (other_ex) std::rethrow_exception(other_ex);
+  if (budget_ex) std::rethrow_exception(budget_ex);
+  if (cancel_ex) std::rethrow_exception(cancel_ex);
+}
+
 /// Structured build/verify failure thrown inside run_attempt and
 /// classified by analyze_unit; carries the machine-readable reason.
 class UnitInputError : public std::runtime_error {
@@ -486,20 +522,17 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   os << strformat("== %s (model: %s) ==\n", unit.name.c_str(),
                   model_name(out.model));
 
-  StaticChecker::Options chk_opts = opts_.checker;
-  chk_opts.trace = rung.trace;
-  chk_opts.dsa_step_budget = opts_.budgets.dsa_steps;
-  chk_opts.trace_step_budget = opts_.budgets.trace_steps;
-  chk_opts.cancel = cancel;
-  StaticChecker checker(module, out.model, chk_opts);
+  StaticChecker checker(module, out.model,
+                        {.trace = rung.trace,
+                         .field_sensitive = opts_.field_sensitive,
+                         .dsa_step_budget = opts_.budgets.dsa_steps,
+                         .trace_step_budget = opts_.budgets.trace_steps,
+                         .cancel = cancel});
   checker.prepare();
   const std::vector<const ir::Function*> roots = checker.trace_roots();
 
   // Fan the per-root checks out; merging in root order keeps the result
-  // identical to a serial StaticChecker::run(). Every future is awaited
-  // even after a failure (they reference this stack frame); the real
-  // signal is rethrown afterwards, preferred over the CancelledError
-  // echoes it provoked in siblings.
+  // identical to a serial StaticChecker::run().
   //
   // On the full rung a root cache (the serve daemon's dirty-cone path)
   // may answer some roots; each answer merges in its root's position of
@@ -510,8 +543,7 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
       root_cache != nullptr
           ? root_cache->lookup(module, checker.dsa().callgraph(), roots)
           : std::vector<std::optional<CheckResult>>(roots.size());
-  std::vector<std::optional<CheckResult>> fresh(
-      root_cache != nullptr ? roots.size() : 0);
+  std::vector<std::optional<CheckResult>> fresh(roots.size());
   std::vector<std::future<CheckResult>> futs(roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
     if (cached[i]) continue;
@@ -521,40 +553,21 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
       return checker.check_root(*f);
     });
   }
-  CheckResult result;
-  std::exception_ptr budget_ex, cancel_ex, other_ex;
-  for (size_t i = 0; i < futs.size(); ++i) {
-    if (cached[i]) {
-      result.merge(*cached[i]);
-      continue;
-    }
-    try {
-      CheckResult root_result = pool.await(std::move(futs[i]));
-      result.merge(root_result);
-      if (root_cache != nullptr) fresh[i] = std::move(root_result);
-    } catch (const support::BudgetExceeded&) {
-      if (rung.tolerate_root_budget && roots_exhausted != nullptr) {
+  await_all(
+      pool, futs, cancel,
+      [&](size_t i, CheckResult r) { fresh[i] = std::move(r); },
+      [&](size_t i) {
         // Final rung: this root contributes nothing, the unit survives
         // with partial results. Deterministic — the meter was per-root.
+        if (!rung.tolerate_root_budget || roots_exhausted == nullptr)
+          return false;
         roots_exhausted->push_back(roots[i]->name());
-        continue;
-      }
-      if (!budget_ex) {
-        budget_ex = std::current_exception();
-        cancel.cancel("sibling budget exhausted");
-      }
-    } catch (const support::CancelledError&) {
-      if (!cancel_ex) cancel_ex = std::current_exception();
-    } catch (...) {
-      if (!other_ex) {
-        other_ex = std::current_exception();
-        cancel.cancel("sibling subtask failed");
-      }
-    }
-  }
-  if (other_ex) std::rethrow_exception(other_ex);
-  if (budget_ex) std::rethrow_exception(budget_ex);
-  if (cancel_ex) std::rethrow_exception(cancel_ex);
+        return true;
+      });
+  CheckResult result;
+  for (size_t i = 0; i < roots.size(); ++i)
+    if (const std::optional<CheckResult>& r = cached[i] ? cached[i] : fresh[i])
+      result.merge(*r);
   result.fold_empty_tx_shadows();
   result.sort();
 
@@ -636,30 +649,11 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
         support::FaultActivation act(&faults);
         return crash::simulate_root(module, *f, copts);
       }));
-    // Await-all with the same signal priority as the root checks.
-    std::vector<crash::RootCrashSim> sims;
-    sims.reserve(sim_roots.size());
-    std::exception_ptr cs_budget, cs_cancel, cs_other;
-    for (auto& fut : cfuts) {
-      try {
-        sims.push_back(pool.await(std::move(fut)));
-      } catch (const support::BudgetExceeded&) {
-        if (!cs_budget) {
-          cs_budget = std::current_exception();
-          cancel.cancel("sibling budget exhausted");
-        }
-      } catch (const support::CancelledError&) {
-        if (!cs_cancel) cs_cancel = std::current_exception();
-      } catch (...) {
-        if (!cs_other) {
-          cs_other = std::current_exception();
-          cancel.cancel("sibling subtask failed");
-        }
-      }
-    }
-    if (cs_other) std::rethrow_exception(cs_other);
-    if (cs_budget) std::rethrow_exception(cs_budget);
-    if (cs_cancel) std::rethrow_exception(cs_cancel);
+    std::vector<crash::RootCrashSim> sims(sim_roots.size());
+    await_all(
+        pool, cfuts, cancel,
+        [&](size_t i, crash::RootCrashSim sim) { sims[i] = std::move(sim); },
+        [](size_t) { return false; });
 
     os << "-- crash-state enumeration --\n";
     std::vector<const ir::Function*> executed_roots;

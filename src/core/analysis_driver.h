@@ -127,7 +127,8 @@ class RootCache {
 
 struct DriverOptions {
   PersistencyModel model = PersistencyModel::kStrict;
-  StaticChecker::Options checker;  ///< field sensitivity + trace bounds
+  analysis::TraceOptions trace;    ///< trace bounds of the ladder's full rung
+  bool field_sensitive = true;     ///< DSA field sensitivity (ablation knob)
   bool dynamic_run = false;        ///< execute @main under the runtime checker
   bool crashsim = false;           ///< crash-state enumeration + validation
   bool dump_ir = false;

@@ -82,12 +82,12 @@ std::optional<Header> parse_header(std::string_view bytes) {
   return h;
 }
 
-/// Header length of `record` if it is exactly the record stored for `key`
-/// at `version`: parsed header, matching key, size and payload hash.
+/// Header length of `record` if it is exactly the record stored for `key`:
+/// parsed header, current version, matching key, size and payload hash.
 std::optional<size_t> check_record(std::string_view record,
-                                   std::string_view key, uint32_t version) {
+                                   std::string_view key) {
   const std::optional<Header> h = parse_header(record);
-  if (!h || h->version != version || h->key != key ||
+  if (!h || h->version != DiskCache::kFormatVersion || h->key != key ||
       h->length + h->payload_size != record.size() ||
       hash_bytes(record.substr(h->length)) != h->hash)
     return std::nullopt;
@@ -120,11 +120,8 @@ struct UniqueFd {
 
 }  // namespace
 
-DiskCache::DiskCache(std::string dir, uint32_t version)
-    : DiskCache(std::move(dir), version, Limits{}) {}
-
-DiskCache::DiskCache(std::string dir, uint32_t version, Limits limits)
-    : dir_(std::move(dir)), version_(version), limits_(limits) {
+DiskCache::DiskCache(std::string dir, Limits limits)
+    : dir_(std::move(dir)), limits_(limits) {
   if (dir_.empty()) return;
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -168,7 +165,7 @@ bool DiskCache::scan_locked() {
         std::string_view(chunk).substr(at - chunk_at, want));
     if (!h || h->payload_size > size - at - h->length) break;
     const uint64_t bytes = h->length + h->payload_size;
-    if (h->version == version_) {
+    if (h->version == kFormatVersion) {
       index_insert_locked(std::string(h->key), at, bytes);
     } else {
       ++stats_.corrupt;
@@ -247,7 +244,7 @@ void DiskCache::compact_if_due_locked() {
     Entry& e = index_.at(*key);
     record.resize(e.bytes);
     if (!pread_exact(fd_, record.data(), record.size(), e.offset) ||
-        !check_record(record, *key, version_)) {
+        !check_record(record, *key)) {
       bad.push_back(*key);
       continue;
     }
@@ -295,7 +292,7 @@ std::optional<std::string> DiskCache::get(const std::string& key) {
   std::string record(it->second.bytes, '\0');
   const std::optional<size_t> header =
       pread_exact(fd_, record.data(), record.size(), it->second.offset)
-          ? check_record(record, key, version_)
+          ? check_record(record, key)
           : std::nullopt;
   if (!header) {
     index_erase_locked(it);
@@ -324,8 +321,9 @@ void DiskCache::put(const std::string& key, std::string_view payload) {
     ++stats_.write_errors;
     return;
   }
-  std::string record = std::string(kTagPrefix) + std::to_string(version_) +
-                       ' ' + key + ' ' + hash_bytes(payload) + ' ' +
+  std::string record = std::string(kTagPrefix) +
+                       std::to_string(kFormatVersion) + ' ' + key + ' ' +
+                       hash_bytes(payload) + ' ' +
                        std::to_string(payload.size()) + '\n';
   record.append(payload);
   std::lock_guard<std::mutex> lock(mu_);

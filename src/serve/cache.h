@@ -51,17 +51,21 @@
 
 namespace deepmc::serve {
 
+/// Capacity bounds over a DiskCache's live entries; 0 = unbounded.
+struct CacheLimits {
+  uint64_t max_entries = 0;
+  uint64_t max_bytes = 0;  ///< total live record bytes (header+payload)
+};
+
 class DiskCache {
  public:
   /// Record-format version written into and required from every header.
-  /// Bump when the wire encoding changes; old records then read as misses.
-  static constexpr uint32_t kFormatVersion = 2;
+  /// Bump when the wire encoding or the cache keys change; the first open
+  /// of an older log then counts its records as corrupt and compacts them
+  /// away. 3: keys hash only the options a cached result depends on.
+  static constexpr uint32_t kFormatVersion = 3;
 
-  /// Capacity bounds over live entries; 0 = unbounded.
-  struct Limits {
-    uint64_t max_entries = 0;
-    uint64_t max_bytes = 0;  ///< total live record bytes (header+payload)
-  };
+  using Limits = CacheLimits;
 
   struct Stats {
     uint64_t hits = 0;
@@ -77,11 +81,8 @@ class DiskCache {
   };
 
   /// An empty `dir` disables the cache: every get misses, every put is a
-  /// no-op. `version` overrides the header version (tests use this to
-  /// exercise version-mismatch recovery).
-  explicit DiskCache(std::string dir, uint32_t version = kFormatVersion);
-  /// Bounded variant; see Limits.
-  DiskCache(std::string dir, uint32_t version, Limits limits);
+  /// no-op.
+  explicit DiskCache(std::string dir, Limits limits = {});
   ~DiskCache();
   DiskCache(const DiskCache&) = delete;
   DiskCache& operator=(const DiskCache&) = delete;
@@ -120,7 +121,6 @@ class DiskCache {
   void compact_if_due_locked();
 
   std::string dir_;
-  uint32_t version_;
   Limits limits_;
   mutable std::mutex mu_;
   Stats stats_;

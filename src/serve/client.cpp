@@ -1,74 +1,39 @@
 #include "serve/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 namespace deepmc::serve {
 
-namespace {
-
-/// "host:port" with an IPv4-literal host and a numeric port? Everything
-/// else is a Unix socket path (paths with colons stay paths unless they
-/// fully parse as an address, so /tmp/x:1.sock-style names still work).
-bool parse_tcp_target(const std::string& target, sockaddr_in* out) {
-  const size_t colon = target.rfind(':');
-  if (colon == std::string::npos) return false;
-  std::string host = target.substr(0, colon);
-  const std::string port_str = target.substr(colon + 1);
-  if (host.empty()) host = "127.0.0.1";
-  if (port_str.empty()) return false;
-  char* end = nullptr;
-  const long port = std::strtol(port_str.c_str(), &end, 10);
-  if ((end && *end != '\0') || port <= 0 || port > 65535) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
-  *out = addr;
-  return true;
-}
-
-}  // namespace
-
 int connect_target(const std::string& target, std::string* err) {
-  sockaddr_in tcp{};
-  if (parse_tcp_target(target, &tcp)) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      if (err) *err = std::string("socket: ") + std::strerror(errno);
-      return -1;
-    }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&tcp), sizeof tcp) <
-        0) {
-      if (err) *err = "connect " + target + ": " + std::strerror(errno);
-      ::close(fd);
-      return -1;
-    }
-    return fd;
+  // Only "host:port" with a port of 1-65535 is dialled over TCP: a bare
+  // number, port 0 and /tmp/x:1.sock are Unix socket paths.
+  std::optional<TcpEndpoint> tcp;
+  if (target.find(':') != std::string::npos)
+    tcp = parse_tcp_endpoint(target, nullptr);
+  if (tcp && tcp->addr.sin_port == 0) tcp.reset();
+  std::optional<sockaddr_un> path;
+  if (!tcp) {
+    path = unix_endpoint(target, err);
+    if (!path) return -1;
   }
-  sockaddr_un addr{};
-  if (target.size() >= sizeof(addr.sun_path)) {
-    if (err) *err = "socket path too long: " + target;
-    return -1;
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(tcp ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     if (err) *err = std::string("socket: ") + std::strerror(errno);
     return -1;
   }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, target.c_str(), target.size() + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
-      0) {
+  const int rc =
+      tcp ? ::connect(fd, reinterpret_cast<const sockaddr*>(&tcp->addr),
+                      sizeof tcp->addr)
+          : ::connect(fd, reinterpret_cast<const sockaddr*>(&*path),
+                      sizeof *path);
+  if (rc < 0) {
     if (err) *err = "connect " + target + ": " + std::strerror(errno);
     ::close(fd);
     return -1;

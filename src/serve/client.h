@@ -24,9 +24,9 @@
 
 namespace deepmc::serve {
 
-/// Connect to `target`: "host:port" when the suffix after the last ':'
-/// parses as a port and the prefix is an IPv4 literal, else a Unix-domain
-/// socket path. Returns the fd, or -1 with a message in *err.
+/// Connect to `target`: a TCP endpoint (protocol.h) when it holds a ':'
+/// and parses as one with a port of 1-65535, else a Unix-domain socket
+/// path. Returns the fd, or -1 with a message in *err.
 int connect_target(const std::string& target, std::string* err);
 
 struct RetryPolicy {

@@ -2,17 +2,15 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "obs/flight.h"
@@ -65,6 +63,26 @@ bool set_nonblock(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// A non-blocking socket listening on `addr`, or -1 with the error, which
+/// names `what`, in *err.
+int open_listener(const sockaddr* addr, socklen_t len, const std::string& what,
+                  std::string* err) {
+  const int fd = ::socket(addr->sa_family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    if (err) *err = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  // Lets a restarted daemon rebind a TCP port still in TIME_WAIT.
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  if (::bind(fd, addr, len) < 0 || ::listen(fd, 64) < 0 || !set_nonblock(fd)) {
+    if (err) *err = "bind/listen " + what + ": " + std::strerror(errno);
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // Signal -> drain plumbing. A handler may only touch lock-free state, so
 // it sets a flag and pokes the daemon's wake pipe; run() does the rest.
 std::atomic<int> g_signal_wake_fd{-1};
@@ -111,25 +129,12 @@ ServeDaemon::~ServeDaemon() {
 }
 
 bool ServeDaemon::listen_unix(const std::string& path, std::string* err) {
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) {
-    if (err) *err = "socket path too long: " + path;
-    return false;
-  }
+  const std::optional<sockaddr_un> addr = unix_endpoint(path, err);
+  if (!addr) return false;
   ::unlink(path.c_str());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (err) *err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 64) < 0 || !set_nonblock(fd)) {
-    if (err) *err = "bind/listen " + path + ": " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
+  const int fd = open_listener(reinterpret_cast<const sockaddr*>(&*addr),
+                               sizeof *addr, path, err);
+  if (fd < 0) return false;
   listen_fds_.push_back(fd);
   unix_paths_.push_back(path);
   std::printf("deepmc-serve: listening on %s\n", path.c_str());
@@ -138,46 +143,17 @@ bool ServeDaemon::listen_unix(const std::string& path, std::string* err) {
 }
 
 bool ServeDaemon::listen_tcp(const std::string& spec, std::string* err) {
-  std::string host = "127.0.0.1";
-  std::string port_str = spec;
-  const size_t colon = spec.rfind(':');
-  if (colon != std::string::npos) {
-    host = spec.substr(0, colon);
-    port_str = spec.substr(colon + 1);
-    if (host.empty()) host = "127.0.0.1";
-  }
-  char* end = nullptr;
-  const long port = std::strtol(port_str.c_str(), &end, 10);
-  if (port_str.empty() || (end && *end != '\0') || port < 0 || port > 65535) {
-    if (err) *err = "bad TCP listen spec '" + spec + "' (want host:port)";
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    if (err) *err = "bad TCP listen address '" + host + "'";
-    return false;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (err) *err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 64) < 0 || !set_nonblock(fd)) {
-    if (err) *err = "bind/listen " + spec + ": " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
+  const std::optional<TcpEndpoint> ep = parse_tcp_endpoint(spec, err);
+  if (!ep) return false;
+  const int fd = open_listener(reinterpret_cast<const sockaddr*>(&ep->addr),
+                               sizeof ep->addr, spec, err);
+  if (fd < 0) return false;
   sockaddr_in bound{};
   socklen_t blen = sizeof bound;
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) == 0)
     tcp_port_ = ntohs(bound.sin_port);
   listen_fds_.push_back(fd);
-  std::printf("deepmc-serve: listening on %s:%u\n", host.c_str(),
+  std::printf("deepmc-serve: listening on %s:%u\n", ep->host.c_str(),
               static_cast<unsigned>(tcp_port_));
   std::fflush(stdout);
   return true;
@@ -213,10 +189,10 @@ void ServeDaemon::worker_loop() {
     }
     publish_inflight();
     sessions_total().inc();
-    SessionHooks hooks;
-    hooks.io_timeout_ms = opts_.io_timeout_ms;
-    hooks.default_deadline_ms = opts_.request_timeout_ms;
-    const int rc = serve_stream(service_, fd, fd, &hooks);
+    const int rc = serve_stream(
+        service_, fd, fd,
+        {.io_timeout_ms = opts_.io_timeout_ms,
+         .default_deadline_ms = opts_.request_timeout_ms});
     {
       std::lock_guard<std::mutex> lock(mu_);
       active_.erase(fd);

@@ -47,18 +47,21 @@ std::string structs_fingerprint(const ir::Module& module) {
 
 }  // namespace
 
-std::string options_fingerprint(const core::DriverOptions& opts) {
+std::optional<std::string> options_fingerprint(
+    const core::DriverOptions& opts) {
+  if (opts.dynamic_run || opts.crashsim || opts.dump_ir || opts.dump_dsg ||
+      opts.dump_traces || opts.suggest || opts.suppressions.size() > 0 ||
+      opts.budgets.trace_steps || opts.budgets.dsa_steps ||
+      opts.budgets.enum_images || opts.budgets.interp_steps)
+    return std::nullopt;
   Hasher h;
-  h.field("deepmc-options-v1");
+  h.field("deepmc-options-v2");
   h.field(core::model_name(opts.model));
-  h.update_u64(opts.checker.field_sensitive ? 1 : 0);
-  h.update_u64(static_cast<uint64_t>(opts.checker.trace.max_loop_visits));
-  h.update_u64(static_cast<uint64_t>(opts.checker.trace.max_recursion));
-  h.update_u64(opts.checker.trace.max_paths);
-  h.update_u64(opts.checker.trace.max_callee_paths);
-  h.update_u64(opts.checker.dsa_step_budget);
-  h.update_u64(opts.checker.trace_step_budget);
-  h.update_u64(opts.suggest ? 1 : 0);
+  h.update_u64(opts.field_sensitive ? 1 : 0);
+  h.update_u64(static_cast<uint64_t>(opts.trace.max_loop_visits));
+  h.update_u64(static_cast<uint64_t>(opts.trace.max_recursion));
+  h.update_u64(opts.trace.max_paths);
+  h.update_u64(opts.trace.max_callee_paths);
   return h.hex();
 }
 

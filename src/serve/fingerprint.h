@@ -21,6 +21,7 @@
 // observe it.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,20 @@
 
 namespace deepmc::serve {
 
-/// Fingerprint of every DriverOptions knob that can change analysis
-/// results. `opts.model` must already be the effective per-unit model.
-std::string options_fingerprint(const core::DriverOptions& opts);
+/// The one cacheability rule. Empty when `opts` asks for output the wire
+/// format cannot represent: dynamic findings, crashsim blocks, dumps,
+/// suggestion text, suppression accounting and step-budget-degraded rungs
+/// all live outside the encoded payload, so such a request runs fresh
+/// every time ("off"). Otherwise a hash of exactly the options a cached
+/// result depends on: the model (`opts.model` must already be the
+/// effective per-unit model), field sensitivity and the four trace bounds.
+///
+/// Wall-clock deadlines (budgets.wall_ms and the per-request deadline_at)
+/// stay cacheable and outside the hash: the watchdog only cancels, so a
+/// unit that finished is byte-identical to an unbounded run, and a
+/// cancelled unit never ends kOk, so it is never stored.
+std::optional<std::string> options_fingerprint(
+    const core::DriverOptions& opts);
 
 /// Whole-unit cache key over the raw request text (pre-parse).
 std::string unit_key(const std::string& options_fp, const std::string& name,

@@ -1,16 +1,21 @@
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
+#include <climits>
+#include <cstdlib>
 #include <cstring>
 
 namespace deepmc::serve {
 
 namespace {
+
+using SteadyClock = std::chrono::steady_clock;
 
 constexpr char kRequestMagic[4] = {'D', 'M', 'R', 'Q'};
 constexpr char kResponseMagic[4] = {'D', 'M', 'R', 'S'};
@@ -26,68 +31,94 @@ uint32_t get_u32(const char* in) {
   return v;
 }
 
-int read_payload(int fd, std::string* out, size_t n) {
-  out->resize(n);
-  if (n == 0) return 1;
-  const int rc = read_exact(fd, out->data(), n);
-  return rc == 1 ? 1 : -1;  // EOF mid-frame is malformed, not clean
+/// One window from now, or no deadline for a window of 0.
+std::optional<SteadyClock::time_point> window_from_now(uint64_t window_ms) {
+  if (window_ms == 0) return std::nullopt;
+  return SteadyClock::now() + std::chrono::milliseconds(window_ms);
 }
 
-using SteadyClock = std::chrono::steady_clock;
-
-/// read_exact against an absolute deadline, using poll() so a stalled
-/// peer cannot pin the thread in a blocking read. Returns 1 / 0 / -1 like
-/// read_exact, plus -2 when the deadline passes first.
-int read_exact_deadline(int fd, void* buf, size_t n,
-                        SteadyClock::time_point deadline) {
-  char* p = static_cast<char*>(buf);
-  size_t got = 0;
-  while (got < n) {
-    const auto now = SteadyClock::now();
-    if (now >= deadline) return -2;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - now);
-    pollfd pfd{fd, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, static_cast<int>(left.count()) + 1);
-    if (pr == 0) return -2;
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    const ssize_t rc = ::read(fd, p + got, n - got);
-    if (rc > 0) {
-      got += static_cast<size_t>(rc);
-      continue;
-    }
-    if (rc == 0) return got == 0 ? 0 : -1;
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+/// One frame: `magic`, the protocol version, a status when `status` is set
+/// (responses only), the two payload lengths, then the two payloads.
+int read_frame(int fd, const char (&magic)[4], uint32_t* status,
+               std::string* first, std::string* second, uint64_t timeout_ms) {
+  char head[20];
+  const size_t head_bytes = status != nullptr ? 20 : 16;
+  // A timed read waits one window for the first byte alone, then gives the
+  // rest of the frame one fresh window; an untimed read takes the whole
+  // head in one call.
+  const size_t idle_bytes = timeout_ms > 0 ? 1 : head_bytes;
+  int rc = read_exact(fd, head, idle_bytes, window_from_now(timeout_ms));
+  if (rc != 1) return rc;
+  const auto deadline = window_from_now(timeout_ms);
+  rc = read_exact(fd, head + idle_bytes, head_bytes - idle_bytes, deadline);
+  if (rc != 1) return rc == -2 ? -2 : -1;  // EOF mid-frame is truncation
+  if (std::memcmp(head, magic, 4) != 0 ||
+      get_u32(head + 4) != kProtocolVersion)
     return -1;
+  if (status != nullptr) *status = get_u32(head + 8);
+  const uint32_t first_len = get_u32(head + head_bytes - 8);
+  const uint32_t second_len = get_u32(head + head_bytes - 4);
+  if (first_len > kMaxHeaderBytes || second_len > kMaxBodyBytes) return -1;
+  for (const auto& [out, len] : {std::pair{first, first_len},
+                                 std::pair{second, second_len}}) {
+    out->resize(len);
+    rc = read_exact(fd, out->data(), len, deadline);
+    if (rc != 1) return rc == -2 ? -2 : -1;
   }
   return 1;
 }
 
-int read_payload_deadline(int fd, std::string* out, size_t n,
-                          SteadyClock::time_point deadline) {
-  out->resize(n);
-  if (n == 0) return 1;
-  const int rc = read_exact_deadline(fd, out->data(), n, deadline);
-  if (rc == -2) return -2;
-  return rc == 1 ? 1 : -1;
+bool write_frame(int fd, const char (&magic)[4], const uint32_t* status,
+                 std::string_view first, std::string_view second) {
+  char head[20];
+  std::memcpy(head, magic, 4);
+  put_u32(head + 4, kProtocolVersion);
+  size_t n = 8;
+  if (status != nullptr) {
+    put_u32(head + n, *status);
+    n += 4;
+  }
+  put_u32(head + n, static_cast<uint32_t>(first.size()));
+  put_u32(head + n + 4, static_cast<uint32_t>(second.size()));
+  n += 8;
+  return write_exact(fd, head, n) &&
+         write_exact(fd, first.data(), first.size()) &&
+         write_exact(fd, second.data(), second.size());
 }
 
 }  // namespace
 
-int read_exact(int fd, void* buf, size_t n) {
+int read_exact(int fd, void* buf, size_t n,
+               std::optional<SteadyClock::time_point> deadline) {
   char* p = static_cast<char*>(buf);
   size_t got = 0;
   while (got < n) {
+    if (deadline) {
+      const auto now = SteadyClock::now();
+      if (now >= *deadline) return -2;
+      const int64_t left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(*deadline -
+                                                                now)
+              .count();
+      pollfd pfd{fd, POLLIN, 0};
+      const int pr = ::poll(
+          &pfd, 1, static_cast<int>(std::min<int64_t>(left, INT_MAX - 1)) + 1);
+      if (pr == 0) return -2;
+      if (pr < 0) {
+        if (errno == EINTR) continue;
+        return -1;
+      }
+    }
     const ssize_t rc = ::read(fd, p + got, n - got);
     if (rc > 0) {
       got += static_cast<size_t>(rc);
       continue;
     }
     if (rc == 0) return got == 0 ? 0 : -1;  // truncation is an error
-    if (errno == EINTR) continue;
+    // A polled descriptor may still report no data; poll again.
+    if (errno == EINTR ||
+        (deadline && (errno == EAGAIN || errno == EWOULDBLOCK)))
+      continue;
     return -1;
   }
   return 1;
@@ -112,83 +143,60 @@ bool write_exact(int fd, const void* buf, size_t n) {
   return true;
 }
 
-int read_request(int fd, RequestFrame* out) {
-  char head[16];
-  const int rc = read_exact(fd, head, sizeof head);
-  if (rc != 1) return rc;
-  if (std::memcmp(head, kRequestMagic, 4) != 0) return -1;
-  if (get_u32(head + 4) != kProtocolVersion) return -1;
-  const uint32_t header_len = get_u32(head + 8);
-  const uint32_t body_len = get_u32(head + 12);
-  if (header_len > kMaxHeaderBytes || body_len > kMaxBodyBytes) return -1;
-  if (read_payload(fd, &out->header, header_len) != 1) return -1;
-  if (read_payload(fd, &out->body, body_len) != 1) return -1;
-  return 1;
-}
-
-int read_request_timed(int fd, RequestFrame* out, uint64_t timeout_ms) {
-  if (timeout_ms == 0) return read_request(fd, out);
-  const auto window = std::chrono::milliseconds(timeout_ms);
-  // Idle bound: the first byte of the next frame must arrive within one
-  // window. Once it does, the frame clock restarts — a legitimately idle
-  // keep-alive client is not penalized for the wait.
-  char head[16];
-  auto deadline = SteadyClock::now() + window;
-  int rc = read_exact_deadline(fd, head, 1, deadline);
-  if (rc != 1) return rc;
-  // Stall bound: the rest of the frame shares one fresh window.
-  deadline = SteadyClock::now() + window;
-  rc = read_exact_deadline(fd, head + 1, sizeof head - 1, deadline);
-  if (rc == -2) return -2;
-  if (rc != 1) return -1;  // EOF mid-header is truncation
-  if (std::memcmp(head, kRequestMagic, 4) != 0) return -1;
-  if (get_u32(head + 4) != kProtocolVersion) return -1;
-  const uint32_t header_len = get_u32(head + 8);
-  const uint32_t body_len = get_u32(head + 12);
-  if (header_len > kMaxHeaderBytes || body_len > kMaxBodyBytes) return -1;
-  rc = read_payload_deadline(fd, &out->header, header_len, deadline);
-  if (rc != 1) return rc;
-  rc = read_payload_deadline(fd, &out->body, body_len, deadline);
-  if (rc != 1) return rc;
-  return 1;
+int read_request(int fd, RequestFrame* out, uint64_t timeout_ms) {
+  return read_frame(fd, kRequestMagic, nullptr, &out->header, &out->body,
+                    timeout_ms);
 }
 
 bool write_request(int fd, const RequestFrame& frame) {
-  char head[16];
-  std::memcpy(head, kRequestMagic, 4);
-  put_u32(head + 4, kProtocolVersion);
-  put_u32(head + 8, static_cast<uint32_t>(frame.header.size()));
-  put_u32(head + 12, static_cast<uint32_t>(frame.body.size()));
-  return write_exact(fd, head, sizeof head) &&
-         write_exact(fd, frame.header.data(), frame.header.size()) &&
-         write_exact(fd, frame.body.data(), frame.body.size());
+  return write_frame(fd, kRequestMagic, nullptr, frame.header, frame.body);
 }
 
 int read_response(int fd, ResponseFrame* out) {
-  char head[20];
-  const int rc = read_exact(fd, head, sizeof head);
-  if (rc != 1) return rc;
-  if (std::memcmp(head, kResponseMagic, 4) != 0) return -1;
-  if (get_u32(head + 4) != kProtocolVersion) return -1;
-  out->status = get_u32(head + 8);
-  const uint32_t meta_len = get_u32(head + 12);
-  const uint32_t body_len = get_u32(head + 16);
-  if (meta_len > kMaxHeaderBytes || body_len > kMaxBodyBytes) return -1;
-  if (read_payload(fd, &out->meta, meta_len) != 1) return -1;
-  if (read_payload(fd, &out->body, body_len) != 1) return -1;
-  return 1;
+  return read_frame(fd, kResponseMagic, &out->status, &out->meta, &out->body,
+                    0);
 }
 
 bool write_response(int fd, const ResponseFrame& frame) {
-  char head[20];
-  std::memcpy(head, kResponseMagic, 4);
-  put_u32(head + 4, kProtocolVersion);
-  put_u32(head + 8, frame.status);
-  put_u32(head + 12, static_cast<uint32_t>(frame.meta.size()));
-  put_u32(head + 16, static_cast<uint32_t>(frame.body.size()));
-  return write_exact(fd, head, sizeof head) &&
-         write_exact(fd, frame.meta.data(), frame.meta.size()) &&
-         write_exact(fd, frame.body.data(), frame.body.size());
+  return write_frame(fd, kResponseMagic, &frame.status, frame.meta,
+                     frame.body);
+}
+
+std::optional<TcpEndpoint> parse_tcp_endpoint(const std::string& spec,
+                                              std::string* err) {
+  TcpEndpoint ep;
+  std::string port_str = spec;
+  const size_t colon = spec.rfind(':');
+  if (colon != std::string::npos) {
+    ep.host = spec.substr(0, colon);
+    port_str = spec.substr(colon + 1);
+  }
+  if (ep.host.empty()) ep.host = "127.0.0.1";
+  char* end = nullptr;
+  const long port = std::strtol(port_str.c_str(), &end, 10);
+  if (port_str.empty() || *end != '\0' || port < 0 || port > 65535) {
+    if (err) *err = "bad TCP listen spec '" + spec + "' (want host:port)";
+    return std::nullopt;
+  }
+  ep.addr.sin_family = AF_INET;
+  ep.addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, ep.host.c_str(), &ep.addr.sin_addr) != 1) {
+    if (err) *err = "bad TCP listen address '" + ep.host + "'";
+    return std::nullopt;
+  }
+  return ep;
+}
+
+std::optional<sockaddr_un> unix_endpoint(const std::string& path,
+                                         std::string* err) {
+  sockaddr_un addr{};
+  if (path.size() >= sizeof(addr.sun_path)) {
+    if (err) *err = "socket path too long: " + path;
+    return std::nullopt;
+  }
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
 }
 
 namespace {

@@ -14,6 +14,10 @@
 // boolean fields — parsed here with a small scanner, no JSON library.
 #pragma once
 
+#include <netinet/in.h>
+#include <sys/un.h>
+
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -43,25 +47,47 @@ struct ResponseFrame {
   std::string body;     ///< rendered report
 };
 
-/// Blocking, EINTR-safe whole-buffer I/O on a file descriptor. read_exact
-/// returns 1 on success, 0 on clean EOF before the first byte, -1 on
-/// error or truncation.
-int read_exact(int fd, void* buf, size_t n);
+/// EINTR-safe whole-buffer I/O on a file descriptor. read_exact returns 1
+/// on success, 0 on clean EOF before the first byte, -1 on error or
+/// truncation, and -2 when `deadline` passes first; with a deadline it
+/// polls before each read, so a stalled peer cannot pin the thread, and
+/// without one it blocks. write_exact returns false on I/O error; on a
+/// socket whose peer is gone it fails with EPIPE rather than raising
+/// SIGPIPE.
+int read_exact(
+    int fd, void* buf, size_t n,
+    std::optional<std::chrono::steady_clock::time_point> deadline = {});
 bool write_exact(int fd, const void* buf, size_t n);
 
-/// Frame I/O. Readers return 1 ok / 0 clean EOF / -1 malformed or I/O
-/// error; writers return false on I/O error.
-int read_request(int fd, RequestFrame* out);
-/// Timed variant for socket sessions (`timeout_ms` 0 = read_request).
-/// Two bounds, both `timeout_ms`: an idle connection must deliver its
-/// first byte within it, and once a frame starts, the whole frame must
-/// arrive within it — a slowloris drip-feed cannot hold a session slot
-/// past one window per frame. Returns 1 / 0 / -1 as above, plus -2 when
-/// a bound expires (close the connection, no response owed).
-int read_request_timed(int fd, RequestFrame* out, uint64_t timeout_ms);
+/// Frame I/O, one reader and one writer for both directions. Readers
+/// return read_exact's codes, -1 also for a malformed frame; writers
+/// return false on I/O error. A frame's magic, version and both length
+/// bounds are checked before any payload byte is read.
+///
+/// `timeout_ms` (0 = block) bounds a request read twice: an idle
+/// connection must deliver the frame's first byte within one window, and
+/// the rest of the frame must arrive within one fresh window, so a
+/// slowloris drip-feed cannot hold a session slot past one window per
+/// frame. -2 means a bound expired: close the connection, no response is
+/// owed.
+int read_request(int fd, RequestFrame* out, uint64_t timeout_ms = 0);
 bool write_request(int fd, const RequestFrame& frame);
 int read_response(int fd, ResponseFrame* out);
 bool write_response(int fd, const ResponseFrame& frame);
+
+/// Socket endpoints, one syntax for --listen and --connect; each side adds
+/// its own rules. An IPv4 endpoint is "host:port", split at the last ':'
+/// with an empty host meaning 127.0.0.1, or a bare "port"; the port is a
+/// decimal of 0-65535. A Unix endpoint is a path that fits sun_path. On
+/// failure both return nullopt and, when `err` is set, the message.
+struct TcpEndpoint {
+  std::string host;  ///< as given, or 127.0.0.1
+  sockaddr_in addr{};
+};
+std::optional<TcpEndpoint> parse_tcp_endpoint(const std::string& spec,
+                                              std::string* err);
+std::optional<sockaddr_un> unix_endpoint(const std::string& path,
+                                         std::string* err);
 
 /// Flat-JSON field access for headers/meta. Strings are unescaped;
 /// absent keys (or type mismatches) return nullopt.

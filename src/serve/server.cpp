@@ -109,6 +109,9 @@ ResponseFrame handle_analyze(AnalysisService& service, const RequestFrame& req,
   // the other). The client cannot opt out of the daemon's bound.
   ropts.deadline_ms = default_deadline_ms;
   if (auto d = json_num_field(req.header, "deadline_ms"); d && *d > 0) {
+    if (*d > static_cast<double>(support::kMaxMillis))
+      return error_response("deadline_ms out of range (at most " +
+                            std::to_string(support::kMaxMillis) + ")");
     const auto client_ms = static_cast<uint64_t>(*d);
     ropts.deadline_ms = ropts.deadline_ms == 0
                             ? client_ms
@@ -160,17 +163,15 @@ ResponseFrame handle_analyze(AnalysisService& service, const RequestFrame& req,
 }  // namespace
 
 int serve_stream(AnalysisService& service, int in_fd, int out_fd,
-                 const SessionHooks* hooks) {
+                 SessionHooks hooks) {
   // One fault scope for the whole session: "serve.accept:N" trips on the
   // N-th request of this stream and stays tripped (sticky), while
   // cache.read/cache.write trips are absorbed inside DiskCache.
   support::FaultScope faults;
   support::FaultActivation activation(&faults);
-  const uint64_t io_timeout_ms = hooks ? hooks->io_timeout_ms : 0;
-  const uint64_t default_deadline_ms = hooks ? hooks->default_deadline_ms : 0;
   while (true) {
     RequestFrame req;
-    const int rc = read_request_timed(in_fd, &req, io_timeout_ms);
+    const int rc = read_request(in_fd, &req, hooks.io_timeout_ms);
     if (rc == 0) return 0;  // clean EOF
     if (rc == -2) {
       // Frame-read timeout: the peer went idle mid-frame (slowloris or a
@@ -242,7 +243,7 @@ int serve_stream(AnalysisService& service, int in_fd, int out_fd,
       resp.meta = "{\"shutdown\": true}";
       shutdown = true;
     } else if (op == "analyze") {
-      resp = handle_analyze(service, req, rid, default_deadline_ms);
+      resp = handle_analyze(service, req, rid, hooks.default_deadline_ms);
     } else {
       resp = error_response("unknown op '" + op + "'");
     }
@@ -507,15 +508,18 @@ int serve_cli(int argc, char** argv) {
         field_flag("--accept-queue", arg, argc, argv, i,
                    &daemon_opts.accept_queue, &bad_flag) ||
         field_flag("--request-timeout-ms", arg, argc, argv, i,
-                   &daemon_opts.request_timeout_ms, &bad_flag) ||
+                   &daemon_opts.request_timeout_ms, &bad_flag,
+                   support::kMaxMillis) ||
         field_flag("--io-timeout-ms", arg, argc, argv, i,
-                   &daemon_opts.io_timeout_ms, &bad_flag) ||
+                   &daemon_opts.io_timeout_ms, &bad_flag,
+                   support::kMaxMillis) ||
         field_flag("--deadline-ms", arg, argc, argv, i, &deadline_ms,
-                   &bad_flag) ||
+                   &bad_flag, support::kMaxMillis) ||
         field_flag("--max-retries", arg, argc, argv, i,
                    &retry_policy.max_retries, &bad_flag) ||
         field_flag("--retry-budget-ms", arg, argc, argv, i,
-                   &retry_policy.retry_budget_ms, &bad_flag) ||
+                   &retry_policy.retry_budget_ms, &bad_flag,
+                   support::kMaxMillis) ||
         field_flag("--cache-max-entries", arg, argc, argv, i,
                    &sopts.cache_limits.max_entries, &bad_flag) ||
         field_flag("--cache-max-bytes", arg, argc, argv, i,
@@ -533,7 +537,7 @@ int serve_cli(int argc, char** argv) {
       if (!need_value(i)) return usage(stderr);
       sopts.cache_dir = argv[++i];
     } else if (arg == "--field-insensitive") {
-      sopts.driver.checker.field_sensitive = false;
+      sopts.driver.field_sensitive = false;
     } else if (arg == "--format") {
       if (!need_value(i)) return usage(stderr);
       format = argv[++i];
@@ -611,7 +615,9 @@ int serve_cli(int argc, char** argv) {
   AnalysisService service(std::move(sopts));
   int rc = 0;
   if (use_stdin) {
-    serve_stream(service, STDIN_FILENO, STDOUT_FILENO);
+    // No I/O bound: the input is a pipe or a file, not a peer that stalls.
+    serve_stream(service, STDIN_FILENO, STDOUT_FILENO,
+                 {.default_deadline_ms = daemon_opts.request_timeout_ms});
   } else {
     ServeDaemon daemon(service, daemon_opts);
     std::string err;

@@ -10,17 +10,16 @@ namespace deepmc::serve {
 
 class AnalysisService;
 
-/// Per-session knobs the daemon threads into serve_stream. The default
-/// (nullptr) keeps the historical behavior: blocking frame reads, no
-/// daemon-side deadline — what --stdin mode and the tests want.
+/// Per-session bounds. Zero means unbounded: what a --stdin session over
+/// a pipe or file and the tests use for the I/O bound.
 struct SessionHooks {
-  /// Per-frame read bound (protocol.h read_request_timed); 0 = block.
-  /// A timed-out frame closes the session silently — no response is
-  /// owed to a peer that never finished asking.
+  /// Per-frame read bound (protocol.h read_request); 0 = block. A
+  /// timed-out frame closes the session silently — no response is owed
+  /// to a peer that never finished asking.
   uint64_t io_timeout_ms = 0;
-  /// Daemon default per-request deadline (--request-timeout-ms). The
-  /// effective deadline is the *smaller* of this and the client's
-  /// "deadline_ms" header; 0 means the other side decides alone.
+  /// Default per-request deadline (--request-timeout-ms). The effective
+  /// deadline is the *smaller* of this and the client's "deadline_ms"
+  /// header; 0 means the other side decides alone.
   uint64_t default_deadline_ms = 0;
 };
 
@@ -31,7 +30,7 @@ struct SessionHooks {
 /// the stream keeps going. Returns 0 on clean EOF / stream error /
 /// frame-read timeout, 1 when a shutdown request was served.
 int serve_stream(AnalysisService& service, int in_fd, int out_fd,
-                 const SessionHooks* hooks = nullptr);
+                 SessionHooks hooks = {});
 
 /// `deepmc serve ...`: daemon (--socket / --listen / --stdin) or client
 /// (--connect).

@@ -78,21 +78,6 @@ std::string join_args(std::string a, const std::string& b) {
   return a;
 }
 
-/// Options the wire format cannot represent faithfully disable caching
-/// for the whole request (dynamic findings, crashsim blocks, dumps,
-/// suggestion text, suppression accounting, and budget-degraded rungs all
-/// live outside the encoded payload). Wall-clock deadlines (budgets.wall_ms
-/// and the per-request deadline_at) stay cache-safe: the watchdog only
-/// cancels, so a unit that *finished* is byte-identical to an unbounded
-/// run, and cancelled units are never kOk so never stored —
-/// options_fingerprint likewise excludes them.
-bool cache_safe(const core::DriverOptions& o) {
-  return !o.dynamic_run && !o.crashsim && !o.dump_ir && !o.dump_dsg &&
-         !o.dump_traces && !o.suggest && o.suppressions.size() == 0 &&
-         !o.budgets.trace_steps && !o.budgets.dsa_steps &&
-         !o.budgets.enum_images && !o.budgets.interp_steps;
-}
-
 /// The root level of the cache for one request. The driver calls it with
 /// the module it parsed and verified, so the keys cover exactly what the
 /// checker analyzes. The driver may call from any pool worker, so every
@@ -174,7 +159,7 @@ AnalysisService::AnalysisService(ServeOptions opts)
                                 : opts_.driver.jobs;
         return jobs <= 1 ? 0 : jobs;
       }()),
-      cache_(opts_.cache_dir, opts_.cache_version, opts_.cache_limits) {}
+      cache_(opts_.cache_dir, opts_.cache_limits) {}
 
 ServeResult AnalysisService::analyze_report(const std::string& name,
                                             const std::string& text,
@@ -217,9 +202,11 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
   if (req.deadline_ms > 0)
     dopts.deadline_at = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(req.deadline_ms);
-  const bool eligible = cache_.enabled() && cache_safe(dopts);
-  const std::string options_fp = options_fingerprint(dopts);
-  const std::string ukey = unit_key(options_fp, name, text);
+  const std::optional<std::string> options_fp =
+      cache_.enabled() ? options_fingerprint(dopts) : std::nullopt;
+  const bool eligible = options_fp.has_value();
+  const std::string ukey =
+      eligible ? unit_key(*options_fp, name, text) : std::string();
 
   ServeResult res;
   res.cache = eligible ? "cold" : "off";
@@ -261,7 +248,7 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
 
   // Level 2: per-root reuse. The driver asks the root cache on the full
   // rung, once it has verified the module and built its call graph.
-  DiskRootCache root_cache(cache_, options_fp, rid_arg);
+  DiskRootCache root_cache(cache_, options_fp.value_or(""), rid_arg);
   if (eligible) dopts.root_cache = &root_cache;
   core::AnalysisDriver driver(dopts);
   std::vector<core::AnalysisUnit> units;

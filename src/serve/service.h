@@ -11,10 +11,11 @@
 // and merges each in trace_roots() order, exactly where a fresh
 // check_root result would be. One parse per request, by the driver.
 //
-// Cache safety: results are only cached/replayed for configurations the
-// wire format can represent faithfully — static analysis without
-// dynamic/crashsim stages, dumps, suggestions, suppressions, or budgets.
-// Anything else runs fresh every time ("off" outcome).
+// Cache safety: results are only cached and replayed for configurations
+// that options_fingerprint (fingerprint.h) gives a fingerprint: static
+// analysis without dynamic/crashsim stages, dumps, suggestions,
+// suppressions or step budgets. Anything else runs fresh every time ("off"
+// outcome), and the fingerprint starts every cache key.
 #pragma once
 
 #include <chrono>
@@ -32,7 +33,6 @@ namespace deepmc::serve {
 struct ServeOptions {
   core::DriverOptions driver;
   std::string cache_dir;  ///< empty = caching off (every request "off")
-  uint32_t cache_version = DiskCache::kFormatVersion;
   DiskCache::Limits cache_limits;  ///< LRU bounds; 0 = unbounded
 };
 

@@ -14,6 +14,12 @@ namespace deepmc::support {
 /// --jobs` and `--max-sessions`).
 inline constexpr uint64_t kMaxJobs = 1024;
 
+/// Upper bound on millisecond bounds from outside the process: every
+/// millisecond flag of the tools and the analyze header's deadline_ms.
+/// About 24.8 days; a deadline this far off still fits steady_clock
+/// arithmetic and poll()'s int timeout plus one.
+inline constexpr uint64_t kMaxMillis = (uint64_t{1} << 31) - 2;
+
 /// A plain unsigned decimal: digits only (no sign, no whitespace), no
 /// larger than `max`.
 bool num_flag(const std::string& flag, const std::string& arg, int argc,

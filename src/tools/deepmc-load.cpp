@@ -214,11 +214,11 @@ int main(int argc, char** argv) {
     } else if (num_flag("--serve-programs", arg, argc, argv, i,
                         &serve_programs, &ok)) {
     } else if (num_flag("--deadline-ms", arg, argc, argv, i, &deadline_ms,
-                        &ok)) {
+                        &ok, support::kMaxMillis)) {
     } else if (num_flag("--max-retries", arg, argc, argv, i, &max_retries,
                         &ok)) {
     } else if (num_flag("--retry-budget-ms", arg, argc, argv, i,
-                        &retry_budget_ms, &ok)) {
+                        &retry_budget_ms, &ok, support::kMaxMillis)) {
     } else if (num_flag("--threads", arg, argc, argv, i, &threads, &ok)) {
       if (ok) cfg.spec.threads = static_cast<uint32_t>(threads);
     } else if (num_flag("--ops", arg, argc, argv, i, &ops, &ok)) {

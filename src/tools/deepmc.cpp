@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
                num_flag("--budget-interp-steps", arg, argc, argv, i,
                         &opts.budgets.interp_steps, &num_ok) ||
                num_flag("--budget-wall-ms", arg, argc, argv, i,
-                        &opts.budgets.wall_ms, &num_ok)) {
+                        &opts.budgets.wall_ms, &num_ok,
+                        support::kMaxMillis)) {
       if (!num_ok) {
         std::fprintf(stderr, "deepmc: invalid value for %s\n", arg.c_str());
         return kExitUsage;
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--dump-traces") {
       opts.dump_traces = true;
     } else if (arg == "--field-insensitive") {
-      opts.checker.field_sensitive = false;
+      opts.field_sensitive = false;
     } else if (arg == "--suggest") {
       opts.suggest = true;
     } else if (arg == "--jobs" || arg == "-j") {

@@ -1,11 +1,13 @@
 // CLI contract tests for the deepmc binary: exit-code partitioning
 // (warning counts vs usage vs input errors), --jobs determinism at the
 // process level, --format json output, and `deepmc serve` rejecting bad
-// numeric flags and unknown flags before it binds. Also bench_gates' usage
-// errors, which must exit 64 before any measurement starts.
+// numeric flags and unknown flags before it binds, and honouring its
+// request timeout in --stdin mode. Also bench_gates' and deepmc-load's
+// usage errors, which must exit 64 before any work starts.
 //
 // Exit codes under test (see src/tools/deepmc.cpp):
 //   0      clean, 1..63 warning count (capped), 64 usage, 65 input error.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +15,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+
+#include "serve/protocol.h"
+#include "slow_module.h"
 
 namespace deepmc {
 namespace {
@@ -201,6 +206,78 @@ TEST(CliServe, CacheVersionIsAnUnknownFlag) {
       << out;
   EXPECT_EQ(out.find("listening"), std::string::npos);
   EXPECT_NE(access(sock.c_str(), F_OK), 0) << "socket was bound";
+}
+
+TEST(CliServe, StdinHonoursRequestTimeout) {
+  // --request-timeout-ms bounds a --stdin session's requests as it bounds
+  // a socket session's: 1 ms fires inside the diamond-heavy module.
+  const std::string in = ::testing::TempDir() + "deepmc_cli_stdin.in";
+  const std::string out = ::testing::TempDir() + "deepmc_cli_stdin.out";
+  serve::RequestFrame req;
+  req.header =
+      "{\"op\": \"analyze\", \"name\": \"slowmod\", \"format\": \"json\"}";
+  req.body = slow_module_text();
+  const int in_fd = ::open(in.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  ASSERT_GE(in_fd, 0);
+  ASSERT_TRUE(serve::write_request(in_fd, req));
+  ::close(in_fd);
+  const int code =
+      run_shell(std::string("timeout 60 \"") + DEEPMC_BIN +
+                "\" serve --stdin --request-timeout-ms 1 < \"" + in +
+                "\" > \"" + out + "\" 2>/dev/null")
+          .second;
+  EXPECT_EQ(code, 0);
+  const int out_fd = ::open(out.c_str(), O_RDONLY);
+  ASSERT_GE(out_fd, 0);
+  serve::ResponseFrame resp;
+  ASSERT_EQ(serve::read_response(out_fd, &resp), 1);
+  ::close(out_fd);
+  EXPECT_EQ(resp.status, serve::kStatusOk);
+  EXPECT_NE(resp.meta.find("\"deadline_expired\": true"), std::string::npos)
+      << resp.meta;
+}
+
+TEST(CliMillis, FlagsAboveTheCapAreUsageErrors) {
+  // Every millisecond flag stops at 2^31 - 2. One more is rejected while
+  // parsing, before a socket is bound or any work starts; the cap itself
+  // is accepted.
+  const std::string sock = ::testing::TempDir() + "deepmc_cli_millis.sock";
+  const std::string serve = std::string("\"") + DEEPMC_BIN + "\" serve ";
+  const std::string daemon = serve + "--socket \"" + sock + "\" ";
+  const std::string client = serve + "--connect \"" + sock + "\" --ping ";
+  const std::string deepmc = std::string("\"") + DEEPMC_BIN + "\" ";
+  const std::string load =
+      std::string("\"") + DEEPMC_LOAD_BIN + "\" --schedule-hash ";
+  const struct {
+    std::string cmd;
+    const char* flag;
+    const char* tool;
+  } rows[] = {
+      {daemon, "--request-timeout-ms", "deepmc serve"},
+      {daemon, "--io-timeout-ms", "deepmc serve"},
+      {client, "--deadline-ms", "deepmc serve"},
+      {client, "--retry-budget-ms", "deepmc serve"},
+      {deepmc + example("epoch_log.mir") + " ", "--budget-wall-ms", "deepmc"},
+      {load, "--deadline-ms", "deepmc-load"},
+      {load, "--retry-budget-ms", "deepmc-load"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.flag);
+    std::remove(sock.c_str());
+    auto [out, code] = run_shell("timeout 30 " + row.cmd + row.flag +
+                                 " 2147483647 2>&1");
+    EXPECT_EQ(code, 64) << row.cmd;
+    EXPECT_NE(out.find(std::string(row.tool) + ": invalid value for " +
+                       row.flag),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("listening"), std::string::npos);
+    EXPECT_NE(access(sock.c_str(), F_OK), 0) << "socket was bound";
+  }
+  EXPECT_EQ(run_command("--budget-wall-ms 2147483646 -epoch " +
+                        example("epoch_log.mir"))
+                .second,
+            0);
 }
 
 TEST(BenchGates, UsageErrorsExit64BeforeAnyWork) {

@@ -46,6 +46,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/wire.h"
+#include "slow_module.h"
 #include "support/faultpoint.h"
 
 namespace deepmc {
@@ -75,6 +76,8 @@ std::string fresh_dir(const std::string& tag) {
   fs::create_directories(dir);
   return dir;
 }
+
+std::string log_path(const std::string& dir) { return dir + "/entries.log"; }
 
 ServeOptions cached_opts(const std::string& dir, size_t jobs = 1) {
   ServeOptions opts;
@@ -356,6 +359,31 @@ TEST(ServeTouchFunction, IdentityWhenNoConstantStores) {
 // Cache durability: version mismatches, corruption, wire round trips
 // ---------------------------------------------------------------------------
 
+/// Rewrites the version tag of every record in `dir`'s log to `version`,
+/// walking the records by their size fields. The tag keeps its length, so
+/// every record keeps its offset.
+void retag_records(const std::string& dir, uint32_t version) {
+  std::ifstream in(log_path(dir), std::ios::binary);
+  std::string log((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  in.close();
+  const std::string from =
+      "deepmc-cache-v" + std::to_string(DiskCache::kFormatVersion) + " ";
+  const std::string to = "deepmc-cache-v" + std::to_string(version) + " ";
+  ASSERT_EQ(from.size(), to.size());
+  size_t records = 0;
+  for (size_t at = 0; at < log.size(); ++records) {
+    ASSERT_EQ(log.compare(at, from.size(), from), 0) << at;
+    log.replace(at, to.size(), to);
+    const size_t nl = log.find('\n', at);
+    ASSERT_NE(nl, std::string::npos);
+    const size_t size_at = log.rfind(' ', nl) + 1;
+    at = nl + 1 + std::stoull(log.substr(size_at, nl - size_at));
+  }
+  ASSERT_GT(records, 0u);
+  std::ofstream(log_path(dir), std::ios::binary | std::ios::trunc) << log;
+}
+
 TEST(ServeCache, VersionMismatchFallsBackToFullRecompute) {
   const std::string dir = fresh_dir("version");
   const std::string expect = oneshot_json("tworoots", kTwoRoots);
@@ -364,12 +392,11 @@ TEST(ServeCache, VersionMismatchFallsBackToFullRecompute) {
     AnalysisService v1(cached_opts(dir));
     EXPECT_EQ(v1.analyze_report("tworoots", kTwoRoots, req).body, expect);
   }
-  // Same directory, bumped entry format: every old entry reads as a
-  // miss (corrupt counter), result stays correct, and the new entries
-  // warm the cache at the new version.
-  ServeOptions sopts = cached_opts(dir);
-  sopts.cache_version = DiskCache::kFormatVersion + 1;
-  AnalysisService v2(std::move(sopts));
+  // Same directory, records of another entry format: every old entry
+  // reads as a miss (corrupt counter), result stays correct, and the new
+  // entries warm the cache at the current version.
+  retag_records(dir, DiskCache::kFormatVersion + 1);
+  AnalysisService v2(cached_opts(dir));
   const ServeResult cold = v2.analyze_report("tworoots", kTwoRoots, req);
   EXPECT_EQ(cold.body, expect);
   EXPECT_EQ(cold.cache, "cold");
@@ -572,8 +599,7 @@ TEST(ServeCacheContract, ConcurrentPutGetNeverTearsAnEntry) {
 
 TEST(ServeCacheLru, EvictsByEntryCountInRecencyOrder) {
   const std::string dir = fresh_dir("lru_count");
-  DiskCache cache(dir, DiskCache::kFormatVersion,
-                  DiskCache::Limits{.max_entries = 2});
+  DiskCache cache(dir, DiskCache::Limits{.max_entries = 2});
   cache.put("aa", "one");
   cache.put("bb", "two");
   cache.put("cc", "three");  // evicts aa, the least recent
@@ -595,8 +621,7 @@ TEST(ServeCacheLru, EvictsByTotalBytes) {
   const std::string dir = fresh_dir("lru_bytes");
   // Each entry is a 56-byte header (a 2-byte key) + 100 payload bytes;
   // only two of them fit under 400 total bytes.
-  DiskCache cache(dir, DiskCache::kFormatVersion,
-                  DiskCache::Limits{.max_bytes = 400});
+  DiskCache cache(dir, DiskCache::Limits{.max_bytes = 400});
   const std::string payload(100, 'x');
   for (const std::string key : {"k1", "k2", "k3", "k4"})
     cache.put(key, payload);
@@ -610,8 +635,7 @@ TEST(ServeCacheLru, EvictsByTotalBytes) {
 
 TEST(ServeCacheLru, RewritingAKeyDoesNotDuplicateIt) {
   const std::string dir = fresh_dir("lru_rewrite");
-  DiskCache cache(dir, DiskCache::kFormatVersion,
-                  DiskCache::Limits{.max_entries = 2});
+  DiskCache cache(dir, DiskCache::Limits{.max_entries = 2});
   cache.put("aa", "one");
   cache.put("aa", "one-rewritten-longer");
   cache.put("bb", "two");
@@ -633,8 +657,7 @@ TEST(ServeCacheLru, BoundSurvivesRestart) {
   // A bounded cache over the same directory reads the log, oldest record
   // least recent, and evicts down to the limit immediately: restarts do
   // not forget the bound.
-  DiskCache bounded(dir, DiskCache::kFormatVersion,
-                    DiskCache::Limits{.max_entries = 1});
+  DiskCache bounded(dir, DiskCache::Limits{.max_entries = 1});
   EXPECT_TRUE(bounded.get("new1").has_value());
   const DiskCache::Stats s = bounded.stats();
   EXPECT_EQ(s.evictions, 2u);
@@ -682,8 +705,6 @@ TEST(ServeCacheLru, ServiceResponsesSurviveEviction) {
 // ---------------------------------------------------------------------------
 // The append-only log: torn tails, compaction, other versions, file count
 // ---------------------------------------------------------------------------
-
-std::string log_path(const std::string& dir) { return dir + "/entries.log"; }
 
 TEST(ServeCacheLog, TornTailIsCutAtReopen) {
   // Cut inside the last record's payload, then inside its header.
@@ -747,7 +768,7 @@ TEST(ServeCacheLog, CompactionBoundsTheLogByTheLiveEntries) {
     };
     uint64_t written = 0;
     {
-      DiskCache cache(dir, DiskCache::kFormatVersion, limits);
+      DiskCache cache(dir, limits);
       for (size_t i = 0; i < 64; ++i) {
         cache.put(key(i), payload(i));
         written += payload(i).size();
@@ -764,7 +785,7 @@ TEST(ServeCacheLog, CompactionBoundsTheLogByTheLiveEntries) {
     }
     // Evictions since the last compaction are still records in the log;
     // the reopen evicts them again, oldest first, and holds the same keys.
-    DiskCache reopened(dir, DiskCache::kFormatVersion, limits);
+    DiskCache reopened(dir, limits);
     EXPECT_EQ(reopened.stats().entries, 8u);
     EXPECT_EQ(reopened.stats().corrupt, 0u);
     holds_the_live_entries(reopened);
@@ -1038,6 +1059,36 @@ TEST(ServeProtocol, WriteToAClosedPeerFailsInsteadOfRaisingSigpipe) {
   req.header = "{\"op\": \"ping\"}";
   EXPECT_FALSE(serve::write_request(sv[0], req));
   ::close(sv[0]);
+}
+
+TEST(ServeProtocol, DeadlineAboveTheCapIsAnErrorAndTheSessionGoesOn) {
+  // A deadline no clock arithmetic can hold is refused by name, without a
+  // retry hint; the session then answers its next request.
+  AnalysisService service(cached_opts(""));
+  std::vector<RequestFrame> reqs;
+  for (const char* deadline : {"1e18", "1e300"}) {
+    RequestFrame req = analyze_frame("tworoots", kTwoRoots);
+    req.header.insert(req.header.size() - 1,
+                      std::string(", \"deadline_ms\": ") + deadline);
+    reqs.push_back(req);
+  }
+  RequestFrame ping;
+  ping.header = "{\"op\": \"ping\"}";
+  reqs.push_back(ping);
+  const auto resps = run_stream(service, reqs, "deadline_cap");
+  ASSERT_EQ(resps.size(), 3u);
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(reqs[i].header);
+    EXPECT_EQ(resps[i].status, serve::kStatusError);
+    EXPECT_NE(serve::json_string_field(resps[i].meta, "error")
+                  .value_or("")
+                  .find("deadline_ms"),
+              std::string::npos)
+        << resps[i].meta;
+    EXPECT_FALSE(
+        serve::json_bool_field(resps[i].meta, "retryable").value_or(false));
+  }
+  EXPECT_TRUE(serve::json_bool_field(resps[2].meta, "pong").value_or(false));
 }
 
 TEST(ServeFaults, AcceptTripsStickyPerSession) {
@@ -1326,38 +1377,6 @@ std::string fleet_program(size_t idx) {
      << "  store i64 " << (idx + 1) << ", %f !loc(\"fleet.c\", 5)\n";
   if (idx % 2 == 0) os << "  pm.flush %f, 8\n  pm.fence\n";
   os << "  ret\n}\n";
-  return os.str();
-}
-
-/// Diamond-heavy module (4 roots x 2^10 paths): expensive enough that a
-/// 1 ms deadline always fires mid-analysis, on any machine.
-std::string slow_module_text() {
-  std::ostringstream os;
-  os << "module \"slowmod\"\nstruct %rec { i64, i64 }\n\n";
-  for (size_t n = 0; n < 4; ++n) {
-    os << "define void @root" << n << "() {\nentry:\n"
-       << "  %r = pm.alloc %rec\n  %f = gep %r, 0\n"
-       << "  store i64 " << (n + 1) << ", %f !loc(\"slow.c\", 1)\n"
-       << "  br label %d0\n";
-    for (size_t d = 0; d < 10; ++d) {
-      os << "d" << d << ":\n"
-         << "  %v" << d << " = load %f\n"
-         << "  %c" << d << " = lt %v" << d << ", 5\n"
-         << "  br %c" << d << ", label %d" << d << "a, label %d" << d << "b\n"
-         << "d" << d << "a:\n"
-         << "  store i64 " << (d + 2) << ", %f !loc(\"slow.c\", "
-         << (100 * n + 2 * d + 2) << ")\n"
-         << "  pm.flush %f, 8\n  br label %d" << d << "e\n"
-         << "d" << d << "b:\n"
-         << "  store i64 " << (d + 3) << ", %f !loc(\"slow.c\", "
-         << (100 * n + 2 * d + 3) << ")\n"
-         << "  pm.flush %f, 8\n  br label %d" << d << "e\n"
-         << "d" << d << "e:\n";
-      os << (d + 1 < 10 ? "  br label %d" + std::to_string(d + 1) + "\n"
-                        : std::string("  br label %done\n"));
-    }
-    os << "done:\n  pm.flush %f, 8\n  pm.fence\n  ret\n}\n\n";
-  }
   return os.str();
 }
 
