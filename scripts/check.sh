@@ -14,11 +14,12 @@
 #                                 event log, enumerator, fault sweep),
 #                                 interpreter (arena, instrumenter, dynamic
 #                                 checker), static-checker (trace walk,
-#                                 rule scanner, multi-path golden) and
-#                                 serve cache/wire (log records, payload
-#                                 decoding) tests, then the deepmc binary
-#                                 over the hostile parser corpus and the
-#                                 example programs
+#                                 rule scanner, multi-path golden), serve
+#                                 cache/wire (log records, payload
+#                                 decoding) and serve transport (frame
+#                                 reads, length bounds, endpoints) tests,
+#                                 then the deepmc binary over the hostile
+#                                 parser corpus and the example programs
 #   scripts/check.sh --obs        observability identity pass only: every
 #                                 corpus module's report must be byte-identical
 #                                 with --stats/--metrics-out/--trace-out on vs
