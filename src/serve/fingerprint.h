@@ -1,6 +1,8 @@
 // Cache-key planning for the incremental analysis server.
 //
-// Two key granularities (docs/SERVER.md):
+// Every key starts with the options fingerprint, which is also the one
+// rule for which requests the cache may serve. Two key granularities
+// (docs/SERVER.md):
 //
 //   unit key  — options fingerprint + unit name + raw request text. A hit
 //               replays the whole UnitReport without parsing or analysis.

@@ -1,7 +1,8 @@
 // `deepmc serve` entry points: the session loop over one framed stream
 // and the CLI that dispatches between daemon mode (--socket / --listen /
 // --stdin) and client mode (--connect, built on the retrying
-// ServeClient).
+// ServeClient). Socket sessions run under both SessionHooks bounds;
+// --stdin sessions under the request deadline alone.
 #pragma once
 
 #include <cstdint>
