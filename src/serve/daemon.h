@@ -36,6 +36,8 @@ namespace deepmc::serve {
 
 class AnalysisService;
 
+/// The millisecond fields are at most support::kMaxMillis (the CLI
+/// rejects larger values), which keeps their deadlines in clock range.
 struct DaemonOptions {
   size_t max_sessions = 4;   ///< concurrent session threads (min 1)
   size_t accept_queue = 16;  ///< accepted-but-unserved bound (min 1)

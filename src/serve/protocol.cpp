@@ -5,11 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace deepmc::serve {
 
@@ -100,9 +99,9 @@ int read_exact(int fd, void* buf, size_t n,
           std::chrono::duration_cast<std::chrono::milliseconds>(*deadline -
                                                                 now)
               .count();
+      // Windows stop at support::kMaxMillis, so this fits an int.
       pollfd pfd{fd, POLLIN, 0};
-      const int pr = ::poll(
-          &pfd, 1, static_cast<int>(std::min<int64_t>(left, INT_MAX - 1)) + 1);
+      const int pr = ::poll(&pfd, 1, static_cast<int>(left) + 1);
       if (pr == 0) return -2;
       if (pr < 0) {
         if (errno == EINTR) continue;
