@@ -282,11 +282,11 @@ std::optional<double> json_num_field(std::string_view json,
           json[end] == 'e' || json[end] == 'E' ||
           (json[end] >= '0' && json[end] <= '9')))
     ++end;
-  try {
-    return std::stod(std::string(json.substr(p, end - p)));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const std::string text(json.substr(p, end - p));
+  char* stop = nullptr;
+  const double v = std::strtod(text.c_str(), &stop);
+  if (stop == text.c_str()) return std::nullopt;
+  return v;
 }
 
 std::optional<bool> json_bool_field(std::string_view json,

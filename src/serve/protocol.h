@@ -90,7 +90,8 @@ std::optional<sockaddr_un> unix_endpoint(const std::string& path,
                                          std::string* err);
 
 /// Flat-JSON field access for headers/meta. Strings are unescaped;
-/// absent keys (or type mismatches) return nullopt.
+/// absent keys (or type mismatches) return nullopt. A number past a
+/// double's range reads as +-infinity, so a bound check still sees it.
 std::optional<std::string> json_string_field(std::string_view json,
                                              std::string_view key);
 std::optional<double> json_num_field(std::string_view json,
