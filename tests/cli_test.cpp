@@ -230,8 +230,11 @@ TEST(CliServe, StdinHonoursRequestTimeout) {
   const int out_fd = ::open(out.c_str(), O_RDONLY);
   ASSERT_GE(out_fd, 0);
   serve::ResponseFrame resp;
-  ASSERT_EQ(serve::read_response(out_fd, &resp), 1);
+  const int rc = serve::read_response(out_fd, &resp);
   ::close(out_fd);
+  std::remove(in.c_str());
+  std::remove(out.c_str());
+  ASSERT_EQ(rc, 1);
   EXPECT_EQ(resp.status, serve::kStatusOk);
   EXPECT_NE(resp.meta.find("\"deadline_expired\": true"), std::string::npos)
       << resp.meta;
