@@ -14,7 +14,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -1819,6 +1821,17 @@ TEST(ServeEndpoint, UnixPathWithAColonStaysAPath) {
   ASSERT_TRUE(daemon.listen_unix(path, &err)) << err;
   DaemonRunner runner(daemon);
   expect_reachable(path);
+}
+
+TEST(ServeEndpoint, ConnectTargetsThatCannotBeDialledArePaths) {
+  // Only host:port with a port of 1-65535 is dialled over TCP. These name
+  // no file in the working directory, so as paths they fail with ENOENT;
+  // dialled, they would be refused instead.
+  for (const std::string target : {":0", "127.0.0.1:0", "8080"}) {
+    std::string err;
+    EXPECT_EQ(serve::connect_target(target, &err), -1) << target;
+    EXPECT_EQ(err, "connect " + target + ": " + std::strerror(ENOENT));
+  }
 }
 
 TEST(ServeEndpoint, OverlongUnixPathFailsOnBothSides) {
