@@ -290,10 +290,14 @@ bool Report::any_degraded() const {
   return false;
 }
 
+int run_exit_code(bool any_failed, bool any_degraded, uint64_t warnings) {
+  if (any_failed) return 65;
+  if (any_degraded) return 66;
+  return static_cast<int>(std::min<uint64_t>(warnings, 63));
+}
+
 int Report::exit_code() const {
-  if (any_failed()) return 65;
-  if (any_degraded()) return 66;
-  return static_cast<int>(std::min<size_t>(total_warnings(), 63));
+  return run_exit_code(any_failed(), any_degraded(), total_warnings());
 }
 
 void Report::print_text(std::ostream& os) const {
@@ -907,11 +911,9 @@ UnitReport AnalysisDriver::analyze_unit(const AnalysisUnit& unit,
 }
 
 Report AnalysisDriver::run(const std::vector<AnalysisUnit>& units) {
-  const size_t jobs =
-      opts_.jobs == 0 ? support::ThreadPool::default_concurrency() : opts_.jobs;
   // jobs == 1 means "serial in the calling thread": a zero-thread pool
   // executes every task inline, so serial runs carry no pool overhead.
-  support::ThreadPool pool(jobs <= 1 ? 0 : jobs);
+  support::ThreadPool pool(support::ThreadPool::workers_for(opts_.jobs));
   return run(units, pool);
 }
 

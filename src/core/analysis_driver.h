@@ -267,6 +267,12 @@ struct UnitReport {
   }
 };
 
+/// The tools' exit code for a run: 65 if any unit failed, else 66 if any
+/// was degraded, else the warning count capped at 63. Report::exit_code
+/// and the serve client's total over its requests both use it.
+[[nodiscard]] int run_exit_code(bool any_failed, bool any_degraded,
+                                uint64_t warnings);
+
 /// The merged, deterministically ordered result of a driver run. Units
 /// appear in input order regardless of completion order.
 class Report {
@@ -277,8 +283,7 @@ class Report {
   [[nodiscard]] size_t total_warnings() const;
   [[nodiscard]] bool any_failed() const;
   [[nodiscard]] bool any_degraded() const;
-  /// The tools' exit code: 65 if any unit failed, else 66 if any degraded,
-  /// else the warning count capped at 63.
+  /// run_exit_code() of this report.
   [[nodiscard]] int exit_code() const;
 
   /// Concatenated unit text blocks — byte-identical to what a serial

@@ -153,12 +153,7 @@ std::string render(const core::Report& report, const RequestOptions& req) {
 
 AnalysisService::AnalysisService(ServeOptions opts)
     : opts_(std::move(opts)),
-      pool_([&] {
-        const size_t jobs = opts_.driver.jobs == 0
-                                ? support::ThreadPool::default_concurrency()
-                                : opts_.driver.jobs;
-        return jobs <= 1 ? 0 : jobs;
-      }()),
+      pool_(support::ThreadPool::workers_for(opts_.driver.jobs)),
       cache_(opts_.cache_dir, opts_.cache_limits) {}
 
 ServeResult AnalysisService::analyze_report(const std::string& name,

@@ -108,6 +108,15 @@ size_t ThreadPool::default_concurrency() {
   return hc == 0 ? 1 : hc;
 }
 
+size_t ThreadPool::resolve_jobs(size_t jobs) {
+  return jobs == 0 ? default_concurrency() : jobs;
+}
+
+size_t ThreadPool::workers_for(size_t jobs) {
+  const size_t n = resolve_jobs(jobs);
+  return n <= 1 ? 0 : n;
+}
+
 ThreadPool::ThreadPool(size_t threads) {
   static obs::Gauge workers_gauge = obs::registry().gauge(
       "pool.workers", obs::Volatility::kVolatile,

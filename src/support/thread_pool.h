@@ -44,6 +44,13 @@ class ThreadPool {
   /// std::thread::hardware_concurrency(), never less than 1.
   static size_t default_concurrency();
 
+  /// The one reading of a `jobs` setting (DriverOptions::jobs, the tools'
+  /// --jobs): 0 means default_concurrency().
+  static size_t resolve_jobs(size_t jobs);
+  /// Workers of the pool that runs `jobs`: resolve_jobs(jobs), except that
+  /// a single job runs inline in a 0-thread pool.
+  static size_t workers_for(size_t jobs);
+
   /// `threads == 0` creates an inline (serial) pool: submit() runs the
   /// task on the calling thread before returning.
   explicit ThreadPool(size_t threads = default_concurrency());

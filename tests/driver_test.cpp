@@ -120,6 +120,14 @@ TEST(Driver, FailedUnitDoesNotAbortTheBatch) {
   EXPECT_TRUE(report.any_failed());
 }
 
+TEST(Driver, ExitCodeRanksFailedThenDegradedThenWarnings) {
+  EXPECT_EQ(core::run_exit_code(true, true, 5), 65);
+  EXPECT_EQ(core::run_exit_code(false, true, 5), 66);
+  EXPECT_EQ(core::run_exit_code(false, false, 5), 5);
+  EXPECT_EQ(core::run_exit_code(false, false, 64), 63);
+  EXPECT_EQ(core::run_exit_code(false, false, 0), 0);
+}
+
 TEST(Driver, MissingFileFailsJustThatUnit) {
   AnalysisDriver driver;
   Report report = driver.run({core::make_file_unit("/no/such/file.mir")});

@@ -19,6 +19,15 @@ TEST(ThreadPool, DefaultConcurrencyIsAtLeastOne) {
   EXPECT_GE(ThreadPool::default_concurrency(), 1u);
 }
 
+TEST(ThreadPool, JobsZeroMeansHardwareAndOneJobRunsInline) {
+  const size_t hw = ThreadPool::default_concurrency();
+  EXPECT_EQ(ThreadPool::resolve_jobs(0), hw);
+  EXPECT_EQ(ThreadPool::resolve_jobs(3), 3u);
+  EXPECT_EQ(ThreadPool::workers_for(0), hw <= 1 ? 0u : hw);
+  EXPECT_EQ(ThreadPool::workers_for(1), 0u);
+  EXPECT_EQ(ThreadPool::workers_for(8), 8u);
+}
+
 TEST(ThreadPool, ZeroThreadsRunsInlineOnCaller) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.worker_count(), 0u);
