@@ -7,14 +7,13 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/analysis_driver.h"
 #include "core/model.h"
 #include "core/report.h"
 #include "corpus/corpus.h"
@@ -254,55 +253,6 @@ int serve_stream(AnalysisService& service, int in_fd, int out_fd,
 
 namespace {
 
-int usage(FILE* out) {
-  std::fprintf(
-      out,
-      "usage: deepmc serve --socket PATH | --listen HOST:PORT | --stdin\n"
-      "       deepmc serve --connect TARGET [...]     (client)\n"
-      "\n"
-      "daemon options:\n"
-      "  --socket PATH        listen on a Unix-domain socket\n"
-      "  --listen HOST:PORT   also/instead listen on localhost TCP\n"
-      "                       (port 0 = ephemeral, printed on startup)\n"
-      "  --stdin              serve one framed stream on stdin/stdout\n"
-      "  --max-sessions N     concurrent client sessions (default 4)\n"
-      "  --accept-queue N     accepted-but-unserved bound; beyond it new\n"
-      "                       connections are shed with a retryable\n"
-      "                       'overloaded' response (default 16)\n"
-      "  --request-timeout-ms N   default per-request deadline; expiry\n"
-      "                       degrades that request, not the daemon (0 = off)\n"
-      "  --io-timeout-ms N    per-frame read bound; a stalled frame closes\n"
-      "                       its session (default 30000, 0 = off)\n"
-      "  --cache-dir DIR      persist per-function results under DIR\n"
-      "  --cache-max-entries N  LRU bound on cached entries (0 = unbounded)\n"
-      "  --cache-max-bytes N    LRU bound on cached bytes (0 = unbounded)\n"
-      "  --jobs N             analysis threads (0 = hardware)\n"
-      "  -strict|-epoch|-strand   default persistency model\n"
-      "  --field-insensitive  disable DSA field sensitivity\n"
-      "  --no-telemetry       disable live metrics + flight recorder\n"
-      "  --trace-ring N       trace spans into an N-span ring (DMRQ trace)\n"
-      "  --flight-out FILE    dump the flight recorder (JSONL) on exit\n"
-      "\n"
-      "client options:\n"
-      "  --connect TARGET     socket path or HOST:PORT of a daemon\n"
-      "  file.mir...          analyze files (framed as requests)\n"
-      "  --corpus NAME        analyze a built-in corpus module\n"
-      "  --format text|json   response rendering (default json)\n"
-      "  --timing             include per-unit elapsed_ms\n"
-      "  --deadline-ms N      per-request deadline sent in the header\n"
-      "  --max-retries N      retries of retryable failures (default 4)\n"
-      "  --retry-budget-ms N  wall-clock cap across retries (default 2000)\n"
-      "  -strict|-epoch|-strand   request model override\n"
-      "  --ping               round-trip check\n"
-      "  --cache-stats        print server cache statistics\n"
-      "  --metrics            print a live metrics snapshot (JSON)\n"
-      "  --prom               print a live metrics snapshot (Prometheus)\n"
-      "  --trace-dump         print the daemon's recent spans (JSON)\n"
-      "  --flight-dump        print the daemon's flight recorder (JSONL)\n"
-      "  --shutdown           ask the daemon to exit (after other work)\n");
-  return out == stderr ? 64 : 0;
-}
-
 struct ClientJob {
   bool corpus = false;
   std::string name;  ///< file path or corpus module name
@@ -438,29 +388,7 @@ int client_main(const std::string& target, const std::vector<ClientJob>& jobs,
                  target.c_str());
     return 65;
   }
-  // Same precedence as the one-shot CLI: failed > degraded > warning count.
-  if (any_failed) return 65;
-  if (any_degraded) return 66;
-  return static_cast<int>(warnings > 63 ? 63 : warnings);
-}
-
-/// `flag N` or `flag=N` into `*out`: a plain unsigned decimal no larger
-/// than `max` or than `*out`'s type holds. Returns true when `arg` is
-/// `flag`, pointing `*bad` at it when the value is not.
-template <typename T>
-bool field_flag(const char* flag, const std::string& arg, int argc,
-                char** argv, int& i, T* out, const char** bad,
-                uint64_t max = std::numeric_limits<uint64_t>::max()) {
-  uint64_t n = 0;
-  bool ok = true;
-  max = std::min<uint64_t>(max, std::numeric_limits<T>::max());
-  if (!support::num_flag(flag, arg, argc, argv, i, &n, &ok, max)) return false;
-  if (ok) {
-    *out = static_cast<T>(n);
-  } else {
-    *bad = flag;
-  }
-  return true;
+  return core::run_exit_code(any_failed, any_degraded, warnings);
 }
 
 }  // namespace
@@ -480,134 +408,125 @@ int serve_cli(int argc, char** argv) {
   bool ping = false;
   bool cache_stats = false;
   bool shutdown = false;
-  bool telemetry_on = true;
+  bool no_telemetry = false;
   uint64_t trace_ring = 0;
   std::string flight_out;
   TelemetryFetch telemetry;
   std::vector<ClientJob> jobs;
-  const char* bad_flag = nullptr;
+  const support::Command cmd{
+      "deepmc serve",
+      {"deepmc serve --socket PATH | --listen HOST:PORT | --stdin [options]",
+       "deepmc serve --connect TARGET [options] [file.mir...]   (client)"},
+      {
+          {"-strict|-epoch|-strand", nullptr,
+           [&](const std::string& m) {
+             sopts.driver.model = *core::parse_model_flag(m);
+             client_model = core::model_name(sopts.driver.model);
+             return true;
+           },
+           "persistency model (daemon default / request)"},
+          {"--help|-h", nullptr, support::Help{}, "print this help"},
+          support::heading("daemon options"),
+          {"--socket", "PATH", &socket_path,
+           "listen on a Unix-domain socket"},
+          {"--listen", "HOST:PORT", &listen_spec,
+           "listen on localhost TCP (port 0: ephemeral, printed)"},
+          {"--stdin", nullptr, &use_stdin,
+           "serve one framed stream on stdin/stdout"},
+          {"--max-sessions", "N", &daemon_opts.max_sessions,
+           "concurrent client sessions (default 4)", support::kMaxJobs},
+          {"--accept-queue", "N", &daemon_opts.accept_queue,
+           "queued connections before shedding (default 16)"},
+          {"--request-timeout-ms", "N", &daemon_opts.request_timeout_ms,
+           "default per-request deadline (0 = off)", support::kMaxMillis},
+          {"--io-timeout-ms", "N", &daemon_opts.io_timeout_ms,
+           "per-frame read bound (default 30000, 0 = off)",
+           support::kMaxMillis},
+          {"--cache-dir", "DIR", &sopts.cache_dir,
+           "persist per-function results under DIR"},
+          {"--cache-max-entries", "N", &sopts.cache_limits.max_entries,
+           "LRU bound on cached entries (0 = unbounded)"},
+          {"--cache-max-bytes", "N", &sopts.cache_limits.max_bytes,
+           "LRU bound on cached bytes (0 = unbounded)"},
+          {"--jobs", "N", &sopts.driver.jobs,
+           "analysis threads (0 = hardware, the default)", support::kMaxJobs},
+          {"--field-insensitive", nullptr,
+           support::set_to(&sopts.driver.field_sensitive, false),
+           "disable DSA field sensitivity"},
+          {"--no-telemetry", nullptr, &no_telemetry,
+           "disable live metrics and the flight recorder"},
+          {"--trace-ring", "N", &trace_ring,
+           "keep the newest N spans for DMRQ trace"},
+          support::flight_out_flag(&flight_out),
+          support::heading("client options"),
+          {"--connect", "TARGET", &connect_path,
+           "socket path or HOST:PORT of a daemon"},
+          {"--corpus", "NAME",
+           [&](const std::string& name) {
+             jobs.push_back({true, name});
+             return true;
+           },
+           "analyze a built-in corpus module"},
+          {"--format", "text|json", &format,
+           "response rendering (default json)"},
+          {"--timing", nullptr, &timing, "include per-unit elapsed_ms"},
+          {"--deadline-ms", "N", &deadline_ms,
+           "per-request deadline sent in the header", support::kMaxMillis},
+          {"--max-retries", "N", &retry_policy.max_retries,
+           "retries of retryable failures (default 4)"},
+          {"--retry-budget-ms", "N", &retry_policy.retry_budget_ms,
+           "wall-clock cap across retries (default 2000)",
+           support::kMaxMillis},
+          {"--ping", nullptr, &ping, "round-trip check"},
+          {"--cache-stats", nullptr, &cache_stats,
+           "print the daemon's cache statistics"},
+          {"--metrics", nullptr, &telemetry.metrics,
+           "print a live metrics snapshot (JSON)"},
+          {"--prom", nullptr, &telemetry.prom,
+           "print a live metrics snapshot (Prometheus)"},
+          {"--trace-dump", nullptr, &telemetry.trace_dump,
+           "print the daemon's recent spans (JSON)"},
+          {"--flight-dump", nullptr, &telemetry.flight_dump,
+           "print the daemon's flight recorder (JSONL)"},
+          {"--shutdown", nullptr, &shutdown,
+           "ask the daemon to exit (after other work)"},
+      },
+      [&](const std::string& file) { jobs.push_back({false, file}); }};
+  if (auto rc = support::parse_flags(cmd, argc, argv)) return *rc;
 
-  auto need_value = [&](int i) { return i + 1 < argc; };
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(stdout);
-    if (arg == "--socket") {
-      if (!need_value(i)) return usage(stderr);
-      socket_path = argv[++i];
-    } else if (arg == "--listen") {
-      if (!need_value(i)) return usage(stderr);
-      listen_spec = argv[++i];
-    } else if (arg == "--stdin") {
-      use_stdin = true;
-    } else if (arg == "--connect") {
-      if (!need_value(i)) return usage(stderr);
-      connect_path = argv[++i];
-    } else if (
-        field_flag("--max-sessions", arg, argc, argv, i,
-                   &daemon_opts.max_sessions, &bad_flag, support::kMaxJobs) ||
-        field_flag("--accept-queue", arg, argc, argv, i,
-                   &daemon_opts.accept_queue, &bad_flag) ||
-        field_flag("--request-timeout-ms", arg, argc, argv, i,
-                   &daemon_opts.request_timeout_ms, &bad_flag,
-                   support::kMaxMillis) ||
-        field_flag("--io-timeout-ms", arg, argc, argv, i,
-                   &daemon_opts.io_timeout_ms, &bad_flag,
-                   support::kMaxMillis) ||
-        field_flag("--deadline-ms", arg, argc, argv, i, &deadline_ms,
-                   &bad_flag, support::kMaxMillis) ||
-        field_flag("--max-retries", arg, argc, argv, i,
-                   &retry_policy.max_retries, &bad_flag) ||
-        field_flag("--retry-budget-ms", arg, argc, argv, i,
-                   &retry_policy.retry_budget_ms, &bad_flag,
-                   support::kMaxMillis) ||
-        field_flag("--cache-max-entries", arg, argc, argv, i,
-                   &sopts.cache_limits.max_entries, &bad_flag) ||
-        field_flag("--cache-max-bytes", arg, argc, argv, i,
-                   &sopts.cache_limits.max_bytes, &bad_flag) ||
-        field_flag("--jobs", arg, argc, argv, i, &sopts.driver.jobs,
-                   &bad_flag, support::kMaxJobs) ||
-        field_flag("--trace-ring", arg, argc, argv, i, &trace_ring,
-                   &bad_flag)) {
-      if (bad_flag != nullptr) {
-        std::fprintf(stderr, "deepmc serve: invalid value for %s\n",
-                     bad_flag);
-        return 64;
-      }
-    } else if (arg == "--cache-dir") {
-      if (!need_value(i)) return usage(stderr);
-      sopts.cache_dir = argv[++i];
-    } else if (arg == "--field-insensitive") {
-      sopts.driver.field_sensitive = false;
-    } else if (arg == "--format") {
-      if (!need_value(i)) return usage(stderr);
-      format = argv[++i];
-      if (format != "text" && format != "json") return usage(stderr);
-    } else if (arg == "--timing") {
-      timing = true;
-    } else if (arg == "--corpus") {
-      if (!need_value(i)) return usage(stderr);
-      jobs.push_back({true, argv[++i]});
-    } else if (arg == "--ping") {
-      ping = true;
-    } else if (arg == "--cache-stats") {
-      cache_stats = true;
-    } else if (arg == "--metrics") {
-      telemetry.metrics = true;
-    } else if (arg == "--prom") {
-      telemetry.prom = true;
-    } else if (arg == "--trace-dump") {
-      telemetry.trace_dump = true;
-    } else if (arg == "--flight-dump") {
-      telemetry.flight_dump = true;
-    } else if (arg == "--no-telemetry") {
-      telemetry_on = false;
-    } else if (arg == "--flight-out") {
-      if (!need_value(i)) return usage(stderr);
-      flight_out = argv[++i];
-    } else if (arg == "--shutdown") {
-      shutdown = true;
-    } else if (auto model = core::parse_model_flag(arg)) {
-      sopts.driver.model = *model;
-      client_model = core::model_name(*model);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "deepmc serve: unknown flag %s\n", arg.c_str());
-      return 64;
-    } else {
-      jobs.push_back({false, arg});
-    }
-  }
-
+  const bool have_listener = !socket_path.empty() || !listen_spec.empty();
   if (!connect_path.empty()) {
-    if (!socket_path.empty() || !listen_spec.empty() || use_stdin)
-      return usage(stderr);
+    if (have_listener || use_stdin)
+      return support::usage_error(
+          cmd, "--connect excludes --socket, --listen and --stdin");
     if (jobs.empty() && !ping && !cache_stats && !shutdown && !telemetry.any())
-      return usage(stderr);
+      return support::usage_error(cmd, "--connect needs a request to send");
     return client_main(connect_path, jobs, client_model, format, timing,
                        deadline_ms, retry_policy, ping, cache_stats, telemetry,
                        shutdown);
   }
   // Daemon mode: --stdin alone, or any combination of --socket/--listen.
-  const bool have_listener = !socket_path.empty() || !listen_spec.empty();
-  if (use_stdin == have_listener) return usage(stderr);  // exactly one mode
+  if (use_stdin && have_listener)
+    return support::usage_error(cmd, "--stdin excludes --socket and --listen");
+  if (!use_stdin && !have_listener)
+    return support::usage_error(
+        cmd, "give --socket, --listen, --stdin or --connect");
   if (!jobs.empty() || ping || cache_stats || shutdown || timing ||
       deadline_ms > 0 || telemetry.any())
-    return usage(stderr);  // client-only flags without --connect
+    return support::usage_error(cmd, "client options need --connect");
 
   std::string fault_error;
   if (!support::arm_faults_from_env(&fault_error)) {
     std::fprintf(stderr, "deepmc serve: %s\n", fault_error.c_str());
-    return 64;
+    return support::kExitUsage;
   }
   // Long-lived daemons run with live telemetry by default: metrics and
   // the flight recorder are pure side channels (response bodies stay
   // byte-identical with telemetry on or off), and the metrics/trace/
   // flight verbs read them from a running daemon without a restart.
   // Span tracing stays opt-in (--trace-ring) since every span allocates.
-  if (flight_out.empty()) {
-    if (const char* env = std::getenv("DEEPMC_FLIGHT_OUT")) flight_out = env;
-  }
-  if (telemetry_on) obs::set_enabled(true);
-  if (telemetry_on || !flight_out.empty()) obs::flight().arm();
+  if (!no_telemetry) obs::set_enabled(true);
+  if (!no_telemetry || !flight_out.empty()) obs::flight().arm();
   if (trace_ring > 0) {
     obs::tracer().set_ring_capacity(static_cast<size_t>(trace_ring));
     obs::tracer().start();

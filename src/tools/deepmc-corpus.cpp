@@ -1,48 +1,14 @@
 // deepmc-corpus — the corpus-scale regression harness over generated
-// programs (docs/CORPUS.md).
+// programs (docs/CORPUS.md describes both commands and their flags).
 //
 //   deepmc-corpus gen --seed N [options]     print one generated program
 //   deepmc-corpus run --count N [options]    generate + analyze a corpus
-//
-// `gen` options:
-//   --seed N            generator seed (required)
-//   --framework F       force pmdk|pmfs|nvmdirect|mnemosyne (default: from
-//                       the seed)
-//   --clean             force a guaranteed-clean control program
-//   --manifest          print the deepmc-manifest-v1 JSON instead of MIR
-//   --mutate N          corrupt N tokens of the program text (tolerant-
-//                       parser fuzzing; no manifest — the planted-bug map
-//                       is meaningless for corrupted text)
-//   --mutate-seed M     mutation RNG seed (default: same as --seed)
-//
-// `run` options:
-//   --count N           programs to generate and analyze (required)
-//   --seed-start S      first seed (default 0); seeds are S..S+N-1
-//   --jobs J            analysis threads (default hardware; 1 = serial).
-//                       The stable report section is byte-identical for
-//                       every J — scripts/run_corpus.sh asserts it.
-//   --clean-every K     force every Kth program to be a clean control
-//                       (default 5; 0 = none forced)
-//   --crashsim-sample K cross-check every Kth program under --crashsim
-//                       style crash-state enumeration (default 0 = off).
-//                       Every *confirmed* warning must be manifest-listed;
-//                       a confirmed warning outside the manifest fails the
-//                       run (generator template bug).
-//   --min-recall R      fail (exit 1) when recall < R (default 0: off)
-//   --min-precision P   fail (exit 1) when precision < P (default 0: off)
-//   --baseline FILE     fail (exit 1) when precision or recall regresses
-//                       below the checked-in baseline JSON
-//                       (tests/golden/corpus_baseline.json)
-//   --out FILE          write the deepmc-corpus-v1 JSON there (default
-//                       stdout)
 //
 // Exit codes: 0 ok; 1 floor/baseline/cross-check regression; 64 usage;
 // 65 internal failure (a generated program failed to build or analyze —
 // the harness's "no crash" property).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -55,34 +21,18 @@
 #include "gen/generator.h"
 #include "gen/score.h"
 #include "ir/parser.h"
+#include "serve/protocol.h"
 #include "serve/service.h"
 #include "support/flags.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 
 using namespace deepmc;
-using support::num_flag;
-using support::real_flag;
-using support::str_flag;
 
 namespace {
 
 constexpr int kExitRegression = 1;
-constexpr int kExitUsage = 64;
 constexpr int kExitInternal = 65;
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: deepmc-corpus gen --seed N [--framework F] [--clean]\n"
-      "                         [--manifest] [--mutate N] [--mutate-seed M]\n"
-      "                         [--touch-function S]\n"
-      "       deepmc-corpus run --count N [--seed-start S] [--jobs J]\n"
-      "                         [--clean-every K] [--crashsim-sample K]\n"
-      "                         [--min-recall R] [--min-precision P]\n"
-      "                         [--baseline FILE] [--out FILE]\n"
-      "                         [--serve [--serve-cache DIR]]\n");
-}
 
 std::optional<corpus::Framework> parse_framework(const std::string& name) {
   for (int i = 0; i < 4; ++i) {
@@ -96,73 +46,62 @@ std::optional<corpus::Framework> parse_framework(const std::string& name) {
 // gen
 // --------------------------------------------------------------------------
 
-int cmd_gen(int argc, char** argv) {
-  uint64_t seed = 0;
-  bool have_seed = false;
+struct GenArgs {
+  std::optional<uint64_t> seed;
+  std::optional<corpus::Framework> framework;
   bool clean = false;
   bool manifest_only = false;
   uint64_t mutate = 0;
-  uint64_t mutate_seed = 0;
-  bool have_mutate_seed = false;
-  uint64_t touch_salt = 0;
-  bool have_touch = false;
-  std::optional<corpus::Framework> framework;
+  std::optional<uint64_t> mutate_seed;
+  std::optional<uint64_t> touch_salt;
+};
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool ok = true;
-    std::string text;
-    if (num_flag("--seed", arg, argc, argv, i, &seed, &ok)) {
-      if (!ok) return usage(), kExitUsage;
-      have_seed = true;
-    } else if (num_flag("--mutate", arg, argc, argv, i, &mutate, &ok)) {
-      if (!ok) return usage(), kExitUsage;
-    } else if (num_flag("--mutate-seed", arg, argc, argv, i, &mutate_seed,
-                        &ok)) {
-      if (!ok) return usage(), kExitUsage;
-      have_mutate_seed = true;
-    } else if (num_flag("--touch-function", arg, argc, argv, i, &touch_salt,
-                        &ok)) {
-      if (!ok) return usage(), kExitUsage;
-      have_touch = true;
-    } else if (str_flag("--framework", arg, argc, argv, i, &text)) {
-      framework = parse_framework(text);
-      if (!framework) {
-        std::fprintf(stderr, "deepmc-corpus: unknown framework '%s'\n",
-                     text.c_str());
-        return kExitUsage;
-      }
-    } else if (arg == "--clean") {
-      clean = true;
-    } else if (arg == "--manifest") {
-      manifest_only = true;
-    } else {
-      std::fprintf(stderr, "deepmc-corpus: unknown gen option '%s'\n",
-                   arg.c_str());
-      return usage(), kExitUsage;
-    }
-  }
-  if (!have_seed) return usage(), kExitUsage;
+support::Command gen_command(GenArgs& a) {
+  return {
+      "deepmc-corpus gen",
+      {"deepmc-corpus gen --seed N [options]"},
+      {
+          {"--seed", "N", &a.seed, "generator seed (required)"},
+          {"--framework", "F",
+           [&a](const std::string& name) {
+             a.framework = parse_framework(name);
+             return a.framework.has_value();
+           },
+           "PMDK, PMFS, NVM-Direct or Mnemosyne (default: by seed)"},
+          {"--clean", nullptr, &a.clean,
+           "force a guaranteed-clean control program"},
+          {"--manifest", nullptr, &a.manifest_only,
+           "print the deepmc-manifest-v1 JSON instead of MIR"},
+          {"--mutate", "N", &a.mutate,
+           "corrupt N tokens of the program text (no manifest)"},
+          {"--mutate-seed", "M", &a.mutate_seed,
+           "mutation seed (default: the --seed)"},
+          {"--touch-function", "S", &a.touch_salt,
+           "change one function's content, salted by S"},
+      }};
+}
 
+int cmd_gen(const support::Command& cmd, const GenArgs& a) {
+  if (!a.seed) return support::usage_error(cmd, "--seed N is required");
   gen::GenOptions opts;
-  opts.seed = seed;
-  opts.framework = framework;
-  opts.force_clean = clean;
+  opts.seed = *a.seed;
+  opts.framework = a.framework;
+  opts.force_clean = a.clean;
   gen::GeneratedProgram prog = gen::generate_program(opts);
 
-  if (manifest_only) {
+  if (a.manifest_only) {
     std::fputs(gen::manifest_json(prog.manifest).c_str(), stdout);
     return 0;
   }
-  if (mutate > 0) {
-    const uint64_t mseed = have_mutate_seed ? mutate_seed : seed;
-    std::fputs(gen::mutate_text(prog.text, mseed, mutate).c_str(), stdout);
+  if (a.mutate > 0) {
+    const uint64_t mseed = a.mutate_seed.value_or(opts.seed);
+    std::fputs(gen::mutate_text(prog.text, mseed, a.mutate).c_str(), stdout);
     return 0;
   }
-  if (have_touch) {
+  if (a.touch_salt) {
     // Single-function variant for analysis-server resubmission streams:
     // same program, one function's content changed.
-    std::fputs(gen::touch_function(prog.text, touch_salt).c_str(), stdout);
+    std::fputs(gen::touch_function(prog.text, *a.touch_salt).c_str(), stdout);
     return 0;
   }
   std::fputs(prog.text.c_str(), stdout);
@@ -343,24 +282,10 @@ std::string corpus_json(const gen::Score& s, uint64_t count,
   return out;
 }
 
-/// Pull `"key": <number>` out of a flat JSON text. Good enough for the
-/// baseline file, whose shape we control.
-std::optional<double> json_number_field(const std::string& text,
-                                        const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  char* end = nullptr;
-  const char* start = text.c_str() + at + needle.size();
-  const double v = std::strtod(start, &end);
-  if (end == start) return std::nullopt;
-  return v;
-}
-
-int cmd_run(int argc, char** argv) {
+struct RunArgs {
   uint64_t count = 0;
   uint64_t seed_start = 0;
-  uint64_t jobs = support::ThreadPool::default_concurrency();
+  uint64_t jobs = 0;
   uint64_t clean_every = 5;
   uint64_t crashsim_sample = 0;
   double min_recall = 0;
@@ -369,33 +294,42 @@ int cmd_run(int argc, char** argv) {
   std::string out_path;
   bool serve_mode = false;
   std::string serve_cache;
+};
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool ok = true;
-    if (num_flag("--count", arg, argc, argv, i, &count, &ok) ||
-        num_flag("--seed-start", arg, argc, argv, i, &seed_start, &ok) ||
-        num_flag("--jobs", arg, argc, argv, i, &jobs, &ok) ||
-        num_flag("--clean-every", arg, argc, argv, i, &clean_every, &ok) ||
-        num_flag("--crashsim-sample", arg, argc, argv, i, &crashsim_sample,
-                 &ok) ||
-        real_flag("--min-recall", arg, argc, argv, i, &min_recall, &ok) ||
-        real_flag("--min-precision", arg, argc, argv, i, &min_precision,
-                  &ok)) {
-      if (!ok) return usage(), kExitUsage;
-    } else if (str_flag("--baseline", arg, argc, argv, i, &baseline_path) ||
-               str_flag("--out", arg, argc, argv, i, &out_path) ||
-               str_flag("--serve-cache", arg, argc, argv, i, &serve_cache)) {
-      // handled
-    } else if (arg == "--serve") {
-      serve_mode = true;
-    } else {
-      std::fprintf(stderr, "deepmc-corpus: unknown run option '%s'\n",
-                   arg.c_str());
-      return usage(), kExitUsage;
-    }
-  }
-  if (count == 0) return usage(), kExitUsage;
+support::Command run_command(RunArgs& a) {
+  return {
+      "deepmc-corpus run",
+      {"deepmc-corpus run --count N [options]"},
+      {
+          {"--count", "N", &a.count,
+           "programs to generate and analyze (required)"},
+          {"--seed-start", "S", &a.seed_start,
+           "first seed (default 0); seeds are S..S+N-1"},
+          {"--jobs", "J", &a.jobs,
+           "analysis threads (0 = hardware, the default; 1 = serial)",
+           support::kMaxJobs},
+          {"--clean-every", "K", &a.clean_every,
+           "force every Kth program clean (default 5; 0 = none)"},
+          {"--crashsim-sample", "K", &a.crashsim_sample,
+           "cross-check every Kth program under crashsim (0 = off)"},
+          {"--min-recall", "R", &a.min_recall,
+           "exit 1 when recall < R (default 0: off)"},
+          {"--min-precision", "P", &a.min_precision,
+           "exit 1 when precision < P (default 0: off)"},
+          {"--baseline", "FILE", &a.baseline_path,
+           "exit 1 when precision or recall falls below FILE's"},
+          {"--out", "FILE", &a.out_path,
+           "write the deepmc-corpus-v1 JSON there (default stdout)"},
+          {"--serve", nullptr, &a.serve_mode,
+           "also check each program's serve answer, cold and warm"},
+          {"--serve-cache", "DIR", &a.serve_cache,
+           "the serve check's cache directory"},
+      }};
+}
+
+int cmd_run(const support::Command& cmd, const RunArgs& a) {
+  if (a.count == 0)
+    return support::usage_error(cmd, "--count N (at least 1) is required");
 
   const auto t0 = std::chrono::steady_clock::now();
   // One in-process service shared by every seed, like the daemon shares
@@ -403,23 +337,21 @@ int cmd_run(int argc, char** argv) {
   // inline pool, safe to call from many outer workers at once); the
   // outer pool provides the parallelism.
   std::unique_ptr<serve::AnalysisService> service;
-  if (serve_mode) {
+  if (a.serve_mode) {
     serve::ServeOptions sopts;
     sopts.driver.jobs = 1;
-    sopts.cache_dir = serve_cache;
+    sopts.cache_dir = a.serve_cache;
     service = std::make_unique<serve::AnalysisService>(std::move(sopts));
   }
-  // jobs=1 means serial: a 0-thread pool runs every task inline.
-  support::ThreadPool pool(jobs <= 1 ? 0 : static_cast<size_t>(jobs));
+  support::ThreadPool pool(support::ThreadPool::workers_for(a.jobs));
   std::vector<std::future<SeedResult>> futures;
-  futures.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t seed = seed_start + i;
-    futures.push_back(
-        pool.submit([seed, clean_every, crashsim_sample, i, &service] {
-          return analyze_seed(seed, clean_every, crashsim_sample, i,
-                              service.get());
-        }));
+  futures.reserve(a.count);
+  for (uint64_t i = 0; i < a.count; ++i) {
+    const uint64_t seed = a.seed_start + i;
+    futures.push_back(pool.submit([seed, &a, i, &service] {
+      return analyze_seed(seed, a.clean_every, a.crashsim_sample, i,
+                          service.get());
+    }));
   }
 
   gen::Score total;
@@ -444,17 +376,17 @@ int cmd_run(int argc, char** argv) {
           std::chrono::steady_clock::now() - t0)
           .count();
 
-  const std::string json =
-      corpus_json(total, count, seed_start, failures, parse_diagnostics,
-                  crashsim_sampled, serve_mode, serve_checked, jobs,
-                  elapsed_ms);
-  if (out_path.empty()) {
+  const std::string json = corpus_json(
+      total, a.count, a.seed_start, failures, parse_diagnostics,
+      crashsim_sampled, a.serve_mode, serve_checked,
+      support::ThreadPool::resolve_jobs(a.jobs), elapsed_ms);
+  if (a.out_path.empty()) {
     std::fputs(json.c_str(), stdout);
   } else {
-    std::ofstream f(out_path);
+    std::ofstream f(a.out_path);
     if (!f) {
       std::fprintf(stderr, "deepmc-corpus: cannot write %s\n",
-                   out_path.c_str());
+                   a.out_path.c_str());
       return kExitInternal;
     }
     f << json;
@@ -463,7 +395,7 @@ int cmd_run(int argc, char** argv) {
   if (failures > 0) {
     std::fprintf(stderr, "deepmc-corpus: %llu of %llu programs failed\n",
                  static_cast<unsigned long long>(failures),
-                 static_cast<unsigned long long>(count));
+                 static_cast<unsigned long long>(a.count));
     return kExitInternal;
   }
   int rc = 0;
@@ -475,32 +407,32 @@ int cmd_run(int argc, char** argv) {
                      total.confirmed_outside_manifest));
     rc = kExitRegression;
   }
-  if (min_recall > 0 && total.recall() < min_recall) {
+  if (a.min_recall > 0 && total.recall() < a.min_recall) {
     std::fprintf(stderr, "deepmc-corpus: recall %.6f below floor %.6f\n",
-                 total.recall(), min_recall);
+                 total.recall(), a.min_recall);
     rc = kExitRegression;
   }
-  if (min_precision > 0 && total.precision() < min_precision) {
+  if (a.min_precision > 0 && total.precision() < a.min_precision) {
     std::fprintf(stderr, "deepmc-corpus: precision %.6f below floor %.6f\n",
-                 total.precision(), min_precision);
+                 total.precision(), a.min_precision);
     rc = kExitRegression;
   }
-  if (!baseline_path.empty()) {
-    std::ifstream f(baseline_path);
+  if (!a.baseline_path.empty()) {
+    std::ifstream f(a.baseline_path);
     if (!f) {
       std::fprintf(stderr, "deepmc-corpus: cannot read baseline %s\n",
-                   baseline_path.c_str());
+                   a.baseline_path.c_str());
       return kExitInternal;
     }
     std::stringstream ss;
     ss << f.rdbuf();
     const std::string base = ss.str();
-    const auto base_recall = json_number_field(base, "recall");
-    const auto base_precision = json_number_field(base, "precision");
+    const auto base_recall = serve::json_num_field(base, "recall");
+    const auto base_precision = serve::json_num_field(base, "precision");
     if (!base_recall || !base_precision) {
       std::fprintf(stderr,
                    "deepmc-corpus: baseline %s lacks precision/recall\n",
-                   baseline_path.c_str());
+                   a.baseline_path.c_str());
       return kExitInternal;
     }
     if (total.recall() < *base_recall) {
@@ -524,10 +456,21 @@ int cmd_run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(), kExitUsage;
-  const std::string cmd = argv[1];
-  if (cmd == "gen") return cmd_gen(argc - 2, argv + 2);
-  if (cmd == "run") return cmd_run(argc - 2, argv + 2);
-  usage();
-  return kExitUsage;
+  GenArgs gen_args;
+  RunArgs run_args;
+  const support::Command gen = gen_command(gen_args);
+  const support::Command run = run_command(run_args);
+  const std::string sub = argc >= 2 ? argv[1] : "";
+  if (sub == "gen" || sub == "run") {
+    const support::Command& cmd = sub == "gen" ? gen : run;
+    if (auto rc = support::parse_flags(cmd, argc - 2, argv + 2)) return *rc;
+    return sub == "gen" ? cmd_gen(gen, gen_args) : cmd_run(run, run_args);
+  }
+  std::fprintf(stderr, "deepmc-corpus: %s\n",
+               sub.empty() ? "no command (gen or run)"
+                           : ("unknown command " + sub).c_str());
+  support::print_usage(gen, stderr);
+  std::fputc('\n', stderr);
+  support::print_usage(run, stderr);
+  return support::kExitUsage;
 }

@@ -8,8 +8,6 @@
 // Exit codes follow the repo convention: 0 success, 64 usage error,
 // 65 runtime failure (worker error, verification failure, injected fault).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,45 +21,10 @@
 #include "support/flags.h"
 
 using namespace deepmc;
-using support::num_flag;
-using support::real_flag;
-using support::str_flag;
 
 namespace {
 
-constexpr int kExitUsage = 64;
 constexpr int kExitError = 65;
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: deepmc-load [--framework F|all] [--threads N] [--ops N]\n"
-      "                   [--keys N] [--duration SEC] [--mix GET:PUT:DEL]\n"
-      "                   [--hot-frac F] [--hot-prob P] [--zipf S] [--seed N]\n"
-      "                   [--checker off|shared|per-shard] [--sample N]\n"
-      "                   [--seed-bugs] [--crash-at N | --crash-random]\n"
-      "                   [--pool-bytes N]\n"
-      "                   [--schedule-hash] [--json] [--latency-json]\n"
-      "                   [--flight-out FILE]\n"
-      "                   [--inject-fault NAME:COUNT] [--list-fault-points]\n"
-      "       deepmc-load --serve-connect TARGET [--threads N] [--ops N]\n"
-      "                   [--serve-programs N] [--zipf S] [--seed N]\n"
-      "                   [--deadline-ms N] [--max-retries N]\n"
-      "                   [--retry-budget-ms N] [--json]\n"
-      "\n"
-      "frameworks: pmdk_mini mnemosyne_mini pmfs_mini nvmdirect_mini\n"
-      "\n"
-      "--zipf S replaces the hot-set skew with a true bounded Zipfian\n"
-      "(p(k) ~ 1/(k+1)^s; 0.99 is the YCSB shape). --serve-connect drives a\n"
-      "running `deepmc serve` daemon (socket path or host:port) instead of\n"
-      "the in-process frameworks: each thread holds one retrying client and\n"
-      "resubmits generated programs, verifying responses stay\n"
-      "byte-identical per program.\n"
-      "--latency-json times every op into per-op-type histograms (get/put/\n"
-      "del) and prints them with p50/p90/p99; --flight-out arms the flight\n"
-      "recorder and dumps recent events (JSONL) at exit (also via\n"
-      "DEEPMC_FLIGHT_OUT).\n");
-}
 
 /// One op-type's latency summary as a flat JSON object. Quantiles are
 /// exact rank-based bucket upper bounds (obs::histogram_quantile), so
@@ -187,153 +150,95 @@ void print_text(const load::EngineResult& r, load::CheckerMode mode) {
 
 int main(int argc, char** argv) {
   load::EngineConfig cfg;
-  std::string framework = "pmdk_mini";
+  load::ServeLoadConfig scfg;
   std::string checker = "shared";
-  std::string mix;
   bool json = false;
   bool latency_json = false;
   std::string flight_out;
   bool hash_only = false;
-  uint64_t sample = 1;
-  uint64_t crash_at = 0;
-  bool have_crash_at = false;
-  std::string serve_target;
-  uint64_t serve_programs = 8, deadline_ms = 0;
-  uint64_t max_retries = 4, retry_budget_ms = 2000;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool ok = false;
-    uint64_t threads = 0, ops = 0, keys = 0, seed = 0, pool_bytes = 0;
-    if (str_flag("--framework", arg, argc, argv, i, &framework) ||
-        str_flag("--checker", arg, argc, argv, i, &checker) ||
-        str_flag("--mix", arg, argc, argv, i, &mix) ||
-        str_flag("--serve-connect", arg, argc, argv, i, &serve_target) ||
-        str_flag("--flight-out", arg, argc, argv, i, &flight_out)) {
-      continue;
-    } else if (num_flag("--serve-programs", arg, argc, argv, i,
-                        &serve_programs, &ok)) {
-    } else if (num_flag("--deadline-ms", arg, argc, argv, i, &deadline_ms,
-                        &ok, support::kMaxMillis)) {
-    } else if (num_flag("--max-retries", arg, argc, argv, i, &max_retries,
-                        &ok)) {
-    } else if (num_flag("--retry-budget-ms", arg, argc, argv, i,
-                        &retry_budget_ms, &ok, support::kMaxMillis)) {
-    } else if (num_flag("--threads", arg, argc, argv, i, &threads, &ok)) {
-      if (ok) cfg.spec.threads = static_cast<uint32_t>(threads);
-    } else if (num_flag("--ops", arg, argc, argv, i, &ops, &ok)) {
-      if (ok) cfg.spec.ops_per_thread = ops;
-    } else if (num_flag("--keys", arg, argc, argv, i, &keys, &ok)) {
-      if (ok) cfg.spec.keys = keys;
-    } else if (num_flag("--seed", arg, argc, argv, i, &seed, &ok)) {
-      if (ok) cfg.spec.seed = seed;
-    } else if (num_flag("--sample", arg, argc, argv, i, &sample, &ok)) {
-    } else if (num_flag("--crash-at", arg, argc, argv, i, &crash_at, &ok)) {
-      if (ok) have_crash_at = true;
-    } else if (num_flag("--pool-bytes", arg, argc, argv, i, &pool_bytes,
-                        &ok)) {
-      if (ok) cfg.pool_bytes = pool_bytes;
-    } else if (real_flag("--duration", arg, argc, argv, i,
-                         &cfg.spec.duration_s, &ok) ||
-               real_flag("--hot-frac", arg, argc, argv, i, &cfg.spec.hot_frac,
-                         &ok) ||
-               real_flag("--hot-prob", arg, argc, argv, i, &cfg.spec.hot_prob,
-                         &ok)) {
-    } else if (real_flag("--zipf", arg, argc, argv, i, &cfg.spec.zipf_s,
-                         &ok)) {
-      if (ok && cfg.spec.zipf_s < 0) {
-        std::fprintf(stderr, "deepmc-load: --zipf must be >= 0\n");
-        return kExitUsage;
-      }
-    } else if (arg == "--seed-bugs") {
-      cfg.seed_bugs = true;
-      ok = true;
-    } else if (arg == "--crash-random") {
-      cfg.crash_random = true;
-      ok = true;
-    } else if (arg == "--json") {
-      json = true;
-      ok = true;
-    } else if (arg == "--latency-json") {
-      latency_json = true;
-      cfg.measure_latency = true;
-      ok = true;
-    } else if (arg == "--schedule-hash") {
-      hash_only = true;
-      ok = true;
-    } else if (arg == "--list-fault-points") {
-      for (const std::string& n : support::registered_fault_points())
-        std::printf("%s\n", n.c_str());
-      return 0;
-    } else if (arg == "--inject-fault" ||
-               arg.compare(0, 15, "--inject-fault=") == 0) {
-      std::string spec;
-      if (arg == "--inject-fault") {
-        if (++i >= argc) {
-          usage();
-          return kExitUsage;
-        }
-        spec = argv[i];
-      } else {
-        spec = arg.substr(15);
-      }
-      try {
-        support::arm_fault(spec);
-        ok = true;
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "deepmc-load: %s\n", e.what());
-        return kExitUsage;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "deepmc-load: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return kExitUsage;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "deepmc-load: invalid value for %s\n", arg.c_str());
-      return kExitUsage;
-    }
-  }
+  const support::Command cmd{
+      "deepmc-load",
+      {"deepmc-load [--framework NAME|all] [--threads N] [--ops N] [options]",
+       "deepmc-load --serve-connect TARGET [--threads N] [--ops N] [options]"},
+      {
+          {"--framework", "NAME", &cfg.framework,
+           "mini framework, or all (default pmdk_mini)"},
+          {"--threads", "N", &cfg.spec.threads, "worker threads (default 8)",
+           support::kMaxJobs, 1},
+          {"--ops", "N", &cfg.spec.ops_per_thread,
+           "ops (or requests) per thread (default 100000)"},
+          {"--keys", "N", &cfg.spec.keys, "key space per shard (default 1024)"},
+          {"--duration", "SEC", &cfg.spec.duration_s,
+           "stop on wall clock instead of op count"},
+          {"--mix", "GET:PUT:DEL",
+           [&](const std::string& text) {
+             unsigned g = 0, p = 0, d = 0;
+             if (std::sscanf(text.c_str(), "%u:%u:%u", &g, &p, &d) != 3 ||
+                 g + p + d != 100)
+               return false;
+             cfg.spec.mix = {g, p, d};
+             return true;
+           },
+           "percentages summing to 100 (default 50:40:10)"},
+          {"--hot-frac", "F", &cfg.spec.hot_frac,
+           "fraction of keys in the hot set (default 0.2)"},
+          {"--hot-prob", "P", &cfg.spec.hot_prob,
+           "chance an op hits the hot set (default 0.8)"},
+          {"--zipf", "S", &cfg.spec.zipf_s,
+           "Zipf skew in place of the hot set (YCSB: 0.99)"},
+          {"--seed", "N", &cfg.spec.seed, "workload seed (default 42)"},
+          {"--checker", "off|shared|per-shard", &checker,
+           "runtime checker mode (default shared)"},
+          {"--sample", "N", &cfg.rt_opts.sample_period,
+           "run the checker on every Nth event (default 1)"},
+          {"--seed-bugs", nullptr, &cfg.seed_bugs,
+           "plant the deterministic deep bugs"},
+          {"--crash-at", "N", &cfg.crash_at,
+           "crash worker 0 near op N, then verify recovery"},
+          {"--crash-random", nullptr, &cfg.crash_random,
+           "crash at an op picked from the seed"},
+          {"--pool-bytes", "N", &cfg.pool_bytes,
+           "per-worker pool size (default 8 MiB)"},
+          {"--schedule-hash", nullptr, &hash_only,
+           "print the op schedule's hash and exit"},
+          {"--json", nullptr, &json, "print the results as JSON"},
+          {"--latency-json", nullptr, &latency_json,
+           "time every op; print p50/p90/p99 per op type"},
+          support::inject_fault_flag(),
+          support::list_fault_points_flag(),
+          support::flight_out_flag(&flight_out),
+          {"--help|-h", nullptr, support::Help{}, "print this help"},
+          support::heading("driving a deepmc serve daemon"),
+          {"--serve-connect", "TARGET", &scfg.target,
+           "drive the daemon at a socket path or HOST:PORT"},
+          {"--serve-programs", "N", &scfg.programs,
+           "distinct generated programs (default 8)"},
+          {"--deadline-ms", "N", &scfg.deadline_ms,
+           "per-request deadline (0 = none)", support::kMaxMillis},
+          {"--max-retries", "N", &scfg.retry.max_retries,
+           "retries of retryable failures (default 4)"},
+          {"--retry-budget-ms", "N", &scfg.retry.retry_budget_ms,
+           "wall-clock cap across retries (default 2000)",
+           support::kMaxMillis},
+      },
+      {},
+      "frameworks: pmdk_mini mnemosyne_mini pmfs_mini nvmdirect_mini\n"};
+  if (auto rc = support::parse_flags(cmd, argc - 1, argv + 1)) return *rc;
+  if (cfg.spec.zipf_s < 0)
+    return support::usage_error(cmd, "--zipf must be >= 0");
 
   if (std::string env_err; !support::arm_faults_from_env(&env_err)) {
     std::fprintf(stderr, "deepmc-load: %s\n", env_err.c_str());
-    return kExitUsage;
+    return support::kExitUsage;
   }
   // Flight recorder: crash cycles, fault trips and checker warnings show
   // up in the dump, so a failed load run leaves execution evidence.
-  if (flight_out.empty()) {
-    if (const char* env = std::getenv("DEEPMC_FLIGHT_OUT")) flight_out = env;
-  }
   if (!flight_out.empty()) obs::flight().arm();
 
-  if (!mix.empty()) {
-    unsigned g = 0, p = 0, d = 0;
-    if (std::sscanf(mix.c_str(), "%u:%u:%u", &g, &p, &d) != 3 ||
-        g + p + d != 100) {
-      std::fprintf(stderr,
-                   "deepmc-load: --mix expects GET:PUT:DEL summing to 100\n");
-      return kExitUsage;
-    }
-    cfg.spec.mix = {g, p, d};
-  }
-
-  if (checker == "off") {
-    cfg.checker = load::CheckerMode::kOff;
-  } else if (checker == "shared") {
-    cfg.checker = load::CheckerMode::kShared;
-  } else if (checker == "per-shard") {
-    cfg.checker = load::CheckerMode::kPerShard;
-  } else {
-    std::fprintf(stderr, "deepmc-load: --checker must be off, shared or "
-                         "per-shard\n");
-    return kExitUsage;
-  }
-  cfg.rt_opts.sample_period = static_cast<uint32_t>(sample);
-  if (have_crash_at) cfg.crash_at = static_cast<int64_t>(crash_at);
+  cfg.checker = checker == "off"      ? load::CheckerMode::kOff
+                : checker == "shared" ? load::CheckerMode::kShared
+                                      : load::CheckerMode::kPerShard;
+  cfg.measure_latency = latency_json;
 
   if (hash_only) {
     std::printf("%llx\n", static_cast<unsigned long long>(
@@ -341,14 +246,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!serve_target.empty()) {
-    load::ServeLoadConfig scfg;
-    scfg.target = serve_target;
+  if (!scfg.target.empty()) {
     scfg.spec = cfg.spec;
-    scfg.programs = serve_programs;
-    scfg.deadline_ms = deadline_ms;
-    scfg.retry.max_retries = static_cast<int>(max_retries);
-    scfg.retry.retry_budget_ms = retry_budget_ms;
     const load::ServeLoadResult r = load::run_serve_load(scfg);
     if (json) {
       std::printf(
@@ -357,7 +256,7 @@ int main(int argc, char** argv) {
           "\"deadline_expired\": %llu, \"attempts\": %llu, "
           "\"retries\": %llu, \"overloaded\": %llu, \"reconnects\": %llu, "
           "\"seconds\": %.6f, \"requests_per_sec\": %.1f}\n",
-          serve_target.c_str(), static_cast<unsigned long long>(r.requests),
+          scfg.target.c_str(), static_cast<unsigned long long>(r.requests),
           static_cast<unsigned long long>(r.ok),
           static_cast<unsigned long long>(r.failures),
           static_cast<unsigned long long>(r.mismatches),
@@ -369,7 +268,7 @@ int main(int argc, char** argv) {
           r.requests_per_sec);
     } else {
       std::printf("serve %-24s %8llu req in %6.2fs  %10.0f req/s\n",
-                  serve_target.c_str(),
+                  scfg.target.c_str(),
                   static_cast<unsigned long long>(r.requests), r.seconds,
                   r.requests_per_sec);
       std::printf("  ok=%llu failures=%llu mismatches=%llu "
@@ -394,10 +293,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> frameworks;
-  if (framework == "all")
+  if (cfg.framework == "all")
     frameworks = load::framework_names();
   else
-    frameworks.push_back(framework);
+    frameworks.push_back(cfg.framework);
 
   std::vector<load::EngineResult> results;
   int exit_code = 0;

@@ -1,66 +1,18 @@
 // deepmc — the command-line front end, matching the paper's usage model:
 // the user picks the intended persistency model with one flag and gets a
-// bug report.
+// bug report. `deepmc --help` lists the options; docs/CLI.md describes
+// them.
 //
 //   deepmc [-strict|-epoch|-strand] [options] file.mir...
-//
-// Options:
-//   -strict / -epoch / -strand   persistency model (default -strict)
-//   --dynamic                    instrument and execute @main under the
-//                                dynamic checker (strand races, runtime
-//                                epoch/flush checks)
-//   --crashsim                   enumerate reachable crash images for every
-//                                executable trace root and validate each
-//                                static warning end-to-end (confirmed /
-//                                not-reproduced / skipped)
-//   --jobs N / -j N              analysis threads (default: hardware
-//                                concurrency; 1 = serial). Output is
-//                                byte-identical for every N.
-//   --format text|json           report format (default text); json carries
-//                                per-unit timing/trace/DSA counters
-//   --dump-ir                    print the (possibly instrumented) module
-//   --dump-dsg                   print the persistent Data Structure Graph
-//   --dump-traces                print collected trace summaries
-//   --corpus <name>              analyze a built-in corpus module instead
-//                                of a file (see --list-corpus)
-//   --list-corpus                list built-in corpus modules
-//   --field-insensitive          disable DSA field sensitivity (ablation)
-//
-// Resilience (docs/RESILIENCE.md):
-//   --budget-trace-steps N       per-root trace walk budget (0 = unlimited)
-//   --budget-dsa-steps N         per-unit DSA build budget
-//   --budget-enum-images N       per-root crash-image budget
-//   --budget-interp-steps N      per-execution interpreter budget
-//   --budget-wall-ms N           per-attempt wall-clock watchdog (cancels
-//                                cooperatively; inherently nondeterministic)
-//   --keep-going / --fail-fast   keep analyzing after a failed unit
-//                                (default) / stop at the first failure
-//   --inject-fault NAME:COUNT    arm a fault point (repeatable; also via
-//                                DEEPMC_FAULTS=name:count[,name:count])
-//   --list-fault-points          list registered fault points
-//
-// Observability (pure side channels; the report on stdout is byte-identical
-// with these on or off, at any --jobs):
-//   --stats                      print a metrics summary table to stderr
-//   --metrics-out FILE           write metrics JSON (deepmc-metrics-v1)
-//   --prom-out FILE              write Prometheus text exposition
-//   --trace-out FILE             write a Chrome trace_event JSON span trace
-//   --flight-out FILE            arm the flight recorder and dump its recent
-//                                events (JSONL) at exit; also via
-//                                DEEPMC_FLIGHT_OUT. With any other obs sink
-//                                on, the recorder is armed too and dumps to
-//                                deepmc-flight.jsonl on exit 65/66, so
-//                                degraded/failed runs leave a post-mortem.
 //
 // Exit codes:
 //   0       clean (no warnings)
 //   1..63   number of warnings (capped at 63)
-//   64      usage error (unknown flag, missing operand, no inputs)
+//   64      usage error (unknown flag, missing or invalid operand, no inputs)
 //   65      input error (unreadable file, parse/verify failure, unknown
 //           corpus module) or any failed unit
 //   66      no failures, but at least one unit was degraded (analyzed on a
 //           tightened ladder rung after a budget trip)
-// Warning counts and error exits no longer overlap: 64/65/66 are reserved.
 // Precedence: failed (65) > degraded (66) > warning count.
 #include <chrono>
 #include <cstdio>
@@ -82,36 +34,11 @@
 #include "support/thread_pool.h"
 
 using namespace deepmc;
-using support::num_flag;
-using support::str_flag;
 
 namespace {
 
-constexpr int kExitUsage = 64;
 constexpr int kExitError = 65;
 constexpr int kExitDegraded = 66;
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: deepmc [-strict|-epoch|-strand] [--dynamic] "
-               "[--crashsim]\n"
-               "[--dump-ir] [--dump-dsg] [--dump-traces]\n"
-               "              [--suggest] [--suppressions FILE] "
-               "[--field-insensitive]\n"
-               "              [--jobs N] [--format text|json]\n"
-               "              [--stats] [--metrics-out FILE] "
-               "[--prom-out FILE]\n"
-               "              [--trace-out FILE] [--flight-out FILE]\n"
-               "              [--budget-trace-steps N] [--budget-dsa-steps N]\n"
-               "              [--budget-enum-images N] "
-               "[--budget-interp-steps N]\n"
-               "              [--budget-wall-ms N] [--keep-going|--fail-fast]\n"
-               "              [--inject-fault NAME:COUNT] "
-               "[--list-fault-points]\n"
-               "              [--corpus NAME] [--list-corpus] file.mir...\n"
-               "       deepmc serve ...   incremental analysis server "
-               "(deepmc serve --help)\n");
-}
 
 }  // namespace
 
@@ -121,161 +48,97 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "serve")
     return serve::serve_cli(argc - 2, argv + 2);
   core::DriverOptions opts;
-  core::ReportFormat format = core::ReportFormat::kText;
+  std::string format = "text";
+  std::string suppressions;
   std::vector<std::string> files;
   std::vector<std::string> corpus_modules;
   bool stats = false;
   std::string metrics_out, prom_out, trace_out, flight_out;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool num_ok = false;
-    if (auto m = core::parse_model_flag(arg)) {
-      opts.model = *m;
-    } else if (num_flag("--budget-trace-steps", arg, argc, argv, i,
-                        &opts.budgets.trace_steps, &num_ok) ||
-               num_flag("--budget-dsa-steps", arg, argc, argv, i,
-                        &opts.budgets.dsa_steps, &num_ok) ||
-               num_flag("--budget-enum-images", arg, argc, argv, i,
-                        &opts.budgets.enum_images, &num_ok) ||
-               num_flag("--budget-interp-steps", arg, argc, argv, i,
-                        &opts.budgets.interp_steps, &num_ok) ||
-               num_flag("--budget-wall-ms", arg, argc, argv, i,
-                        &opts.budgets.wall_ms, &num_ok,
-                        support::kMaxMillis)) {
-      if (!num_ok) {
-        std::fprintf(stderr, "deepmc: invalid value for %s\n", arg.c_str());
-        return kExitUsage;
-      }
-    } else if (arg == "--keep-going") {
-      opts.keep_going = true;
-    } else if (arg == "--fail-fast") {
-      opts.keep_going = false;
-    } else if (arg == "--list-fault-points") {
-      for (const std::string& n : support::registered_fault_points())
-        std::printf("%s\n", n.c_str());
-      return 0;
-    } else if (arg == "--inject-fault" ||
-               arg.compare(0, 15, "--inject-fault=") == 0) {
-      std::string spec;
-      if (arg == "--inject-fault") {
-        if (++i >= argc) {
-          usage();
-          return kExitUsage;
-        }
-        spec = argv[i];
-      } else {
-        spec = arg.substr(15);
-      }
-      try {
-        support::arm_fault(spec);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "deepmc: %s\n", e.what());
-        return kExitUsage;
-      }
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (str_flag("--metrics-out", arg, argc, argv, i, &metrics_out)) {
-      if (metrics_out.empty()) {
-        usage();
-        return kExitUsage;
-      }
-    } else if (str_flag("--prom-out", arg, argc, argv, i, &prom_out)) {
-      if (prom_out.empty()) {
-        usage();
-        return kExitUsage;
-      }
-    } else if (str_flag("--trace-out", arg, argc, argv, i, &trace_out)) {
-      if (trace_out.empty()) {
-        usage();
-        return kExitUsage;
-      }
-    } else if (str_flag("--flight-out", arg, argc, argv, i, &flight_out)) {
-      if (flight_out.empty()) {
-        usage();
-        return kExitUsage;
-      }
-    } else if (arg == "--dynamic") {
-      opts.dynamic_run = true;
-    } else if (arg == "--crashsim") {
-      opts.crashsim = true;
-    } else if (arg == "--dump-ir") {
-      opts.dump_ir = true;
-    } else if (arg == "--dump-dsg") {
-      opts.dump_dsg = true;
-    } else if (arg == "--dump-traces") {
-      opts.dump_traces = true;
-    } else if (arg == "--field-insensitive") {
-      opts.field_sensitive = false;
-    } else if (arg == "--suggest") {
-      opts.suggest = true;
-    } else if (arg == "--jobs" || arg == "-j") {
-      if (++i >= argc) {
-        usage();
-        return kExitUsage;
-      }
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 1 || n > support::kMaxJobs) {
-        std::fprintf(stderr, "deepmc: invalid --jobs value '%s'\n", argv[i]);
-        return kExitUsage;
-      }
-      opts.jobs = static_cast<size_t>(n);
-    } else if (arg == "--format") {
-      if (++i >= argc) {
-        usage();
-        return kExitUsage;
-      }
-      const std::string f = argv[i];
-      if (f == "text") {
-        format = core::ReportFormat::kText;
-      } else if (f == "json") {
-        format = core::ReportFormat::kJson;
-      } else {
-        std::fprintf(stderr, "deepmc: unknown format '%s'\n", f.c_str());
-        return kExitUsage;
-      }
-    } else if (arg == "--suppressions") {
-      if (++i >= argc) {
-        usage();
-        return kExitUsage;
-      }
-      std::ifstream f(argv[i]);
-      if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", argv[i]);
-        return kExitError;
-      }
-      std::ostringstream buf;
-      buf << f.rdbuf();
-      opts.suppressions = core::SuppressionDb::parse(buf.str());
-    } else if (arg == "--list-corpus") {
-      for (const std::string& n : corpus::module_names())
-        std::printf("%s\n", n.c_str());
-      return 0;
-    } else if (arg == "--corpus") {
-      if (++i >= argc) {
-        usage();
-        return kExitUsage;
-      }
-      corpus_modules.push_back(argv[i]);
-    } else if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage();
-      return kExitUsage;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty() && corpus_modules.empty()) {
-    usage();
-    return kExitUsage;
-  }
+  const support::Command cmd{
+      "deepmc",
+      {"deepmc [-strict|-epoch|-strand] [options] file.mir...",
+       "deepmc serve ...   incremental analysis server (deepmc serve --help)"},
+      {
+          {"-strict|-epoch|-strand", nullptr,
+           [&](const std::string& m) {
+             opts.model = *core::parse_model_flag(m);
+             return true;
+           },
+           "persistency model (default -strict)"},
+          {"--dynamic", nullptr, &opts.dynamic_run,
+           "run @main under the dynamic checker"},
+          {"--crashsim", nullptr, &opts.crashsim,
+           "confirm warnings against enumerated crash images"},
+          {"--jobs|-j", "N", &opts.jobs,
+           "analysis threads, 1 = serial (default: hardware)",
+           support::kMaxJobs, 1},
+          {"--format", "text|json", &format, "report format (default text)"},
+          {"--dump-ir", nullptr, &opts.dump_ir,
+           "print the (possibly instrumented) module"},
+          {"--dump-dsg", nullptr, &opts.dump_dsg,
+           "print the persistent Data Structure Graph"},
+          {"--dump-traces", nullptr, &opts.dump_traces,
+           "print collected trace summaries"},
+          {"--suggest", nullptr, &opts.suggest,
+           "append fix suggestions to warnings"},
+          {"--suppressions", "FILE", &suppressions,
+           "suppress the warnings FILE lists"},
+          {"--field-insensitive", nullptr,
+           support::set_to(&opts.field_sensitive, false),
+           "disable DSA field sensitivity (ablation)"},
+          {"--corpus", "NAME", &corpus_modules,
+           "analyze a built-in corpus module (repeatable)"},
+          {"--list-corpus", nullptr,
+           support::Exit{[] {
+             for (const std::string& n : corpus::module_names())
+               std::printf("%s\n", n.c_str());
+           }},
+           "list the built-in corpus modules"},
+          {"--help|-h", nullptr, support::Help{}, "print this help"},
+          support::heading("resilience (docs/RESILIENCE.md)"),
+          {"--budget-trace-steps", "N", &opts.budgets.trace_steps,
+           "per-root trace walk budget (0 = unlimited)"},
+          {"--budget-dsa-steps", "N", &opts.budgets.dsa_steps,
+           "per-unit DSA build budget"},
+          {"--budget-enum-images", "N", &opts.budgets.enum_images,
+           "per-root crash-image budget"},
+          {"--budget-interp-steps", "N", &opts.budgets.interp_steps,
+           "per-execution interpreter budget"},
+          {"--budget-wall-ms", "N", &opts.budgets.wall_ms,
+           "per-attempt wall-clock watchdog", support::kMaxMillis},
+          {"--keep-going", nullptr, &opts.keep_going,
+           "analyze every unit after a failed one (default)"},
+          {"--fail-fast", nullptr, support::set_to(&opts.keep_going, false),
+           "stop at the first failed unit"},
+          support::inject_fault_flag(),
+          support::list_fault_points_flag(),
+          support::heading("observability (the report stays byte-identical)"),
+          {"--stats", nullptr, &stats, "print a metrics summary to stderr"},
+          {"--metrics-out", "FILE", &metrics_out,
+           "write metrics JSON (deepmc-metrics-v1)"},
+          {"--prom-out", "FILE", &prom_out,
+           "write the Prometheus text exposition"},
+          {"--trace-out", "FILE", &trace_out,
+           "write a Chrome trace_event span trace"},
+          support::flight_out_flag(&flight_out),
+      },
+      [&](const std::string& file) { files.push_back(file); }};
+  if (auto rc = support::parse_flags(cmd, argc - 1, argv + 1)) return *rc;
+  if (files.empty() && corpus_modules.empty())
+    return support::usage_error(cmd, "no input file or --corpus");
   if (std::string env_err; !support::arm_faults_from_env(&env_err)) {
     std::fprintf(stderr, "deepmc: %s\n", env_err.c_str());
-    return kExitUsage;
+    return support::kExitUsage;
+  }
+  if (!suppressions.empty()) {
+    std::ifstream f(suppressions);
+    if (!f) {
+      std::fprintf(stderr, "deepmc: cannot open %s\n", suppressions.c_str());
+      return kExitError;
+    }
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    opts.suppressions = core::SuppressionDb::parse(buf.str());
   }
 
   std::vector<core::AnalysisUnit> units;
@@ -287,9 +150,6 @@ int main(int argc, char** argv) {
 
   // Any observability sink turns recording on; the report is unaffected
   // either way (asserted by tests/obs_test.cpp and scripts/check.sh).
-  if (flight_out.empty()) {
-    if (const char* env = std::getenv("DEEPMC_FLIGHT_OUT")) flight_out = env;
-  }
   const bool obs_on = stats || !metrics_out.empty() || !prom_out.empty() ||
                       !trace_out.empty() || !flight_out.empty();
   if (obs_on) obs::set_enabled(true);
@@ -308,16 +168,14 @@ int main(int argc, char** argv) {
     }
     return code;
   };
-  const size_t jobs = opts.jobs == 0
-                          ? support::ThreadPool::default_concurrency()
-                          : opts.jobs;
-  const size_t pool_workers = jobs <= 1 ? 0 : jobs;
+  const size_t jobs = support::ThreadPool::resolve_jobs(opts.jobs);
+  const size_t pool_workers = support::ThreadPool::workers_for(opts.jobs);
   const auto t0 = std::chrono::steady_clock::now();
 
   core::AnalysisDriver driver(std::move(opts));
   core::Report report = driver.run(units);
 
-  if (format == core::ReportFormat::kJson)
+  if (format == "json")
     report.print_json(std::cout);
   else
     report.print_text(std::cout);

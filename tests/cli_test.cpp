@@ -2,8 +2,10 @@
 // (warning counts vs usage vs input errors), --jobs determinism at the
 // process level, --format json output, and `deepmc serve` rejecting bad
 // numeric flags and unknown flags before it binds, and honouring its
-// request timeout in --stdin mode. Also bench_gates' and deepmc-load's
-// usage errors, which must exit 64 before any work starts.
+// request timeout in --stdin mode. Also bench_gates' usage errors, and
+// the one flag syntax, usage errors and thread caps that deepmc, deepmc
+// serve, deepmc-load and deepmc-corpus share; each usage error must exit
+// 64 before any work starts.
 //
 // Exit codes under test (see src/tools/deepmc.cpp):
 //   0      clean, 1..63 warning count (capped), 64 usage, 65 input error.
@@ -14,6 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 
 #include "serve/protocol.h"
@@ -322,6 +325,186 @@ TEST(BenchGates, UsageErrorsExit64BeforeAnyWork) {
     EXPECT_NE(out.find(c.problem), std::string::npos) << c.args << ": " << out;
     EXPECT_EQ(out.find("System configuration"), std::string::npos)
         << c.args << ": the gate started";
+  }
+}
+
+// --- one flag parser for every tool ------------------------------------------
+
+/// The command line that starts `tool` ("deepmc", "deepmc serve",
+/// "deepmc-load" or "deepmc-corpus", with or without "gen" / "run").
+std::string tool_cmd(const std::string& tool) {
+  if (tool == "deepmc") return std::string("\"") + DEEPMC_BIN + "\" ";
+  if (tool == "deepmc serve")
+    return std::string("\"") + DEEPMC_BIN + "\" serve ";
+  if (tool == "deepmc-load") return std::string("\"") + DEEPMC_LOAD_BIN + "\" ";
+  return std::string("\"") + DEEPMC_CORPUS_BIN + "\"" +
+         tool.substr(std::strlen("deepmc-corpus")) + " ";
+}
+
+/// Runs `tool args` with stderr folded into the output.
+std::pair<std::string, int> run_tool(const std::string& tool,
+                                     const std::string& args) {
+  return run_shell("timeout 60 " + tool_cmd(tool) + args + " 2>&1");
+}
+
+TEST(CliFlags, EqualsFormTakesTheOperandInEveryTool) {
+  const std::string sock = ::testing::TempDir() + "deepmc_cli_eq_none.sock";
+  const std::string out = ::testing::TempDir() + "deepmc_cli_eq_corpus.json";
+  std::remove(sock.c_str());
+  std::remove(out.c_str());
+  const struct {
+    const char* tool;
+    std::string args;
+    int code;
+  } rows[] = {
+      {"deepmc", "--jobs=2 --format=json " + example("epoch_log.mir"), 0},
+      // Nothing listens on the socket: the client gets as far as dialling.
+      {"deepmc serve",
+       "--connect=\"" + sock + "\" --ping --max-retries=0 --retry-budget-ms=0",
+       65},
+      {"deepmc serve", "--stdin --jobs=0 --trace-ring=4 < /dev/null", 0},
+      {"deepmc-load",
+       "--schedule-hash --threads=2 --ops=1 --checker=off --mix=50:50:0", 0},
+      {"deepmc-corpus gen", "--seed=3 --framework=PMDK --manifest", 0},
+      {"deepmc-corpus run", "--count=1 --jobs=1 --out=\"" + out + "\"", 0},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(std::string(row.tool) + " " + row.args);
+    auto [text, code] = run_tool(row.tool, row.args);
+    EXPECT_EQ(code, row.code) << text;
+    EXPECT_EQ(text.find("unknown"), std::string::npos) << text;
+    EXPECT_EQ(text.find("usage:"), std::string::npos) << text;
+  }
+  EXPECT_EQ(access(out.c_str(), F_OK), 0) << "--out=FILE wrote nothing";
+  std::remove(out.c_str());
+}
+
+TEST(CliFlags, MissingFinalOperandIsAUsageError) {
+  const std::string sock = ::testing::TempDir() + "deepmc_cli_missing.sock";
+  const struct {
+    const char* tool;
+    std::string args;
+    const char* flag;
+  } rows[] = {
+      {"deepmc", example("epoch_log.mir") + " --corpus", "--corpus"},
+      {"deepmc serve", "--socket \"" + sock + "\" --cache-dir", "--cache-dir"},
+      {"deepmc serve", "--connect \"" + sock + "\" --ping --deadline-ms",
+       "--deadline-ms"},
+      {"deepmc-load", "--schedule-hash --framework", "--framework"},
+      {"deepmc-corpus gen", "--seed 1 --framework", "--framework"},
+      {"deepmc-corpus run", "--count 1 --out", "--out"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(std::string(row.tool) + " " + row.args);
+    std::remove(sock.c_str());
+    auto [text, code] = run_tool(row.tool, row.args);
+    EXPECT_EQ(code, 64) << text;
+    EXPECT_NE(text.find(std::string(row.tool) + ": missing value for " +
+                        row.flag + "\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(access(sock.c_str(), F_OK), 0) << "socket was bound";
+  }
+}
+
+TEST(CliFlags, UnknownFlagMessageNamesTheTool) {
+  for (const char* tool : {"deepmc", "deepmc serve", "deepmc-load",
+                           "deepmc-corpus gen", "deepmc-corpus run"}) {
+    SCOPED_TRACE(tool);
+    auto [text, code] = run_tool(tool, "--bogus");
+    EXPECT_EQ(code, 64) << text;
+    EXPECT_EQ(text.rfind(std::string(tool) + ": unknown flag --bogus\nusage: ",
+                         0),
+              0u)
+        << text;
+  }
+}
+
+TEST(CliFlags, NumericFlagsStopAtWhatTheirFieldHolds) {
+  // Each value but the first once passed a cast into a narrower field;
+  // none of these rows starts a worker thread.
+  const struct {
+    const char* tool;
+    const char* args;
+    const char* flag;
+  } rows[] = {
+      {"deepmc-load", "--schedule-hash --threads 0", "--threads"},
+      {"deepmc-load", "--threads 4294967297 --ops 1", "--threads"},
+      {"deepmc-load", "--schedule-hash --sample 4294967296", "--sample"},
+      {"deepmc-load", "--schedule-hash --max-retries 2147483648",
+       "--max-retries"},
+      {"deepmc serve", "--connect x --ping --max-retries 2147483648",
+       "--max-retries"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(std::string(row.tool) + " " + row.args);
+    auto [text, code] = run_tool(row.tool, row.args);
+    EXPECT_EQ(code, 64) << text;
+    EXPECT_NE(text.find(std::string(row.tool) + ": invalid value for " +
+                        row.flag + "\n"),
+              std::string::npos)
+        << text;
+  }
+  // The thread cap itself is accepted (--schedule-hash starts no threads).
+  EXPECT_EQ(run_tool("deepmc-load", "--schedule-hash --ops 1 --threads 1024")
+                .second,
+            0);
+}
+
+TEST(CliFlags, ThreadCountsAboveTheCapAreUsageErrors) {
+  // Rejected while parsing, so neither tool starts a thread.
+  const struct {
+    const char* tool;
+    const char* args;
+    const char* flag;
+  } rows[] = {
+      {"deepmc-load", "--threads 1025 --ops 1", "--threads"},
+      {"deepmc-corpus run", "--count 1 --jobs 1025", "--jobs"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(std::string(row.tool) + " " + row.args);
+    auto [text, code] = run_tool(row.tool, row.args);
+    EXPECT_EQ(code, 64) << text;
+    EXPECT_NE(text.find(std::string(row.tool) + ": invalid value for " +
+                        row.flag + "\n"),
+              std::string::npos)
+        << text;
+  }
+}
+
+TEST(CliFlags, UsageIsRenderedFromTheFlagTable) {
+  // --help prints to stdout and exits 0; every synopsis line after the
+  // first is indented under it, and every line fits 80 columns.
+  // deepmc-corpus has no --help: with no command it prints both usages.
+  const struct {
+    const char* tool;
+    const char* args;
+    int code;
+    const char* row;
+  } cases[] = {
+      {"deepmc", "--help 2>/dev/null", 0, "  --budget-wall-ms N "},
+      {"deepmc serve", "--help 2>/dev/null", 0, "  --io-timeout-ms N "},
+      {"deepmc-load", "--help 2>/dev/null", 0, "  --threads N "},
+      {"deepmc-corpus", "2>&1", 64, "  --crashsim-sample K "},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.tool);
+    auto [text, code] = run_shell(tool_cmd(c.tool) + c.args);
+    EXPECT_EQ(code, c.code);
+    EXPECT_NE(text.find(c.row), std::string::npos) << text;
+    std::istringstream lines(text);
+    std::string line;
+    bool synopsis = false;
+    while (std::getline(lines, line)) {
+      EXPECT_LE(line.size(), 80u) << line;
+      if (line.rfind("usage: ", 0) == 0) {
+        synopsis = true;
+      } else if (synopsis && !line.empty()) {
+        EXPECT_EQ(line.rfind("       ", 0), 0u) << line;
+      } else {
+        synopsis = false;
+      }
+    }
   }
 }
 

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -91,6 +95,119 @@ TEST(FlagsTest, NumFlagRejectsSignsGarbageAndOverflow) {
   }
   EXPECT_FALSE(std::get<1>(parse_num("--n", "1025", 1024)));
   EXPECT_FALSE(std::get<1>(parse_num("--n", nullptr)));  // missing operand
+}
+
+/// Runs parse_flags over `args` (no program name) and returns its result.
+std::optional<int> parse(const support::Command& cmd,
+                         std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return support::parse_flags(cmd, static_cast<int>(argv.size()),
+                              argv.data());
+}
+
+TEST(FlagsTest, ParseFlagsAppliesEachTargetInBothSpellings) {
+  uint32_t narrow = 0;
+  std::optional<uint64_t> seen;
+  double real = 0;
+  std::string mode = "a";
+  std::vector<std::string> list, inputs;
+  bool on = false;
+  std::string handled;
+  const support::Command cmd{
+      "tool",
+      {"tool [options] input..."},
+      {
+          {"--narrow|-n", "N", &narrow, "", 1000, 1},
+          {"--seen", "N", &seen, ""},
+          {"--real", "X", &real, ""},
+          {"--mode", "a|b", &mode, ""},
+          {"--item", "S", &list, ""},
+          {"--on", nullptr, &on, ""},
+          {"--handled", "S",
+           [&](const std::string& v) {
+             handled = v;
+             return v != "bad";
+           },
+           ""},
+      },
+      [&](const std::string& in) { inputs.push_back(in); }};
+  EXPECT_EQ(parse(cmd, {"--narrow=7", "x", "--seen", "0", "--real=2.5",
+                        "--mode", "b", "--item=p", "--item", "q", "--on",
+                        "--handled=h", "y"}),
+            std::nullopt);
+  EXPECT_EQ(narrow, 7u);
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(real, 2.5);
+  EXPECT_EQ(mode, "b");
+  EXPECT_EQ(list, (std::vector<std::string>{"p", "q"}));
+  EXPECT_TRUE(on);
+  EXPECT_EQ(handled, "h");
+  EXPECT_EQ(inputs, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(parse(cmd, {"-n", "1000"}), std::nullopt);
+  EXPECT_EQ(narrow, 1000u);
+}
+
+TEST(FlagsTest, ParseFlagsReportsEachUsageErrorAsExit64) {
+  uint8_t small = 5;
+  std::string mode;
+  const support::Command cmd{
+      "tool",
+      {"tool [options]"},
+      {
+          {"--small", "N", &small, "", 1000, 1},
+          {"--mode", "a|b", &mode, ""},
+          {"--text", "S", &mode, ""},
+          {"--list", nullptr, support::Exit{[] {}}, ""},
+      }};
+  const std::vector<std::vector<std::string>> bad_args = {
+      {"--small", "256"},  // past what a uint8_t holds
+      {"--small=0"},       // below the flag's minimum
+      {"--small"},         // missing final operand
+      {"--mode", "c"},     // not one of the listed words
+      {"--text", ""},      // every operand is non-empty
+      {"--text="},         // "--flag=" alone is no spelling of the flag
+      {"--bogus"},
+      {"input"},  // no input handler
+  };
+  for (const std::vector<std::string>& bad : bad_args)
+    EXPECT_EQ(parse(cmd, bad), support::kExitUsage) << bad[0];
+  EXPECT_EQ(small, 5u) << "a rejected value must not be stored";
+  EXPECT_EQ(parse(cmd, {"--list", "--bogus"}), 0) << "--list ends the run";
+}
+
+TEST(FlagsTest, UsageListsEveryRowUnderItsHeading) {
+  uint64_t n = 0;
+  bool on = false;
+  const support::Command cmd{
+      "tool",
+      {"tool [options]", "tool other"},
+      {
+          {"--n", "N", &n, "a number"},
+          support::heading("group"),
+          {"--a-very-long-switch-name-x", nullptr, &on, "wraps"},
+      },
+      {},
+      "notes\n"};
+  char* buf = nullptr;
+  size_t size = 0;
+  FILE* out = open_memstream(&buf, &size);
+  ASSERT_NE(out, nullptr);
+  support::print_usage(cmd, out);
+  std::fclose(out);
+  const std::string text(buf, size);
+  std::free(buf);
+  EXPECT_EQ(text,
+            "usage: tool [options]\n"
+            "       tool other\n"
+            "\n"
+            "  --n N                       a number\n"
+            "\n"
+            "group:\n"
+            "  --a-very-long-switch-name-x\n"
+            "                              wraps\n"
+            "\n"
+            "notes\n");
 }
 
 // --- rng -----------------------------------------------------------------------
