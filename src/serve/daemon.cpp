@@ -353,7 +353,7 @@ void ServeDaemon::begin_drain(const char* reason) {
   }
   cv_.notify_all();
   if (obs::flight().armed())
-    obs::flight().record("serve.drain", std::string("reason=") + reason);
+    obs::flight().record("serve.drain", obs::flight_kv("reason", reason));
   for (const int fd : to_shed) {
     shed_total().inc();
     write_response(fd, overloaded_response());

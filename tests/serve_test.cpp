@@ -1324,6 +1324,22 @@ TEST(ServeTelemetry, StatsBodyExposesEvictionCountersOverProtocol) {
   EXPECT_NE(resps[2].body.find("\"bytes\""), std::string::npos);
 }
 
+TEST(ServeTelemetry, DrainEventDetailIsJson) {
+  // A drained daemon's flight dump stays JSONL: serve.drain carries its
+  // reason as a JSON pair.
+  obs::flight().arm(16);
+  AnalysisService service(cached_opts(""));
+  serve::ServeDaemon daemon(service, {});
+  daemon.begin_drain("shutdown");
+  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  obs::flight().disarm();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].kind, "serve.drain");
+  const std::string detail = "{" + events[0].detail + "}";
+  EXPECT_EQ(detail, "{\"reason\": \"shutdown\"}");
+  EXPECT_EQ(serve::json_string_field(detail, "reason"), "shutdown");
+}
+
 // ---------------------------------------------------------------------------
 // Multi-client fleet: ServeDaemon + ServeClient end to end
 // ---------------------------------------------------------------------------
