@@ -8,8 +8,11 @@
 
 namespace deepmc {
 
-/// Diamond-heavy module (4 roots x 2^10 paths): expensive enough that a
-/// 1 ms deadline always fires mid-analysis, on any machine.
+/// Diamond-heavy module: 4 roots, each a chain of 40 diamonds, so each
+/// root walks the 256-path cap over ~124-event paths. One root alone
+/// takes about 2 ms, so a 1 ms deadline fires mid-analysis however many
+/// threads check the roots at once (with 10 diamonds a root took ~0.5 ms
+/// and a run on an idle 4-thread machine could finish inside 1 ms).
 inline std::string slow_module_text() {
   std::ostringstream os;
   os << "module \"slowmod\"\nstruct %rec { i64, i64 }\n\n";
@@ -18,7 +21,7 @@ inline std::string slow_module_text() {
        << "  %r = pm.alloc %rec\n  %f = gep %r, 0\n"
        << "  store i64 " << (n + 1) << ", %f !loc(\"slow.c\", 1)\n"
        << "  br label %d0\n";
-    for (size_t d = 0; d < 10; ++d) {
+    for (size_t d = 0; d < 40; ++d) {
       os << "d" << d << ":\n"
          << "  %v" << d << " = load %f\n"
          << "  %c" << d << " = lt %v" << d << ", 5\n"
@@ -32,7 +35,7 @@ inline std::string slow_module_text() {
          << (100 * n + 2 * d + 3) << ")\n"
          << "  pm.flush %f, 8\n  br label %d" << d << "e\n"
          << "d" << d << "e:\n";
-      os << (d + 1 < 10 ? "  br label %d" + std::to_string(d + 1) + "\n"
+      os << (d + 1 < 40 ? "  br label %d" + std::to_string(d + 1) + "\n"
                         : std::string("  br label %done\n"));
     }
     os << "done:\n  pm.flush %f, 8\n  pm.fence\n  ret\n}\n\n";
