@@ -14,6 +14,12 @@ namespace deepmc::ir {
 class Function;
 class Module;
 
+/// A byte range of the text a module was parsed from.
+struct SourceSpan {
+  size_t offset = 0;
+  size_t size = 0;
+};
+
 class BasicBlock {
  public:
   BasicBlock(std::string name, Function* parent)
@@ -88,6 +94,14 @@ class Function {
   /// Declaration-only functions (external; no body).
   [[nodiscard]] bool is_declaration() const { return blocks_.empty(); }
 
+  /// Where the parser read the function: a define from its `define`
+  /// through its closing '}', a declare from its `declare` to the end of
+  /// the line's code. Unset for functions the parser did not make.
+  [[nodiscard]] const std::optional<SourceSpan>& source_span() const {
+    return span_;
+  }
+  void set_source_span(SourceSpan span) { span_ = span; }
+
   /// Values owned by the function body (constants created by the builder).
   Value* own(std::unique_ptr<Value> v) {
     owned_.push_back(std::move(v));
@@ -101,6 +115,7 @@ class Function {
   std::vector<std::unique_ptr<Argument>> args_;
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
   std::vector<std::unique_ptr<Value>> owned_;
+  std::optional<SourceSpan> span_;
 };
 
 class Module {

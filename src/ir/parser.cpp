@@ -31,6 +31,13 @@ enum class Tok : uint8_t {
   kEnd,
 };
 
+/// The characters of a bare word after its first (a letter or '_'), and of
+/// a %local or @global name.
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
+         c == '-';
+}
+
 struct Token {
   Tok kind = Tok::kEnd;
   std::string_view text;
@@ -90,11 +97,6 @@ class Lexer {
   [[nodiscard]] size_t lineno() const { return lineno_; }
 
  private:
-  static bool ident_char(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '.' || c == '-';
-  }
-
   void advance() {
     while (pos_ < s_.size() &&
            (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\r'))
@@ -176,7 +178,8 @@ class Parser {
   explicit Parser(std::string_view text,
                   std::vector<ParseDiagnostic>* diags = nullptr,
                   size_t max_diags = 0)
-      : lines_(split(text, '\n', /*keep_empty=*/true)),
+      : text_(text),
+        lines_(split(text, '\n', /*keep_empty=*/true)),
         diags_(diags),
         max_diags_(max_diags) {}
 
@@ -286,12 +289,26 @@ class Parser {
 
   // --- pass 1 ----------------------------------------------------------------
 
+  /// True when the trimmed, non-empty line `t` starts with a bare word
+  /// other than module, struct, define and declare. A Lexer over such a
+  /// line lexes just that word, which cannot fail, and pass 1 then does
+  /// nothing with the line once the module exists.
+  static bool inert_word(std::string_view t) {
+    if (!std::isalpha(static_cast<unsigned char>(t[0])) && t[0] != '_')
+      return false;
+    size_t n = 1;
+    while (n < t.size() && ident_char(t[n])) ++n;
+    const std::string_view w = t.substr(0, n);
+    return w != "module" && w != "struct" && w != "define" && w != "declare";
+  }
+
   void scan_header_and_signatures() {
     std::string mod_name = "module";
     // Find module line + struct lines first (in order), then signatures.
     for (size_t i = 0; i < lines_.size(); ++i) {
       std::string_view t = trim(lines_[i]);
       if (t.empty() || t[0] == ';') continue;
+      if (module_ && inert_word(t)) continue;
       const bool keep = guarded([&] {
         Lexer lex(lines_[i], i + 1);
         if (lex.accept_ident("module")) {
@@ -352,7 +369,20 @@ class Parser {
     }
     Function* f =
         module_->create_function(std::move(name), ret, std::move(params));
-    if (is_define) body_start_.emplace_back(f, line_index);
+    if (is_define)
+      body_start_.emplace_back(f, line_index);
+    else
+      f->set_source_span(span_of(trim(lines_[line_index]),
+                                 code_of(lines_[line_index])));
+  }
+
+  /// The span from the start of `first` to the end of `last`, two views
+  /// into text_ with `last` ending no earlier than `first` starts.
+  SourceSpan span_of(std::string_view first, std::string_view last) const {
+    const auto offset = static_cast<size_t>(first.data() - text_.data());
+    const auto end = static_cast<size_t>(last.data() + last.size() -
+                                         text_.data());
+    return {offset, end - offset};
   }
 
   // --- pass 2 ----------------------------------------------------------------
@@ -387,6 +417,8 @@ class Parser {
     while (last < lines_.size() && code_of(lines_[last]) != "}") ++last;
     if (last >= lines_.size())
       throw ParseError(def_line + 1, "missing closing '}' for @" + func->name());
+    func->set_source_span(
+        span_of(trim(lines_[def_line]), code_of(lines_[last])));
 
     // Collect labels in order, creating blocks.
     Blocks blocks;
@@ -633,7 +665,8 @@ class Parser {
     return it->second;
   }
 
-  std::vector<std::string_view> lines_;  ///< views into the parsed text
+  std::string_view text_;                ///< the text being parsed
+  std::vector<std::string_view> lines_;  ///< views into text_
   std::unique_ptr<Module> module_;
   std::vector<std::pair<Function*, size_t>> body_start_;
   std::vector<ParseDiagnostic>* diags_ = nullptr;  // null = strict mode

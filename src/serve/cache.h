@@ -63,7 +63,9 @@ class DiskCache {
   /// Bump when the wire encoding or the cache keys change; the first open
   /// of an older log then counts its records as corrupt and compacts them
   /// away. 3: keys hash only the options a cached result depends on.
-  static constexpr uint32_t kFormatVersion = 3;
+  /// 4: keys and payload hashes use the word-at-a-time Hasher, and root
+  /// keys cover source text instead of printed text.
+  static constexpr uint32_t kFormatVersion = 4;
 
   using Limits = CacheLimits;
 

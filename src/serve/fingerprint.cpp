@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "core/model.h"
-#include "ir/printer.h"
 #include "ir/type.h"
 #include "serve/hash.h"
 
@@ -75,7 +73,7 @@ std::string unit_key(const std::string& options_fp, const std::string& name,
       .hex();
 }
 
-ModulePlan plan_module(const ir::Module& module,
+ModulePlan plan_module(const ir::Module& module, std::string_view text,
                        const analysis::CallGraph& callgraph,
                        const std::vector<const ir::Function*>& roots,
                        const std::string& options_fp) {
@@ -99,8 +97,8 @@ ModulePlan plan_module(const ir::Module& module,
     }
   }
 
-  // One content hash per group: sorted-by-name texts of every function in
-  // the union of the group's closures.
+  // One content hash per group over every function in the union of the
+  // group's closures, sorted by name; empty when one of them has no span.
   std::map<size_t, std::set<const ir::Function*>> group_fns;
   for (size_t i = 0; i < roots.size(); ++i) {
     auto& fns = group_fns[uf_find(parent, i)];
@@ -115,14 +113,20 @@ ModulePlan plan_module(const ir::Module& module,
                 return a->name() < b->name();
               });
     Hasher h;
-    h.field("deepmc-group-v1");
+    h.field("deepmc-group-v2");
+    bool spanned = true;
     for (const ir::Function* f : sorted) {
-      h.field(f->name());
-      std::ostringstream os;
-      ir::print_function(*f, os);
-      h.field(os.str());
+      const std::optional<ir::SourceSpan>& span = f->source_span();
+      if (!span || span->offset > text.size() ||
+          span->size > text.size() - span->offset) {
+        spanned = false;
+        break;
+      }
+      h.field(f->name()).field(text.substr(span->offset, span->size));
+      h.field(f->return_type()->str()).update_u64(f->arg_count());
+      for (const auto& arg : f->args()) h.field(arg->type()->str());
     }
-    group_hash[rep] = h.hex();
+    group_hash[rep] = spanned ? h.hex() : std::string();
   }
 
   ModulePlan plan;
@@ -130,6 +134,10 @@ ModulePlan plan_module(const ir::Module& module,
   plan.keys.reserve(roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
     const std::string& gh = group_hash[uf_find(parent, i)];
+    if (gh.empty()) {
+      plan.keys.emplace_back();
+      continue;
+    }
     plan.keys.push_back(Hasher()
                             .field("deepmc-root-v1")
                             .field(options_fp)

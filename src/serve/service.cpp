@@ -79,16 +79,20 @@ std::string join_args(std::string a, const std::string& b) {
 }
 
 /// The root level of the cache for one request. The driver calls it with
-/// the module it parsed and verified, so the keys cover exactly what the
-/// checker analyzes. The driver may call from any pool worker, so every
+/// the module it parsed from the request text and verified, so the keys
+/// cover exactly what the checker analyzes. A root without a key (its
+/// group holds a function the parser did not make) is a miss and is not
+/// stored. The driver may call from any pool worker, so every
 /// DiskCache call runs under the fault scope of the session that built
 /// this object: a cache.read / cache.write trip then degrades to a miss or
 /// a dropped entry, as it does for the unit entry, and never cancels the
 /// unit.
 class DiskRootCache final : public core::RootCache {
  public:
-  DiskRootCache(DiskCache& cache, std::string options_fp, std::string rid_arg)
+  DiskRootCache(DiskCache& cache, const std::string& text,
+                std::string options_fp, std::string rid_arg)
       : cache_(cache),
+        text_(text),
         options_fp_(std::move(options_fp)),
         rid_arg_(std::move(rid_arg)),
         faults_(support::active_fault_scope()) {}
@@ -100,12 +104,16 @@ class DiskRootCache final : public core::RootCache {
       const std::vector<const ir::Function*>& roots) override {
     {
       obs::Span s("serve.plan", "serve", rid_arg_);
-      keys_ = plan_module(module, callgraph, roots, options_fp_).keys;
+      keys_ = plan_module(module, text_, callgraph, roots, options_fp_).keys;
     }
     planned_ = true;
     support::FaultActivation activation(faults_);
     std::vector<std::optional<core::CheckResult>> cached(keys_.size());
     for (size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i].empty()) {
+        ++misses_;
+        continue;
+      }
       if (auto payload = cache_.get(keys_[i])) {
         core::CheckResult result;
         if (decode_check_result(*payload, &result)) {
@@ -123,7 +131,8 @@ class DiskRootCache final : public core::RootCache {
       const std::vector<std::optional<core::CheckResult>>& fresh) override {
     support::FaultActivation activation(faults_);
     for (size_t i = 0; i < fresh.size(); ++i)
-      if (fresh[i]) cache_.put(keys_[i], encode_check_result(*fresh[i]));
+      if (fresh[i] && !keys_[i].empty())
+        cache_.put(keys_[i], encode_check_result(*fresh[i]));
   }
 
   /// Read after the driver run: whether the driver reached the full rung's
@@ -134,6 +143,7 @@ class DiskRootCache final : public core::RootCache {
 
  private:
   DiskCache& cache_;
+  const std::string& text_;
   const std::string options_fp_;
   const std::string rid_arg_;
   support::FaultScope* const faults_;
@@ -243,7 +253,7 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
 
   // Level 2: per-root reuse. The driver asks the root cache on the full
   // rung, once it has verified the module and built its call graph.
-  DiskRootCache root_cache(cache_, options_fp.value_or(""), rid_arg);
+  DiskRootCache root_cache(cache_, text, options_fp.value_or(""), rid_arg);
   if (eligible) dopts.root_cache = &root_cache;
   core::AnalysisDriver driver(dopts);
   std::vector<core::AnalysisUnit> units;

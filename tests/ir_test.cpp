@@ -359,6 +359,68 @@ entry:
             RegionKind::kTx);
 }
 
+/// The text `f`'s source span covers in `text`.
+std::string span_text(std::string_view text, const Function& f) {
+  const std::optional<SourceSpan>& span = f.source_span();
+  if (!span) return "<no span>";
+  return std::string(text.substr(span->offset, span->size));
+}
+
+TEST(ParserTest, FunctionSpansAreTheirDefineThroughBraceOrDeclareText) {
+  for (const std::string eol : {"\n", "\r\n"}) {
+    SCOPED_TRACE(eol == "\n" ? "LF" : "CRLF");
+    const std::string f = "define i64 @f(i64 %x) {  ; the body follows" +
+                          eol + "entry:" + eol + "  ; a comment line" + eol +
+                          "  %y = add %x, 1 ; bump" + eol + "  ret %y" + eol +
+                          "}";
+    const std::string g = "define void @g() {" + eol + "  %r = call @f(1)" +
+                          eol + "  call @ext(%r)" + eol + "  ret" + eol + "}";
+    const std::string text =
+        "module \"spans\"" + eol + "; header" + eol +
+        "  declare void @ext(i64)   ; external" + eol + "\t" + f +
+        " ; end of f" + eol + eol + "declare i64 @bare()" + eol + g;
+    const auto m = parse_module(text);
+    EXPECT_EQ(span_text(text, *m->find_function("ext")),
+              "declare void @ext(i64)");
+    EXPECT_EQ(span_text(text, *m->find_function("bare")),
+              "declare i64 @bare()");
+    EXPECT_EQ(span_text(text, *m->find_function("f")), f);
+    EXPECT_EQ(span_text(text, *m->find_function("g")), g);
+  }
+
+  // A function the parser did not make has no span.
+  Module m("built");
+  IRBuilder b(m);
+  b.begin_function("h", m.types().void_type(), {});
+  b.ret();
+  EXPECT_FALSE(m.find_function("h")->source_span().has_value());
+}
+
+TEST(ParserTest, FirstPassSkipsBodyWordsButStillReportsTheirLexErrors) {
+  // Body lines led by a word never reach pass 1's lexer; lines led by a
+  // digit or a quote still do, so their lexing errors keep their line.
+  const auto m = parse_module(R"(module "words"
+define void @f() {
+entry:
+  ret
+}
+declare void @d()
+)");
+  EXPECT_EQ(m->name(), "words");
+  EXPECT_NE(m->find_function("d"), nullptr);
+  for (const char* bad : {"  \"open", "  99999999999999999999 x"}) {
+    SCOPED_TRACE(bad);
+    const std::string text = std::string("module \"m\"\ndefine void @f() {\n") +
+                             bad + "\n  ret\n}\n";
+    try {
+      parse_module(text);
+      ADD_FAILURE() << "parsed";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3u);
+    }
+  }
+}
+
 // Round-trip property over a family of generated straight-line programs.
 class RoundTripProperty : public ::testing::TestWithParam<int> {};
 

@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -34,6 +35,7 @@
 #include "core/static_checker.h"
 #include "corpus/corpus.h"
 #include "gen/generator.h"
+#include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "obs/flight.h"
@@ -50,6 +52,7 @@
 #include "serve/wire.h"
 #include "slow_module.h"
 #include "support/faultpoint.h"
+#include "support/str.h"
 
 namespace deepmc {
 namespace {
@@ -281,7 +284,8 @@ TEST(ServeDirtyCone, PlanGroupsIndependentRootsSeparately) {
   checker.prepare();
   const std::vector<const ir::Function*> roots = checker.trace_roots();
   const serve::ModulePlan plan =
-      serve::plan_module(*module, checker.dsa().callgraph(), roots, "fp");
+      serve::plan_module(*module, kTwoRoots, checker.dsa().callgraph(), roots,
+                         "fp");
   ASSERT_EQ(plan.keys.size(), 2u);
   EXPECT_EQ(plan.groups, 2u);
   EXPECT_EQ(roots[0]->name(), "alpha");
@@ -320,6 +324,276 @@ entry:
   }
   EXPECT_EQ(service.stats().root_hits, 0u);
   EXPECT_EQ(service.stats().root_misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Keys: the word-at-a-time hasher and root keys over source spans
+// ---------------------------------------------------------------------------
+
+/// A module shaped like a perfbench serve-edits module: eight independent
+/// roots, each one record driven through 5-8 diamonds of store+flush
+/// pairs and then an unlocated flush and fence.
+std::string serve_edits_module() {
+  std::string out = "module \"edits\"\nstruct %rec { i64, i64 }\n\n";
+  const size_t diamonds[] = {5, 6, 7, 8, 5, 6, 7, 8};
+  size_t line = 1;
+  for (size_t r = 0; r < 8; ++r) {
+    out += strformat("define void @r%zu() {\nentry:\n", r);
+    out += "  %r = pm.alloc %rec\n  %f = gep %r, 0\n  br label %d0\n";
+    for (size_t d = 0; d < diamonds[r]; ++d) {
+      out += strformat("d%zu:\n  %%v%zu = load %%f\n  %%c%zu = lt %%v%zu, 5\n",
+                       d, d, d, d);
+      out += strformat("  br %%c%zu, label %%d%zua, label %%d%zub\n", d, d, d);
+      for (const char arm : {'a', 'b'}) {
+        out += strformat("d%zu%c:\n", d, arm);
+        for (int s = 0; s < 2; ++s, ++line)
+          out += strformat(
+              "  store i64 %zu, %%f !loc(\"edits.c\", %zu)\n  pm.flush %%f, "
+              "8\n",
+              line % 1000, line);
+        out += strformat("  br label %%d%zue\n", d);
+      }
+      out += strformat("d%zue:\n", d);
+      out += d + 1 < diamonds[r] ? strformat("  br label %%d%zu\n", d + 1)
+                                 : std::string("  br label %done\n");
+    }
+    out += "done:\n  pm.flush %f, 8\n  pm.fence\n  ret\n}\n\n";
+  }
+  return out;
+}
+
+/// The plan the driver's cache would get for `text`: the checker's own
+/// roots over its own call graph.
+serve::ModulePlan plan_for(const std::string& text) {
+  const auto module = ir::parse_module(text);
+  core::StaticChecker checker(*module, core::PersistencyModel::kStrict);
+  checker.prepare();
+  return serve::plan_module(*module, text, checker.dsa().callgraph(),
+                            checker.trace_roots(), "fp");
+}
+
+/// `text` with `insert` placed right after the first `anchor`.
+std::string insert_after(std::string text, const std::string& anchor,
+                         const std::string& insert) {
+  const size_t at = text.find(anchor);
+  EXPECT_NE(at, std::string::npos) << anchor;
+  if (at != std::string::npos) text.insert(at + anchor.size(), insert);
+  return text;
+}
+
+/// `text` with its `define void @<a>` and `define void @<b>` functions
+/// swapped; both run to the first "}\n" after their define line.
+std::string swap_functions(const std::string& text, const std::string& a,
+                           const std::string& b) {
+  auto span = [&](const std::string& name) {
+    const size_t begin = text.find("define void @" + name + "(");
+    const size_t end = text.find("}\n", begin) + 2;
+    return std::make_pair(begin, end);
+  };
+  auto [a0, a1] = span(a);
+  auto [b0, b1] = span(b);
+  EXPECT_LT(a1, b0);
+  return text.substr(0, a0) + text.substr(b0, b1 - b0) +
+         text.substr(a1, b0 - a1) + text.substr(a0, a1 - a0) +
+         text.substr(b1);
+}
+
+TEST(ServeKeys, HasherDigestIsTheSameForEverySplit) {
+  std::string bytes;
+  for (size_t i = 0; i < 64; ++i) bytes += static_cast<char>(i * 37 + 11);
+  for (size_t n = 0; n <= bytes.size(); ++n) {
+    SCOPED_TRACE(n);
+    const std::string_view input = std::string_view(bytes).substr(0, n);
+    const std::string whole = serve::hash_bytes(input);
+    serve::Hasher one_by_one;
+    for (const char c : input) one_by_one.update({&c, 1});
+    EXPECT_EQ(one_by_one.hex(), whole);
+    for (size_t i = 0; i <= n; ++i)
+      for (size_t j = i; j <= n; ++j)
+        ASSERT_EQ(serve::Hasher()
+                      .update(input.substr(0, i))
+                      .update(input.substr(i, j - i))
+                      .update(input.substr(j))
+                      .hex(),
+                  whole)
+            << "split at " << i << " and " << j;
+  }
+
+  const std::string module = serve_edits_module();
+  const std::string whole = serve::hash_bytes(module);
+  const std::string_view view = module;
+  for (size_t i = 0; i <= module.size(); ++i)
+    ASSERT_EQ(
+        serve::Hasher().update(view.substr(0, i)).update(view.substr(i)).hex(),
+        whole)
+        << "split at " << i;
+}
+
+TEST(ServeKeys, DigestsAreThirtyTwoHexDigitsAndSeparateLengthsAndFields) {
+  const std::string empty = serve::hash_bytes("");
+  const std::string nul = serve::hash_bytes(std::string(1, '\0'));
+  const std::string nul2 = serve::hash_bytes(std::string(2, '\0'));
+  EXPECT_NE(empty, nul);
+  EXPECT_NE(empty, nul2);
+  EXPECT_NE(nul, nul2);
+  for (const std::string& hex : {empty, nul, nul2}) {
+    EXPECT_EQ(hex.size(), 32u);
+    EXPECT_EQ(hex.find_first_not_of("0123456789abcdef"), std::string::npos)
+        << hex;
+  }
+
+  auto fields = [](std::string_view a, std::string_view b) {
+    return serve::Hasher().field(a).field(b).hex();
+  };
+  EXPECT_NE(fields("ab", "c"), fields("a", "bc"));
+  EXPECT_NE(fields("", "a"), fields("a", ""));
+  // A separator byte inside a field cannot fake a boundary.
+  EXPECT_NE(fields(std::string("a\x1f", 2), ""),
+            fields("a", std::string("\x1f", 1)));
+  EXPECT_NE(serve::Hasher().field("").hex(), empty);
+}
+
+TEST(ServeKeys, UpdateU64IsItsLittleEndianBytes) {
+  for (const uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{0x1f},
+                           uint64_t{0x0102030405060708},
+                           ~uint64_t{0}}) {
+    SCOPED_TRACE(v);
+    std::string le;
+    for (int i = 0; i < 8; ++i) le += static_cast<char>(v >> (8 * i));
+    EXPECT_EQ(serve::Hasher().update_u64(v).hex(),
+              serve::Hasher().update(le).hex());
+    // Also when the word straddles a block boundary.
+    EXPECT_EQ(serve::Hasher().update("0123456789abc").update_u64(v).hex(),
+              serve::Hasher().update("0123456789abc").update(le).hex());
+  }
+}
+
+TEST(ServeKeys, CommentInsideAFunctionDirtiesExactlyItsGroup) {
+  const std::string text = serve_edits_module();
+  const std::string touched = insert_after(
+      text, "define void @r3() {\nentry:\n", "  ; a comment inside @r3\n");
+  const serve::ModulePlan before = plan_for(text);
+  const serve::ModulePlan after = plan_for(touched);
+  ASSERT_EQ(before.keys.size(), 8u);
+  ASSERT_EQ(after.keys.size(), 8u);
+  EXPECT_EQ(before.groups, 8u);
+  for (size_t i = 0; i < 8; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_FALSE(after.keys[i].empty());
+    if (i == 3)
+      EXPECT_NE(before.keys[i], after.keys[i]);
+    else
+      EXPECT_EQ(before.keys[i], after.keys[i]);
+  }
+
+  AnalysisService service(cached_opts(fresh_dir("keys_comment")));
+  RequestOptions req;
+  EXPECT_EQ(service.analyze_report("edits", text, req).cache, "cold");
+  const AnalysisService::Stats s0 = service.stats();
+  const ServeResult warm = service.analyze_report("edits", touched, req);
+  EXPECT_EQ(warm.body, oneshot_json("edits", touched));
+  EXPECT_EQ(warm.cache, "warm");
+  const AnalysisService::Stats s1 = service.stats();
+  EXPECT_EQ(s1.root_hits - s0.root_hits, 7u);
+  EXPECT_EQ(s1.root_misses - s0.root_misses, 1u);
+}
+
+TEST(ServeKeys, TextOutsideFunctionsAndFunctionOrderLeaveEveryRootAHit) {
+  const std::string text = serve_edits_module();
+  const std::string commented =
+      insert_after(text, "ret\n}\n", "; between @r0 and @r1\n\n");
+  const std::string swapped = swap_functions(text, "r1", "r6");
+  ASSERT_NE(swapped, text);
+  const serve::ModulePlan plan = plan_for(text);
+  AnalysisService service(cached_opts(fresh_dir("keys_outside")));
+  RequestOptions req;
+  service.analyze_report("edits", text, req);
+  for (const std::string& variant : {commented, swapped}) {
+    const serve::ModulePlan vplan = plan_for(variant);
+    // The checker's roots come in module order; key by root name.
+    auto sorted = [](std::vector<std::string> keys) {
+      std::sort(keys.begin(), keys.end());
+      return keys;
+    };
+    EXPECT_EQ(sorted(vplan.keys), sorted(plan.keys));
+    const AnalysisService::Stats s0 = service.stats();
+    const ServeResult r = service.analyze_report("edits", variant, req);
+    EXPECT_EQ(r.body, oneshot_json("edits", variant));
+    EXPECT_EQ(r.cache, "warm");
+    const AnalysisService::Stats s1 = service.stats();
+    EXPECT_EQ(s1.unit_misses - s0.unit_misses, 1u);
+    EXPECT_EQ(s1.root_hits - s0.root_hits, 8u);
+    EXPECT_EQ(s1.root_misses - s0.root_misses, 0u);
+  }
+}
+
+TEST(ServeKeys, SignatureParsedBeforeItsStructIsKeyedApart) {
+  // Pass 1 reads structs and signatures in line order, so a signature
+  // above its struct's line degrades %rec* to ptr. Same function text,
+  // same struct layouts, different parse: the keys must differ.
+  const std::string body =
+      "define void @w(%rec* %p) {\nentry:\n  %f = gep %p, 1\n"
+      "  store i64 1, %f !loc(\"w.c\", 3)\n  pm.flush %f, 8\n  pm.fence\n"
+      "  ret\n}\n";
+  const std::string above = "module \"w\"\nstruct %rec { i64, i64 }\n" + body;
+  const std::string below = "module \"w\"\n" + body + "struct %rec { i64, i64 }\n";
+  const auto a = ir::parse_module(above);
+  const auto b = ir::parse_module(below);
+  ASSERT_NE(a->find_function("w")->arg(0)->type()->str(),
+            b->find_function("w")->arg(0)->type()->str());
+  const serve::ModulePlan pa = plan_for(above);
+  const serve::ModulePlan pb = plan_for(below);
+  ASSERT_EQ(pa.keys.size(), 1u);
+  ASSERT_EQ(pb.keys.size(), 1u);
+  EXPECT_NE(pa.keys[0], pb.keys[0]);
+}
+
+TEST(ServeKeys, FunctionsWithoutSpansGetNoKey) {
+  // IRBuilder functions have no span, so their roots are never looked up
+  // or stored (an empty key): the root cache counts them as misses.
+  ir::Module built("built");
+  ir::IRBuilder b(built);
+  const ir::StructType* rec =
+      built.types().create_struct("rec", {built.types().i64()});
+  for (const char* name : {"alpha", "beta"}) {
+    b.begin_function(name, built.types().void_type(), {});
+    b.store(1, b.gep(b.pm_alloc(rec, "r"), 0, "f"));
+    b.ret();
+  }
+  {
+    core::StaticChecker checker(built, core::PersistencyModel::kStrict);
+    checker.prepare();
+    const serve::ModulePlan plan =
+        serve::plan_module(built, ir::to_string(built),
+                           checker.dsa().callgraph(), checker.trace_roots(),
+                           "fp");
+    ASSERT_EQ(plan.keys.size(), 2u);
+    EXPECT_EQ(plan.groups, 2u);
+    for (const std::string& key : plan.keys) EXPECT_TRUE(key.empty());
+  }
+
+  // A builder function added to a parsed module empties only its own
+  // group's key; a text too short for the spans empties every key.
+  const auto parsed = ir::parse_module(kTwoRoots);
+  ir::IRBuilder pb(*parsed);
+  pb.begin_function("gamma", parsed->types().void_type(), {});
+  pb.store(1, pb.gep(pb.pm_alloc(parsed->types().find_struct("rec"), "r"), 0,
+                     "f"));
+  pb.ret();
+  core::StaticChecker checker(*parsed, core::PersistencyModel::kStrict);
+  checker.prepare();
+  const std::vector<const ir::Function*> roots = checker.trace_roots();
+  const serve::ModulePlan plan = serve::plan_module(
+      *parsed, kTwoRoots, checker.dsa().callgraph(), roots, "fp");
+  ASSERT_EQ(plan.keys.size(), 3u);
+  for (size_t i = 0; i < roots.size(); ++i) {
+    SCOPED_TRACE(roots[i]->name());
+    EXPECT_EQ(plan.keys[i].empty(), roots[i]->name() == "gamma");
+  }
+  const serve::ModulePlan cut = serve::plan_module(
+      *parsed, std::string_view(kTwoRoots).substr(0, 40),
+      checker.dsa().callgraph(), roots, "fp");
+  for (const std::string& key : cut.keys) EXPECT_TRUE(key.empty());
 }
 
 // ---------------------------------------------------------------------------
