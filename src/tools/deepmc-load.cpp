@@ -7,7 +7,9 @@
 //
 // Exit codes follow the repo convention: 0 success, 64 usage error,
 // 65 runtime failure (worker error, verification failure, injected fault).
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,6 +44,29 @@ void print_latency_entry(const char* indent, const char* name,
 }
 
 constexpr const char* kOpNames[3] = {"get", "put", "del"};  // OpKind order
+
+/// `--framework`: a mini framework's name, or all of them.
+support::Handler framework_flag(std::string* field) {
+  return [field](const std::string& name) {
+    const std::vector<std::string>& names = load::framework_names();
+    if (name != "all" &&
+        std::find(names.begin(), names.end(), name) == names.end())
+      return false;
+    *field = name;
+    return true;
+  };
+}
+
+/// A fraction in [0, 1], in strtod syntax spanning the whole operand.
+support::Handler fraction_flag(double* field) {
+  return [field](const std::string& text) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || !(v >= 0 && v <= 1)) return false;
+    *field = v;
+    return true;
+  };
+}
 
 /// Standalone `--latency-json` block (no --json): one object per
 /// framework, latency histograms only.
@@ -161,7 +186,7 @@ int main(int argc, char** argv) {
       {"deepmc-load [--framework NAME|all] [--threads N] [--ops N] [options]",
        "deepmc-load --serve-connect TARGET [--threads N] [--ops N] [options]"},
       {
-          {"--framework", "NAME", &cfg.framework,
+          {"--framework", "NAME", framework_flag(&cfg.framework),
            "mini framework, or all (default pmdk_mini)"},
           {"--threads", "N", &cfg.spec.threads, "worker threads (default 8)",
            support::kMaxJobs, 1},
@@ -180,10 +205,10 @@ int main(int argc, char** argv) {
              return true;
            },
            "percentages summing to 100 (default 50:40:10)"},
-          {"--hot-frac", "F", &cfg.spec.hot_frac,
-           "fraction of keys in the hot set (default 0.2)"},
-          {"--hot-prob", "P", &cfg.spec.hot_prob,
-           "chance an op hits the hot set (default 0.8)"},
+          {"--hot-frac", "F", fraction_flag(&cfg.spec.hot_frac),
+           "fraction of keys in the hot set, 0-1 (default 0.2)"},
+          {"--hot-prob", "P", fraction_flag(&cfg.spec.hot_prob),
+           "chance an op hits the hot set, 0-1 (default 0.8)"},
           {"--zipf", "S", &cfg.spec.zipf_s,
            "Zipf skew in place of the hot set (YCSB: 0.99)"},
           {"--seed", "N", &cfg.spec.seed, "workload seed (default 42)"},

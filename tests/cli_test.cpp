@@ -472,6 +472,48 @@ TEST(CliFlags, ThreadCountsAboveTheCapAreUsageErrors) {
   }
 }
 
+TEST(CliFlags, LoadRejectsUnknownFrameworksAndFractionsOutsideZeroToOne) {
+  // Rejected while parsing: an unknown framework once ran until the engine
+  // threw (exit 65), and a fraction above 1 once ran to completion.
+  const struct {
+    const char* args;
+    const char* flag;
+  } rows[] = {
+      {"--framework nope --ops 1 --threads 1", "--framework"},
+      {"--framework PMDK_MINI --ops 1 --threads 1", "--framework"},
+      {"--schedule-hash --hot-frac 2", "--hot-frac"},
+      {"--schedule-hash --hot-frac -0.5", "--hot-frac"},
+      {"--schedule-hash --hot-frac nan", "--hot-frac"},
+      {"--schedule-hash --hot-prob 2", "--hot-prob"},
+      {"--schedule-hash --hot-prob 1.0001", "--hot-prob"},
+      {"--schedule-hash --hot-prob 0.5x", "--hot-prob"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.args);
+    auto [text, code] = run_tool("deepmc-load", row.args);
+    EXPECT_EQ(code, 64) << text;
+    EXPECT_NE(
+        text.find(std::string("deepmc-load: invalid value for ") + row.flag +
+                  "\n"),
+        std::string::npos)
+        << text;
+  }
+  // Both ends of [0, 1] and every framework name are accepted.
+  EXPECT_EQ(run_tool("deepmc-load",
+                     "--schedule-hash --framework all --hot-frac 0 "
+                     "--hot-prob 1")
+                .second,
+            0);
+  for (const char* fw :
+       {"pmdk_mini", "mnemosyne_mini", "pmfs_mini", "nvmdirect_mini"})
+    EXPECT_EQ(run_tool("deepmc-load",
+                       std::string("--schedule-hash --framework=") + fw +
+                           " --hot-frac 1 --hot-prob 0")
+                  .second,
+              0)
+        << fw;
+}
+
 TEST(CliFlags, UsageIsRenderedFromTheFlagTable) {
   // --help prints to stdout and exits 0; every synopsis line after the
   // first is indented under it, and every line fits 80 columns.
