@@ -16,8 +16,10 @@
 #                                 checker), static-checker (trace walk,
 #                                 rule scanner, multi-path golden), serve
 #                                 cache/wire (log records, payload
-#                                 decoding) and serve transport (frame
-#                                 reads, length bounds, endpoints) tests,
+#                                 decoding), serve transport (frame
+#                                 reads, length bounds, endpoints) and
+#                                 serve key (word-at-a-time hasher,
+#                                 source-span root keys) tests,
 #                                 then the deepmc binary over the hostile
 #                                 parser corpus and the example programs
 #   scripts/check.sh --obs        observability identity pass only: every
