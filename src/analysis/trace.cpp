@@ -256,8 +256,7 @@ TraceCollector::TraceCollector(const ir::Module& module, const DSA& dsa,
 
 size_t TraceCollector::walk(const Function& f, support::Budget* budget,
                             const PathVisitor& visit) const {
-  obs::Span span("trace.collect", "analysis",
-                 obs::span_arg("root", f.name()));
+  obs::Span span("trace.collect", "analysis", {{"root", f.name()}});
   // Path sizes are published once the walk completes, so a walk cut
   // short by its budget counts nothing.
   std::vector<size_t> path_events;

@@ -506,8 +506,7 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   support::FaultActivation activation(&faults);
 
   BuiltUnit built = [&] {
-    obs::Span build_span("unit.build", "driver",
-                         obs::span_arg("unit", unit.name));
+    obs::Span build_span("unit.build", "driver", {{"unit", unit.name}});
     return unit.build();
   }();
   if (!built.error.empty() || !built.module)
@@ -626,8 +625,7 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   warnings_total().inc(result.count());
 
   if (rung.run_crashsim) {
-    obs::Span crashsim_span("unit.crashsim", "crash",
-                            obs::span_arg("unit", unit.name));
+    obs::Span crashsim_span("unit.crashsim", "crash", {{"unit", unit.name}});
     out.crashsim.ran = true;
     out.crashsim.framework = framework_for_unit(unit.name);
 
@@ -740,8 +738,7 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
   }
 
   if (rung.run_dynamic && module.find_function("main")) {
-    obs::Span dynamic_span("unit.dynamic", "runtime",
-                           obs::span_arg("unit", unit.name));
+    obs::Span dynamic_span("unit.dynamic", "runtime", {{"unit", unit.name}});
     // Reuse the checker's DSA for instrumentation rather than running a
     // second, identical analysis over the module.
     interp::instrument_module(module, checker.dsa());
@@ -793,10 +790,9 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
 UnitReport AnalysisDriver::analyze_unit(const AnalysisUnit& unit,
                                         support::ThreadPool& pool) const {
   const auto t0 = std::chrono::steady_clock::now();
-  obs::Span unit_span("unit.analyze", "driver",
-                      obs::span_arg("unit", unit.name));
+  obs::Span unit_span("unit.analyze", "driver", {{"unit", unit.name}});
   units_total().inc();
-  obs::flight().record("unit.start", obs::flight_kv("unit", unit.name));
+  obs::flight().record("unit.start", {{"unit", unit.name}});
 
   // One fault-plan snapshot per unit: countdowns are deterministic within
   // the unit no matter how units interleave across workers.
@@ -822,10 +818,9 @@ UnitReport AnalysisDriver::analyze_unit(const AnalysisUnit& unit,
     const LadderRung& rung = ladder[r];
     const bool last = r + 1 == ladder.size();
     if (r > 0)
-      obs::flight().record(
-          "unit.rung", obs::flight_join({obs::flight_kv("unit", unit.name),
-                                         obs::flight_kv("rung", rung.name),
-                                         obs::flight_kv("why", trip_reason)}));
+      obs::flight().record("unit.rung", {{"unit", unit.name},
+                                         {"rung", rung.name},
+                                         {"why", trip_reason}});
     // Fresh token per attempt: a retry must not inherit the previous
     // rung's cancellation, and the wall watchdog restarts with it — except
     // under an absolute request deadline, which every rung shares.
@@ -902,11 +897,9 @@ UnitReport AnalysisDriver::analyze_unit(const AnalysisUnit& unit,
                              .count();
   obs::flight().record(
       "unit.finish",
-      obs::flight_join(
-          {obs::flight_kv("unit", unit.name),
-           obs::flight_kv("status", unit_status_name(out.status)),
-           obs::flight_kv("reason", out.failed ? out.fail_reason
-                                               : out.degraded.reason)}));
+      {{"unit", unit.name},
+       {"status", unit_status_name(out.status)},
+       {"reason", out.failed ? out.fail_reason : out.degraded.reason}});
   return out;
 }
 
@@ -919,9 +912,7 @@ Report AnalysisDriver::run(const std::vector<AnalysisUnit>& units) {
 
 Report AnalysisDriver::run(const std::vector<AnalysisUnit>& units,
                            support::ThreadPool& pool) {
-  obs::Span run_span(
-      "driver.run", "driver",
-      obs::span_arg_num("units", static_cast<double>(units.size())));
+  obs::Span run_span("driver.run", "driver", {{"units", units.size()}});
 
   std::vector<std::future<UnitReport>> futs;
   futs.reserve(units.size());

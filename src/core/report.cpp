@@ -1,6 +1,5 @@
 #include "core/report.h"
 
-#include <cstdio>
 #include <ostream>
 #include <tuple>
 
@@ -10,33 +9,6 @@ std::string Warning::str() const {
   return loc.str() + ": warning [" + rule + "] (" +
          bug_class_name(bug_class()) + ") " + message + "  [in @" + function +
          ", model=" + model_name(model) + "]";
-}
-
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 std::string to_json(const Warning& w) {

@@ -9,6 +9,7 @@
 
 #include "core/model.h"
 #include "support/source_loc.h"
+#include "support/str.h"
 
 namespace deepmc::core {
 
@@ -24,10 +25,9 @@ struct Warning {
   [[nodiscard]] std::string str() const;
 };
 
-/// Render `s` as a JSON string literal: surrounding quotes plus escapes
-/// for quote, backslash, and control characters (\uXXXX for the ones
-/// without a short form). Bytes >= 0x20 pass through, so UTF-8 survives.
-std::string json_quote(std::string_view s);
+/// The project's one JSON string quoter (support/str.h), also reachable
+/// as `core::json_quote`.
+using deepmc::json_quote;
 
 /// One warning as a JSON object with a fixed key order (file, line, rule,
 /// category, class, function, model, message) — the machine-readable form

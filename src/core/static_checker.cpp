@@ -591,7 +591,7 @@ support::Budget StaticChecker::make_root_budget() const {
 }
 
 CheckResult StaticChecker::check_root(const Function& f) const {
-  obs::Span span("root.check", "checker", obs::span_arg("root", f.name()));
+  obs::Span span("root.check", "checker", {{"root", f.name()}});
   DEEPMC_FAULTPOINT("checker.root");
   if (obs::enabled()) checker_roots().inc();
   CheckResult result;

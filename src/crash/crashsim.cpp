@@ -60,8 +60,7 @@ void publish_root_obs(const RootCrashSim& out) {
 
 RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
                            const CrashSimOptions& opts) {
-  obs::Span root_span("crashsim.root", "crash",
-                      obs::span_arg("root", root.name()));
+  obs::Span root_span("crashsim.root", "crash", {{"root", root.name()}});
   RootCrashSim out;
   out.root = root.name();
 

@@ -148,7 +148,7 @@ uint64_t Interpreter::gep_address(const std::map<const Value*, uint64_t>& regs,
 
 std::optional<uint64_t> Interpreter::run(const Function& f,
                                          std::vector<uint64_t> args) {
-  obs::Span span("interp.run", "interp", obs::span_arg("function", f.name()));
+  obs::Span span("interp.run", "interp", {{"function", f.name()}});
   RunAccounting accounting(steps_);
   return exec_function(f, args, 0);
 }

@@ -258,13 +258,11 @@ void Worker::crash_recover(KvShard& shard, std::vector<uint64_t>& model,
   if (!state_ok) ++out.verify_failures;
   obs::flight().record(
       "crash.cycle",
-      obs::flight_join(
-          {obs::flight_kv("framework", cfg->framework),
-           obs::flight_kv("outcome",
-                          outcome == crash::RecoveryOutcome::kConsistent
-                              ? "consistent"
-                              : "inconsistent"),
-           obs::flight_kv("state", state_ok ? "verified" : "mismatch")}));
+      {{"framework", cfg->framework},
+       {"outcome", outcome == crash::RecoveryOutcome::kConsistent
+                       ? "consistent"
+                       : "inconsistent"},
+       {"state", state_ok ? "verified" : "mismatch"}});
   if (!invariant_ran) shard.recover();  // classify failed earlier: re-bind
   // Adopt whatever the in-flight slot actually recovered to.
   model[slot] = shard.get(slot);

@@ -15,7 +15,10 @@
 //
 //  * disarmed (the default) every record() is one relaxed atomic load;
 //  * armed, record() takes one shard mutex (shard picked by thread id,
-//    so unrelated workers never contend) and overwrites the oldest slot;
+//    so unrelated workers never contend) and copies the event's typed
+//    args (args.h) into the oldest slot, reusing that slot's buffer, so
+//    once the ring has wrapped an event allocates nothing; JSON is
+//    rendered only by dump_jsonl();
 //  * a global atomic sequence number orders events across shards, so the
 //    merged dump is deterministic for a deterministic event sequence:
 //    recording k+m events into capacity k keeps exactly the last k, in
@@ -26,12 +29,15 @@
 // stable metrics section.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "obs/args.h"
 
 namespace deepmc::obs {
 
@@ -40,7 +46,7 @@ struct FlightEvent {
   double ms = 0;       ///< wall clock, ms since arm()
   uint32_t tid = 0;    ///< obs::thread_tid() of the recording thread
   const char* kind = "";  ///< static event name ("unit.finish", ...)
-  std::string detail;  ///< pre-rendered inner JSON pairs, may be empty
+  Args args;           ///< the event's typed args, may be empty
 };
 
 class FlightRecorder {
@@ -53,20 +59,29 @@ class FlightRecorder {
   void arm(size_t capacity = kDefaultCapacity);
   /// Stop recording and drop everything recorded so far.
   void disarm();
-  [[nodiscard]] bool armed() const;
+  [[nodiscard]] bool armed() const {
+    return armed_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] size_t capacity() const;
 
   /// Append one event. `kind` must have static storage duration (string
-  /// literals); `detail` is either empty or inner JSON rendered with
-  /// flight_kv()/flight_kv_num(). No-op (one relaxed load) when disarmed.
-  void record(const char* kind, std::string detail = {});
+  /// literals); `args` are copied before the call returns. No-op (one
+  /// relaxed load) when disarmed.
+  void record(const char* kind) {
+    if (armed()) record_args(kind, {});
+  }
+  template <size_t N>
+  void record(const char* kind, const Arg (&args)[N]) {
+    static_assert(N <= Args::kMax, "more args than a flight event holds");
+    if (armed()) record_args(kind, args);
+  }
 
   /// Merged view of the most recent <= capacity() events, in seq order.
   [[nodiscard]] std::vector<FlightEvent> events() const;
 
   /// One JSON object per line:
   ///   {"seq": 7, "ms": 0.412, "tid": 2, "kind": "cache.evict", ...}
-  /// with a "detail" object when the event carries one.
+  /// with a "detail" object when the event carries args.
   void dump_jsonl(std::ostream& os) const;
   /// dump_jsonl() to `path`; returns false on IO failure.
   [[nodiscard]] bool dump_file(const std::string& path) const;
@@ -76,26 +91,13 @@ class FlightRecorder {
  private:
   friend FlightRecorder& flight();
   FlightRecorder();
+  void record_args(const char* kind, std::span<const Arg> args);
+
+  std::atomic<bool> armed_{false};
   Impl* impl_;
 };
 
 /// The process-wide recorder (leaked, like registry() and tracer()).
 FlightRecorder& flight();
-
-/// Render one inner-JSON pair for FlightRecorder::record() detail.
-/// Returns "" when the recorder is disarmed so call sites pay nothing
-/// beyond empty-string concatenation when off (same idiom as span_arg).
-std::string flight_kv(const char* key, std::string_view value);
-std::string flight_kv_num(const char* key, double value);
-/// Join rendered pairs with ", ", skipping empties (disarmed recorder).
-std::string flight_join(std::initializer_list<std::string> pairs);
-
-/// In-place variants for hot paths (one event per request/op): append a
-/// pair to a detail string under construction, inserting the ", "
-/// separator as needed, so the whole detail costs one allocation when
-/// the caller reserves up front. Call sites guard on flight().armed().
-void flight_append_kv(std::string& detail, const char* key,
-                      std::string_view value);
-void flight_append_kv_num(std::string& detail, const char* key, double value);
 
 }  // namespace deepmc::obs

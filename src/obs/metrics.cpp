@@ -9,6 +9,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "support/str.h"
+
 namespace deepmc::obs {
 
 namespace {
@@ -315,16 +317,6 @@ void Registry::reset() {
 
 namespace {
 
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 std::string fmt_u64(uint64_t v) { return std::to_string(v); }
 
 std::string fmt_ms(double v) {
@@ -355,7 +347,7 @@ std::string section_json(const Snapshot& s, Volatility vol) {
   for (const auto& c : s.counters) {
     if (c.vol != vol) continue;
     out += first ? "\n" : ",\n";
-    out += "      \"" + esc(c.name) + "\": " + fmt_u64(c.value);
+    out += "      " + json_quote(c.name) + ": " + fmt_u64(c.value);
     first = false;
   }
   out += first ? "},\n" : "\n    },\n";
@@ -364,7 +356,7 @@ std::string section_json(const Snapshot& s, Volatility vol) {
   for (const auto& g : s.gauges) {
     if (g.vol != vol) continue;
     out += first ? "\n" : ",\n";
-    out += "      \"" + esc(g.name) + "\": " + fmt_u64(g.value);
+    out += "      " + json_quote(g.name) + ": " + fmt_u64(g.value);
     first = false;
   }
   out += first ? "},\n" : "\n    },\n";
@@ -373,7 +365,7 @@ std::string section_json(const Snapshot& s, Volatility vol) {
   for (const auto& h : s.histograms) {
     if (h.vol != vol) continue;
     out += first ? "\n" : ",\n";
-    out += "      \"" + esc(h.name) + "\": " + hist_json(h.value);
+    out += "      " + json_quote(h.name) + ": " + hist_json(h.value);
     first = false;
   }
   out += first ? "}" : "\n    }";

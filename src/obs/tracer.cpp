@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "support/str.h"
 
 namespace deepmc::obs {
 
@@ -20,24 +20,8 @@ struct TraceEvent {
   uint32_t tid;
   double ts;   ///< us since Tracer::start()
   double dur;  ///< us
-  std::string args;
+  Args args;
 };
-
-std::string esc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -124,7 +108,7 @@ double Tracer::now_us() const {
 }
 
 void Tracer::record(const char* name, const char* cat, double ts_us,
-                    double dur_us, std::string args) {
+                    double dur_us, Args args) {
   Impl::Buf& b = local_buf();
   TraceEvent e{name, cat, thread_tid(), ts_us, dur_us, std::move(args)};
   const size_t cap = impl_->ring_cap.load(std::memory_order_relaxed);
@@ -157,24 +141,34 @@ void Tracer::write(std::ostream& os) {
                      return a.tid < b.tid;
                    });
 
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  os << "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
-        "\"process_name\", \"args\": {\"name\": \"deepmc\"}}";
-  for (const auto& [tid, name] : thread_labels())
-    os << ",\n{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-       << esc(name) << "\"}}";
-  char num[64];
+  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+  out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
+         "\"process_name\", \"args\": {\"name\": \"deepmc\"}}";
+  for (const auto& [tid, name] : thread_labels()) {
+    out += ",\n{\"ph\": \"M\", \"pid\": 1, \"tid\": ";
+    out += std::to_string(tid);
+    out += ", \"name\": \"thread_name\", \"args\": {\"name\": ";
+    json_quote_append(out, name);
+    out += "}}";
+  }
+  os << out;
   for (const TraceEvent& e : events) {
-    os << ",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": " << e.tid;
-    std::snprintf(num, sizeof num, "%.3f", e.ts);
-    os << ", \"ts\": " << num;
-    std::snprintf(num, sizeof num, "%.3f", e.dur);
-    os << ", \"dur\": " << num;
-    os << ", \"name\": \"" << esc(e.name) << "\", \"cat\": \"" << esc(e.cat)
-       << "\"";
-    if (!e.args.empty()) os << ", \"args\": {" << e.args << "}";
-    os << "}";
+    out.assign(",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": ");
+    out += std::to_string(e.tid);
+    out += ", \"ts\": ";
+    append_fixed3(out, e.ts);
+    out += ", \"dur\": ";
+    append_fixed3(out, e.dur);
+    out += ", \"name\": ";
+    json_quote_append(out, e.name);
+    out += ", \"cat\": ";
+    json_quote_append(out, e.cat);
+    if (!e.args.empty()) {
+      out += ", \"args\": ";
+      e.args.append_json(out);
+    }
+    out += "}";
+    os << out;
   }
   os << "\n]}\n";
 }
@@ -186,29 +180,19 @@ bool Tracer::write_file(const std::string& path) {
   return f.good();
 }
 
-Span::Span(const char* name, const char* cat, std::string args)
-    : name_(name), cat_(cat), args_(std::move(args)) {
+void Span::open(std::span<const Arg> args) {
   Tracer& t = tracer();
-  if (t.active()) start_ = t.now_us();
+  if (!t.active()) return;
+  if (!args.empty()) args_.emplace().assign(args);
+  start_ = t.now_us();
 }
 
 Span::~Span() {
   if (start_ < 0) return;
   Tracer& t = tracer();
   if (!t.active()) return;
-  t.record(name_, cat_, start_, t.now_us() - start_, std::move(args_));
-}
-
-std::string span_arg(const char* key, std::string_view value) {
-  if (!tracer().active()) return {};
-  return "\"" + esc(key) + "\": \"" + esc(value) + "\"";
-}
-
-std::string span_arg_num(const char* key, double value) {
-  if (!tracer().active()) return {};
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", value);
-  return "\"" + esc(key) + "\": " + buf;
+  t.record(name_, cat_, start_, t.now_us() - start_,
+           args_ ? std::move(*args_) : Args());
 }
 
 }  // namespace deepmc::obs

@@ -7,19 +7,25 @@
 // (thread ids are the stable worker indices from obs::set_thread_label).
 //
 // Recording is a pure side channel: with no tracer started, constructing
-// a Span costs one relaxed atomic load and nothing is allocated. When
-// active, each thread appends completed spans to its own thread-local
-// buffer (no locks on the hot path); buffers of exited threads fold into
-// the tracer under a mutex, and write() merges + time-sorts everything.
+// a Span costs one relaxed atomic load and builds no string. When
+// active, a Span copies its typed args (args.h) when it opens, and each
+// thread appends completed spans to its own thread-local buffer (no locks
+// on the hot path); buffers of exited threads fold into the tracer under
+// a mutex, and write() merges + time-sorts everything and renders the
+// args as JSON.
 //
 // The trace file is inherently wall-clock data and therefore volatile:
 // it is never byte-compared, unlike the analysis report and the stable
 // metrics section (src/obs/metrics.h).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <optional>
+#include <span>
 #include <string>
-#include <string_view>
+
+#include "obs/args.h"
 
 namespace deepmc::obs {
 
@@ -42,10 +48,10 @@ class Tracer {
   /// Microseconds since start().
   [[nodiscard]] double now_us() const;
 
-  /// Append one completed span for the calling thread. `args` is either
-  /// empty or pre-rendered inner JSON (`"key": "value"` pairs).
+  /// Append one completed span for the calling thread. `name` and `cat`
+  /// must have static storage duration (string literals).
   void record(const char* name, const char* cat, double ts_us, double dur_us,
-              std::string args);
+              Args args = {});
 
   /// Emit the Chrome trace_event JSON (metadata thread names + complete
   /// "X" events sorted by timestamp). Collection stays active.
@@ -65,25 +71,30 @@ class Tracer {
 Tracer& tracer();
 
 /// RAII span: records [construction, destruction) on the calling thread
-/// when the tracer is active, else a no-op.
+/// when the tracer is active, else a no-op. Args are copied when the span
+/// opens (only if the tracer is active), so they may view temporaries.
 class Span {
  public:
-  Span(const char* name, const char* cat) : Span(name, cat, std::string()) {}
-  Span(const char* name, const char* cat, std::string args);
+  Span(const char* name, const char* cat) : name_(name), cat_(cat) {
+    open({});
+  }
+  template <size_t N>
+  Span(const char* name, const char* cat, const Arg (&args)[N])
+      : name_(name), cat_(cat) {
+    static_assert(N <= Args::kMax, "more args than a span holds");
+    open(args);
+  }
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
+  void open(std::span<const Arg> args);
+
   const char* name_;
   const char* cat_;
-  std::string args_;
   double start_ = -1;  ///< -1 = tracer inactive at construction
+  std::optional<Args> args_;  ///< engaged only while traced
 };
-
-/// Render one `"key": "value"` argument pair for Span args. Returns ""
-/// when the tracer is inactive, so call sites pay nothing when off.
-std::string span_arg(const char* key, std::string_view value);
-std::string span_arg_num(const char* key, double value);
 
 }  // namespace deepmc::obs

@@ -30,11 +30,9 @@ void bump(std::atomic<uint64_t>& c) {
 /// post-mortem of a crashed/degraded load run shows which warnings the
 /// checker had already discovered, in discovery order.
 void flight_warn(const char* rule, uint64_t addr, const SourceLoc& loc) {
-  obs::flight().record(
-      "rt.warn",
-      obs::flight_join({obs::flight_kv("rule", rule),
-                        obs::flight_kv_num("addr", static_cast<double>(addr)),
-                        obs::flight_kv("loc", loc.str())}));
+  if (!obs::flight().armed()) return;  // loc.str() builds a string
+  obs::flight().record("rt.warn",
+                       {{"rule", rule}, {"addr", addr}, {"loc", loc.str()}});
 }
 }  // namespace
 

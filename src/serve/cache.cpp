@@ -212,11 +212,8 @@ void DiskCache::evict_locked() {
           (bound_bytes && live_bytes_ > limits_.max_bytes))) {
     const auto victim = index_.find(lru_.back());
     const uint64_t bytes = victim->second.bytes;
-    obs::flight().record(
-        "cache.evict",
-        obs::flight_join({obs::flight_kv("key", victim->first),
-                          obs::flight_kv_num("bytes",
-                                             static_cast<double>(bytes))}));
+    obs::flight().record("cache.evict",
+                         {{"key", victim->first}, {"bytes", bytes}});
     index_erase_locked(victim);
     ++stats_.evictions;
     stats_.evicted_bytes += bytes;
@@ -266,11 +263,8 @@ void DiskCache::compact_if_due_locked() {
   fd_ = out.release();
   for (const auto& [entry, offset] : moved) entry->offset = offset;
   dead_bytes_ = 0;
-  obs::flight().record(
-      "cache.compact",
-      obs::flight_join(
-          {obs::flight_kv_num("bytes_before", static_cast<double>(before)),
-           obs::flight_kv_num("bytes_after", static_cast<double>(at))}));
+  obs::flight().record("cache.compact",
+                       {{"bytes_before", before}, {"bytes_after", at}});
 }
 
 std::optional<std::string> DiskCache::get(const std::string& key) {

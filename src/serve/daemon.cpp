@@ -224,7 +224,7 @@ void ServeDaemon::admit_or_shed(int conn) {
   // write sees status 2 and backs off. The frame is tiny, so this write
   // from the accept thread cannot block on a sane socket buffer.
   shed_total().inc();
-  if (obs::flight().armed()) obs::flight().record("serve.shed", "");
+  obs::flight().record("serve.shed");
   write_response(conn, overloaded_response());
   ::close(conn);
 }
@@ -352,8 +352,7 @@ void ServeDaemon::begin_drain(const char* reason) {
     for (const int fd : active_) ::shutdown(fd, SHUT_RD);
   }
   cv_.notify_all();
-  if (obs::flight().armed())
-    obs::flight().record("serve.drain", obs::flight_kv("reason", reason));
+  obs::flight().record("serve.drain", {{"reason", reason}});
   for (const int fd : to_shed) {
     shed_total().inc();
     write_response(fd, overloaded_response());

@@ -177,7 +177,7 @@ int serve_stream(AnalysisService& service, int in_fd, int out_fd,
       // stalled client). No response is owed to a request that never
       // finished arriving — count it and release the session slot.
       io_timeouts_total().inc();
-      if (obs::flight().armed()) obs::flight().record("serve.io_timeout", "");
+      obs::flight().record("serve.io_timeout");
       return 0;
     }
     if (rc < 0) {
@@ -207,13 +207,7 @@ int serve_stream(AnalysisService& service, int in_fd, int out_fd,
           g_request_seq.fetch_add(1, std::memory_order_relaxed) + 1;
       rid = "req-" + std::to_string(n);
     }
-    std::string accept_args = obs::span_arg("op", op);
-    {
-      const std::string rid_arg = obs::span_arg("req", rid);
-      if (!accept_args.empty() && !rid_arg.empty()) accept_args += ", ";
-      accept_args += rid_arg;
-    }
-    obs::Span span("serve.accept", "serve", std::move(accept_args));
+    obs::Span span("serve.accept", "serve", {{"op", op}, {"req", rid}});
     ResponseFrame resp;
     bool shutdown = false;
     if (op == "ping") {
@@ -524,7 +518,9 @@ int serve_cli(int argc, char** argv) {
   // the flight recorder are pure side channels (response bodies stay
   // byte-identical with telemetry on or off), and the metrics/trace/
   // flight verbs read them from a running daemon without a restart.
-  // Span tracing stays opt-in (--trace-ring) since every span allocates.
+  // Span tracing stays opt-in (--trace-ring): a traced span reads the
+  // clock at both ends and copies its args, and even a unit-cache hit
+  // opens three (accept, request, cache lookup).
   if (!no_telemetry) obs::set_enabled(true);
   if (!no_telemetry || !flight_out.empty()) obs::flight().arm();
   if (trace_ring > 0) {

@@ -68,16 +68,6 @@ obs::Counter& deadline_expired_total() {
   return c;
 }
 
-/// Join two rendered span-arg pairs, either of which may be "" (tracer
-/// inactive, or no request id on the wire).
-std::string join_args(std::string a, const std::string& b) {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  a += ", ";
-  a += b;
-  return a;
-}
-
 /// The root level of the cache for one request. The driver calls it with
 /// the module it parsed from the request text and verified, so the keys
 /// cover exactly what the checker analyzes. A root without a key (its
@@ -90,11 +80,11 @@ std::string join_args(std::string a, const std::string& b) {
 class DiskRootCache final : public core::RootCache {
  public:
   DiskRootCache(DiskCache& cache, const std::string& text,
-                std::string options_fp, std::string rid_arg)
+                std::string options_fp, const std::string& request_id)
       : cache_(cache),
         text_(text),
         options_fp_(std::move(options_fp)),
-        rid_arg_(std::move(rid_arg)),
+        request_id_(request_id),
         faults_(support::active_fault_scope()) {}
   DiskRootCache(const DiskRootCache&) = delete;
   DiskRootCache& operator=(const DiskRootCache&) = delete;
@@ -103,7 +93,7 @@ class DiskRootCache final : public core::RootCache {
       const ir::Module& module, const analysis::CallGraph& callgraph,
       const std::vector<const ir::Function*>& roots) override {
     {
-      obs::Span s("serve.plan", "serve", rid_arg_);
+      obs::Span s("serve.plan", "serve", {{"req", request_id_}});
       keys_ = plan_module(module, text_, callgraph, roots, options_fp_).keys;
     }
     planned_ = true;
@@ -145,7 +135,7 @@ class DiskRootCache final : public core::RootCache {
   DiskCache& cache_;
   const std::string& text_;
   const std::string options_fp_;
-  const std::string rid_arg_;
+  const std::string& request_id_;
   support::FaultScope* const faults_;
   std::vector<std::string> keys_;
   bool planned_ = false;
@@ -172,29 +162,18 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
   // Every span and flight event of this request carries its id, so a
   // trace dump or post-mortem can be filtered to one request's lifeline:
   // request -> cache.lookup -> plan -> recompute -> reply.
-  const std::string rid_arg =
-      req.request_id.empty() ? std::string()
-                             : obs::span_arg("req", req.request_id);
-  obs::Span span("serve.request", "serve",
-                 join_args(obs::span_arg("unit", name), rid_arg));
+  const std::string& rid = req.request_id;
+  obs::Span span("serve.request", "serve", {{"unit", name}, {"req", rid}});
   const auto t0 = std::chrono::steady_clock::now();
   auto finish = [&](const ServeResult& r) {
     request_us_hist().observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
-    if (obs::flight().armed()) {
-      // One allocation per event: this runs once per request, including
-      // the warm-hit fast path the obs-overhead bench gates.
-      std::string detail;
-      detail.reserve(48 + req.request_id.size() + name.size() +
-                     r.cache.size());
-      obs::flight_append_kv(detail, "id", req.request_id);
-      obs::flight_append_kv(detail, "unit", name);
-      obs::flight_append_kv(detail, "cache", r.cache);
-      obs::flight_append_kv_num(detail, "exit", r.exit_code);
-      obs::flight().record("serve.request", std::move(detail));
-    }
+    obs::flight().record("serve.request", {{"id", rid},
+                                           {"unit", name},
+                                           {"cache", r.cache},
+                                           {"exit", r.exit_code}});
   };
   requests_total().inc();
   {
@@ -222,7 +201,7 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
     std::optional<std::string> payload;
     {
       obs::Span s("serve.cache.lookup", "serve",
-                  join_args(obs::span_arg("level", "unit"), rid_arg));
+                  {{"level", "unit"}, {"req", rid}});
       payload = cache_.get(ukey);
     }
     if (payload) {
@@ -253,13 +232,13 @@ ServeResult AnalysisService::analyze_report(const std::string& name,
 
   // Level 2: per-root reuse. The driver asks the root cache on the full
   // rung, once it has verified the module and built its call graph.
-  DiskRootCache root_cache(cache_, text, options_fp.value_or(""), rid_arg);
+  DiskRootCache root_cache(cache_, text, options_fp.value_or(""), rid);
   if (eligible) dopts.root_cache = &root_cache;
   core::AnalysisDriver driver(dopts);
   std::vector<core::AnalysisUnit> units;
   units.push_back(core::make_source_unit(name, text, req.model));
   core::Report report = [&] {
-    obs::Span s("serve.recompute", "serve", rid_arg);
+    obs::Span s("serve.recompute", "serve", {{"req", rid}});
     return driver.run(units, pool_);
   }();
 

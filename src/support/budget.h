@@ -79,7 +79,7 @@ class CancelToken {
       // First-cancel-wins is exactly the moment a post-mortem wants
       // pinned: the watchdog firing (or a fault's cancel) lands in the
       // flight recorder once, with the winning reason.
-      obs::flight().record("cancel", obs::flight_kv("reason", reason));
+      obs::flight().record("cancel", {{"reason", reason}});
     }
   }
 

@@ -162,7 +162,7 @@ void FaultScope::hit(int idx, const char* name) {
   int expected = -1;
   tripped_idx_.compare_exchange_strong(expected, idx,
                                        std::memory_order_acq_rel);
-  obs::flight().record("fault.trip", obs::flight_kv("point", name));
+  obs::flight().record("fault.trip", {{"point", name}});
   if (has_token_) token_.cancel(std::string("fault injected: ") + name);
   throw FaultInjected(name);
 }

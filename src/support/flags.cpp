@@ -189,9 +189,12 @@ bool str_flag(const std::string& flag, const std::string& arg, int argc,
     if (++i < argc) *out = argv[i];
     return true;
   }
-  if (arg.size() > flag.size() + 1 && arg.compare(0, flag.size(), flag) == 0 &&
+  if (arg.size() > flag.size() && arg.compare(0, flag.size(), flag) == 0 &&
       arg[flag.size()] == '=') {
-    *out = arg.substr(flag.size() + 1);
+    if (arg.size() == flag.size() + 1)
+      i = argc;  // "--flag=": the operand is missing
+    else
+      *out = arg.substr(flag.size() + 1);
     return true;
   }
   return false;

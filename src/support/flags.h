@@ -130,7 +130,8 @@ Flag flight_out_flag(std::string* path);
 
 // The operand readers parse_flags() applies. Each returns true when
 // `arg` is `flag`, as `--flag VALUE` (advancing `i` past the operand,
-// or to argc when it is missing) or `--flag=VALUE`.
+// or to argc when it is missing) or `--flag=VALUE` (`--flag=` alone is
+// a missing operand too, and also moves `i` to argc).
 
 /// A plain unsigned decimal: digits only (no sign, no whitespace), no
 /// larger than `max`. A missing or malformed operand leaves `*ok` false.

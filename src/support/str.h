@@ -59,4 +59,42 @@ inline bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+/// Append `s` to `out` as a JSON string literal: surrounding quotes plus
+/// escapes for quote, backslash, and control characters (\uXXXX for the
+/// ones without a short form). Bytes >= 0x20 pass through, so UTF-8
+/// survives. The one JSON string quoter: reports, manifests, metrics,
+/// traces and flight dumps all render strings through it.
+inline void json_quote_append(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.reserve(out.size() + s.size() + 2);
+  out.push_back('"');
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          out += "\\u00";
+          out.push_back(kHex[c >> 4]);
+          out.push_back(kHex[c & 0xf]);
+        } else {
+          out.push_back(ch);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+inline std::string json_quote(std::string_view s) {
+  std::string out;
+  json_quote_append(out, s);
+  return out;
+}
+
 }  // namespace deepmc

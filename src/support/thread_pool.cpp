@@ -79,8 +79,7 @@ std::function<void()> instrument_task(std::function<void()> task) {
     queue_wait_us().observe(static_cast<uint64_t>(wait_us));
     tasks_executed().inc();
     {
-      obs::Span span("pool.task", "pool",
-                     obs::span_arg_num("wait_us", wait_us));
+      obs::Span span("pool.task", "pool", {{"wait_us", wait_us}});
       task();
     }
     const double run_us = std::chrono::duration<double, std::micro>(

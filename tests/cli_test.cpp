@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -387,10 +388,13 @@ TEST(CliFlags, MissingFinalOperandIsAUsageError) {
     const char* flag;
   } rows[] = {
       {"deepmc", example("epoch_log.mir") + " --corpus", "--corpus"},
+      // "--flag=" with nothing after the "=" is the same missing operand.
+      {"deepmc", "--jobs= " + example("epoch_log.mir"), "--jobs"},
       {"deepmc serve", "--socket \"" + sock + "\" --cache-dir", "--cache-dir"},
       {"deepmc serve", "--connect \"" + sock + "\" --ping --deadline-ms",
        "--deadline-ms"},
       {"deepmc-load", "--schedule-hash --framework", "--framework"},
+      {"deepmc-load", "--schedule-hash --framework=", "--framework"},
       {"deepmc-corpus gen", "--seed 1 --framework", "--framework"},
       {"deepmc-corpus run", "--count 1 --out", "--out"},
   };
@@ -548,6 +552,37 @@ TEST(CliFlags, UsageIsRenderedFromTheFlagTable) {
       }
     }
   }
+}
+
+// --- flight dumps ------------------------------------------------------------
+
+TEST(CliFlight, LoadSeededBugsDumpExactWarningAddresses) {
+  // rt.warn carries the word's address as an integer arg and renders it
+  // digit for digit; through a double, "%g" printed a waw-race and a
+  // redundant-flush 8 bytes apart as the same 1.75922e+13.
+  const std::string path = ::testing::TempDir() + "deepmc_cli_flight.jsonl";
+  std::remove(path.c_str());
+  auto [text, code] = run_tool(
+      "deepmc-load",
+      "--seed-bugs --threads 2 --ops 2000 --flight-out \"" + path + "\"");
+  EXPECT_EQ(code, 0) << text;
+  std::ifstream f(path);
+  std::string line;
+  size_t warns = 0;
+  while (std::getline(f, line)) {
+    if (line.find("\"kind\": \"rt.warn\"") == std::string::npos) continue;
+    ++warns;
+    const std::string key = "\"addr\": ";
+    const size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    const size_t end = line.find(',', at);
+    const std::string addr =
+        line.substr(at + key.size(), end - at - key.size());
+    EXPECT_FALSE(addr.empty()) << line;
+    EXPECT_EQ(addr.find_first_not_of("0123456789"), std::string::npos) << line;
+  }
+  EXPECT_GT(warns, 0u) << "--seed-bugs recorded no rt.warn event";
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -207,9 +208,8 @@ TEST(ObsRegistry, PrometheusExposition) {
 TEST(ObsFlight, DisarmedRecordsNothing) {
   obs::flight().disarm();
   EXPECT_FALSE(obs::flight().armed());
-  EXPECT_EQ(obs::flight_kv("k", "v"), "");
-  EXPECT_EQ(obs::flight_kv_num("n", 3), "");
-  obs::flight().record("test.never", obs::flight_kv("k", "v"));
+  obs::flight().record("test.never");
+  obs::flight().record("test.never", {{"k", "v"}, {"n", 3}});
   EXPECT_TRUE(obs::flight().events().empty());
 }
 
@@ -218,15 +218,14 @@ TEST(ObsFlight, RingKeepsLastKInOrder) {
   // keeps exactly the last k, in seq order — deterministic, not
   // scheduling-dependent (single recording thread here).
   obs::flight().arm(/*capacity=*/8);
-  for (int i = 0; i < 20; ++i)
-    obs::flight().record("test.ring",
-                         obs::flight_kv_num("i", static_cast<double>(i)));
+  for (int i = 0; i < 20; ++i) obs::flight().record("test.ring", {{"i", i}});
   const std::vector<obs::FlightEvent> events = obs::flight().events();
   ASSERT_EQ(events.size(), 8u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, 12 + i);  // newest 8 of seq 0..19
-    EXPECT_EQ(events[i].detail,
-              "\"i\": " + std::to_string(12 + i));
+    std::string detail;
+    events[i].args.append_json(detail);
+    EXPECT_EQ(detail, "{\"i\": " + std::to_string(12 + i) + "}");
   }
   obs::flight().disarm();
   EXPECT_TRUE(obs::flight().events().empty());
@@ -262,10 +261,7 @@ TEST(ObsFlight, ConcurrentWraparoundKeepsNewestCapacity) {
 TEST(ObsFlight, DumpJsonlIsOneObjectPerLine) {
   obs::flight().arm(16);
   obs::flight().record("test.plain");
-  obs::flight().record(
-      "test.detail",
-      obs::flight_join({obs::flight_kv("unit", "a\"b"),
-                        obs::flight_kv_num("bytes", 128)}));
+  obs::flight().record("test.detail", {{"unit", "a\"b"}, {"bytes", 128}});
   std::ostringstream os;
   obs::flight().dump_jsonl(os);
   obs::flight().disarm();
@@ -280,7 +276,7 @@ TEST(ObsFlight, DumpJsonlIsOneObjectPerLine) {
   }
   EXPECT_EQ(n, 2u);
   EXPECT_NE(out.find("\"kind\": \"test.plain\""), std::string::npos);
-  // Detail pairs are escaped and joined; empty details omit the object.
+  // Args render as one escaped object; an event without args omits it.
   EXPECT_NE(out.find("\"detail\": {\"unit\": \"a\\\"b\", \"bytes\": 128}"),
             std::string::npos);
   EXPECT_EQ(out.find("test.plain\", \"detail\""), std::string::npos);
@@ -298,12 +294,71 @@ TEST(ObsFlight, RearmResetsSequenceAndClock) {
   obs::flight().disarm();
 }
 
+/// Two string values the recorders must keep whole: one past any inline
+/// buffer, one holding every class of character JSON escapes.
+const std::string kLongValue = "a-value-well-past-fifteen-bytes/0123456789";
+const std::string kEscValue = "q\"b\\s\nx\x01y";
+/// kEscValue as json_quote renders it (the report's escapes).
+const std::string kEscJson = "\"q\\\"b\\\\s\\nx\\u0001y\"";
+
+TEST(ObsFlight, IntegersRenderExactly) {
+  // Integer args are stored as integers and printed digit for digit: a
+  // word address above 2^53, INT64_MIN and a byte count of 10^6 or more
+  // would each lose digits through a double.
+  obs::flight().arm(4);
+  obs::flight().record("test.ints",
+                       {{"big", uint64_t{(uint64_t{1} << 53) + 1}},
+                        {"min", INT64_MIN},
+                        {"bytes", 1234567},
+                        {"real", 2.5}});
+  std::ostringstream os;
+  obs::flight().dump_jsonl(os);
+  obs::flight().disarm();
+  EXPECT_NE(os.str().find("\"detail\": {\"big\": 9007199254740993, "
+                          "\"min\": -9223372036854775808, "
+                          "\"bytes\": 1234567, \"real\": 2.500}}"),
+            std::string::npos)
+      << os.str();
+}
+
+TEST(ObsFlight, ReusedSlotRendersOnlyItsOwnArgs) {
+  // Capacity 2 on one thread: the third event overwrites the first's
+  // slot, whose buffer it reuses; none of the old args may show through.
+  obs::flight().arm(2);
+  obs::flight().record("test.wide",
+                       {{"a", kLongValue}, {"b", 7}, {"c", "third"}});
+  obs::flight().record("test.filler");
+  obs::flight().record("test.narrow", {{"only", "x"}});
+  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  obs::flight().disarm();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_STREQ(events[1].kind, "test.narrow");
+  std::string detail;
+  events[1].args.append_json(detail);
+  EXPECT_EQ(detail, "{\"only\": \"x\"}");
+}
+
+TEST(ObsFlight, LongAndEscapedValuesComeBackWhole) {
+  obs::flight().arm(4);
+  {
+    // Args are copied before record() returns: the temporaries may die.
+    obs::flight().record("test.strings", {{"long", std::string(kLongValue)},
+                                          {"esc", std::string(kEscValue)}});
+  }
+  std::ostringstream os;
+  obs::flight().dump_jsonl(os);
+  obs::flight().disarm();
+  EXPECT_NE(os.str().find("\"detail\": {\"long\": \"" + kLongValue +
+                          "\", \"esc\": " + kEscJson + "}}\n"),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(ObsTracer, SpansAreFreeWhenInactive) {
-  // No tracer started: spans must not record anything and args helpers
-  // must short-circuit to "".
+  // No tracer started: spans, with or without args, record nothing.
   EXPECT_FALSE(obs::tracer().active());
-  EXPECT_EQ(obs::span_arg("k", "v"), "");
   { obs::Span s("test.span", "test"); }
+  { obs::Span s("test.span", "test", {{"k", "v"}, {"n", 1.5}}); }
   std::ostringstream os;
   obs::tracer().write(os);
   EXPECT_EQ(os.str().find("test.span"), std::string::npos);
@@ -313,7 +368,7 @@ TEST(ObsTracer, RecordsAndDiscardsSpans) {
   obs::set_enabled(true);
   obs::tracer().start();
   {
-    obs::Span s("test.traced", "test", obs::span_arg("root", "main"));
+    obs::Span s("test.traced", "test", {{"root", "main"}});
   }
   std::ostringstream os;
   obs::tracer().write(os);
@@ -340,7 +395,7 @@ TEST(ObsTracer, RingCapacityKeepsRecentSpans) {
       "test.ring0", "test.ring1", "test.ring2", "test.ring3", "test.ring4",
       "test.ring5", "test.ring6", "test.ring7", "test.ring8", "test.ring9"};
   for (int i = 0; i < 10; ++i)
-    obs::tracer().record(kNames[i], "test", obs::tracer().now_us(), 1.0, "");
+    obs::tracer().record(kNames[i], "test", obs::tracer().now_us(), 1.0);
   std::ostringstream os;
   obs::tracer().write(os);
   obs::tracer().stop();
@@ -353,6 +408,28 @@ TEST(ObsTracer, RingCapacityKeepsRecentSpans) {
   for (int i = 6; i < 10; ++i)
     EXPECT_NE(out.find("test.ring" + std::to_string(i)), std::string::npos)
         << "recent span missing: " << i;
+}
+
+TEST(ObsTracer, ArgsComeBackWholeAndExact) {
+  obs::set_enabled(true);
+  obs::tracer().start();
+  {
+    obs::Span s("test.args", "test",
+                {{"long", std::string(kLongValue)},
+                 {"esc", std::string(kEscValue)},
+                 {"big", uint64_t{(uint64_t{1} << 53) + 1}},
+                 {"min", INT64_MIN}});
+  }
+  std::ostringstream os;
+  obs::tracer().write(os);
+  obs::tracer().stop();
+  obs::set_enabled(false);
+  EXPECT_NE(os.str().find("\"args\": {\"long\": \"" + kLongValue +
+                          "\", \"esc\": " + kEscJson +
+                          ", \"big\": 9007199254740993, "
+                          "\"min\": -9223372036854775808}}"),
+            std::string::npos)
+      << os.str();
 }
 
 // ===========================================================================

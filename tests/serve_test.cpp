@@ -1609,7 +1609,8 @@ TEST(ServeTelemetry, DrainEventDetailIsJson) {
   obs::flight().disarm();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].kind, "serve.drain");
-  const std::string detail = "{" + events[0].detail + "}";
+  std::string detail;
+  events[0].args.append_json(detail);
   EXPECT_EQ(detail, "{\"reason\": \"shutdown\"}");
   EXPECT_EQ(serve::json_string_field(detail, "reason"), "shutdown");
 }

@@ -97,6 +97,21 @@ TEST(FlagsTest, NumFlagRejectsSignsGarbageAndOverflow) {
   EXPECT_FALSE(std::get<1>(parse_num("--n", nullptr)));  // missing operand
 }
 
+TEST(FlagsTest, EmptyEqualsOperandIsAMissingOperand) {
+  // "--n=" is the flag with its operand missing, like "--n" at the end
+  // of argv: the reader matches and moves `i` to argc, so parse_flags
+  // reports "missing value for --n" rather than "unknown flag --n=".
+  using R = std::tuple<bool, bool, uint64_t>;
+  EXPECT_EQ(parse_num("--n=", nullptr), R(true, false, 7));
+  std::string arg = "--s=";
+  char* argv[] = {arg.data()};
+  int i = 0;
+  std::string out = "kept";
+  EXPECT_TRUE(support::str_flag("--s", arg, 1, argv, i, &out));
+  EXPECT_EQ(i, 1);
+  EXPECT_EQ(out, "kept");
+}
+
 /// Runs parse_flags over `args` (no program name) and returns its result.
 std::optional<int> parse(const support::Command& cmd,
                          std::vector<std::string> args) {
@@ -166,7 +181,7 @@ TEST(FlagsTest, ParseFlagsReportsEachUsageErrorAsExit64) {
       {"--small"},         // missing final operand
       {"--mode", "c"},     // not one of the listed words
       {"--text", ""},      // every operand is non-empty
-      {"--text="},         // "--flag=" alone is no spelling of the flag
+      {"--text="},         // "--flag=" alone is a missing operand
       {"--bogus"},
       {"input"},  // no input handler
   };
