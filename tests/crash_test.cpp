@@ -5,8 +5,12 @@
 // column, reproduced mechanically).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,8 +23,11 @@
 #include "crash/recovery_oracle.h"
 #include "crash/trace_oracle.h"
 #include "frameworks/pmdk_mini.h"
+#include "gen/generator.h"
 #include "ir/parser.h"
+#include "obs/metrics.h"
 #include "pmem/pool.h"
+#include "support/str.h"
 
 namespace deepmc {
 namespace {
@@ -623,6 +630,110 @@ TEST(CrashsimValidation, OffByDefaultKeepsV1ShapedPayload) {
   EXPECT_EQ(json.find("\"crashsim\""), std::string::npos);
   EXPECT_EQ(json.find("\"validation\""), std::string::npos);
   EXPECT_EQ(report.units()[0].crashsim.ran, false);
+}
+
+// ---------------------------------------------------------------------------
+// Generated programs: no recovery oracle applies, so every image is only
+// counted. tests/golden/crashsim_generated.golden pins each root's counts
+// and the stable crash.* metrics; regenerate after an intentional change
+// with
+//   UPDATE_GOLDEN=1 ctest --test-dir build -R CrashsimGolden
+// and review the diff.
+// ---------------------------------------------------------------------------
+
+/// Root summaries of every unit, then the stable crash.* counters and the
+/// in-flight-units histogram, for one driver run over `programs`.
+std::string generated_crashsim_digest(
+    const std::vector<gen::GeneratedProgram>& programs, size_t jobs) {
+  std::vector<AnalysisUnit> units;
+  for (const gen::GeneratedProgram& p : programs)
+    units.push_back(core::make_source_unit(p.name, p.text, p.model));
+  DriverOptions opts;
+  opts.crashsim = true;
+  opts.jobs = jobs;
+  obs::set_enabled(true);
+  obs::registry().reset();
+  const Report report = AnalysisDriver(opts).run(units);
+  const obs::Snapshot snap = obs::registry().snapshot();
+  obs::set_enabled(false);
+
+  std::ostringstream out;
+  for (const core::UnitReport& u : report.units()) {
+    out << "== " << u.name << " status " << core::unit_status_name(u.status)
+        << " framework '" << u.crashsim.framework << "'\n";
+    for (const core::CrashSimRootSummary& r : u.crashsim.roots)
+      out << strformat(
+          "  @%s executed %d points %llu images %llu skipped %llu "
+          "witnesses %llu pruning %.9g\n",
+          r.root.c_str(), r.executed ? 1 : 0,
+          static_cast<unsigned long long>(r.crash_points),
+          static_cast<unsigned long long>(r.images),
+          static_cast<unsigned long long>(r.images_skipped),
+          static_cast<unsigned long long>(r.witnesses), r.pruning_ratio);
+  }
+  // A fixed list: other tests in the same process may register more
+  // crash.* counters (the recovery oracle's), which this run leaves at 0.
+  const char* const kCounters[] = {
+      "crash.roots_total",
+      "crash.roots_failed_total",
+      "crash.enumerations_total",
+      "crash.crash_points_total",
+      "crash.points_pruned_total",
+      "crash.images_total",
+      "crash.duplicate_subsets_total",
+      "crash.capped_points_total",
+      "crash.witnesses_total",
+      "crash.images_consistent_total",
+      "crash.images_inconsistent_total",
+      "crash.images_skipped_total",
+      "crash.validations_confirmed_total",
+      "crash.validations_not_reproduced_total",
+      "crash.validations_skipped_total",
+  };
+  out << "== stable crash metrics\n";
+  for (const char* name : kCounters) {
+    uint64_t value = 0;
+    for (const auto& c : snap.counters)
+      if (c.name == name && c.vol == obs::Volatility::kStable) value = c.value;
+    out << "  " << name << " " << value << "\n";
+  }
+  for (const auto& h : snap.histograms) {
+    if (h.name != "crash.pending_units_per_point") continue;
+    out << "  " << h.name << " counts";
+    for (uint64_t n : h.value.counts) out << " " << n;
+    out << " overflow " << h.value.overflow << " sum " << h.value.sum
+        << " count " << h.value.count << "\n";
+  }
+  return out.str();
+}
+
+TEST(CrashsimGolden, GeneratedProgramsMatchGolden) {
+  std::vector<gen::GeneratedProgram> programs;
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    gen::GenOptions gopts;
+    gopts.seed = seed;
+    programs.push_back(gen::generate_program(gopts));
+  }
+  const std::string serial = generated_crashsim_digest(programs, 1);
+  EXPECT_EQ(serial, generated_crashsim_digest(programs, 4))
+      << "generated crashsim counts differ between --jobs 1 and 4";
+
+  const std::string golden = std::string(DEEPMC_SOURCE_DIR) +
+                             "/tests/golden/crashsim_generated.golden";
+  const char* env = std::getenv("UPDATE_GOLDEN");
+  if (env && *env && std::string(env) != "0") {
+    std::ofstream f(golden, std::ios::binary);
+    ASSERT_TRUE(f.good()) << "cannot write " << golden;
+    f << serial;
+    return;
+  }
+  ASSERT_TRUE(std::filesystem::exists(golden)) << "missing " << golden;
+  std::ifstream f(golden, std::ios::binary);
+  std::ostringstream want;
+  want << f.rdbuf();
+  EXPECT_EQ(want.str(), serial)
+      << "generated crashsim counts diverged from " << golden
+      << "\nIf the change is intentional, regenerate with UPDATE_GOLDEN=1.";
 }
 
 }  // namespace
