@@ -1,6 +1,7 @@
 #include "crash/crashsim.h"
 
 #include <exception>
+#include <optional>
 
 #include "interp/interp.h"
 #include "obs/metrics.h"
@@ -100,9 +101,12 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
     return out;
   }
 
+  // One replay serves the witness rules and the enumeration.
+  std::optional<StoreReplay> replay;
   {
     obs::Span witness_span("crashsim.witness", "crash");
-    out.witnesses = analyze_log(log, opts.model);
+    replay.emplace(log);
+    out.witnesses = analyze_log(*replay, opts.model);
   }
 
   const std::unique_ptr<RecoveryOracle> oracle = make_oracle(opts.framework);
@@ -115,13 +119,11 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
   support::Budget image_budget("enum.images", opts.image_budget);
   image_budget.set_cancel(opts.cancel);
   eopts.image_budget = &image_budget;
-  const Enumerator enumerator(log, eopts);
-  obs::Span enum_span("crashsim.enumerate", "crash");
-  out.stats = enumerator.enumerate([&](const CrashImage& image) {
-    if (!oracle) {
-      ++out.images_skipped;
-      return;
-    }
+  const Enumerator enumerator(*replay, eopts);
+  // Without an oracle nothing reads the images, so the walk only counts
+  // them: an empty visitor builds none.
+  Enumerator::Visitor classify;
+  if (oracle) classify = [&](const CrashImage& image) {
     // A fresh pool per image: the image domain covers every line the
     // execution touched, and untouched lines are identical between a fresh
     // pool and the crashed one, so this reproduces the post-crash persisted
@@ -138,7 +140,10 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
         ++out.images_skipped;
         break;
     }
-  });
+  };
+  obs::Span enum_span("crashsim.enumerate", "crash");
+  out.stats = enumerator.enumerate(classify);
+  if (!oracle) out.images_skipped = out.stats.images;
   if (obs::enabled()) publish_root_obs(out);
   return out;
 }

@@ -1,11 +1,12 @@
 // Per-root crash simulation: record, enumerate, witness, classify.
 //
 // simulate_root() drives the full pipeline for one trace root: execute the
-// function on a fresh pool with an EventRecorder attached, run the trace
-// oracle over the recorded log to extract witnesses, enumerate every
-// reachable crash image (counting the pruned state space), and — when the
-// unit names a framework — replay that framework's recovery on each image
-// to classify it consistent or inconsistent.
+// function on a fresh pool with an EventRecorder attached, replay the
+// recorded log once, run the trace oracle over that replay to extract
+// witnesses, enumerate every reachable crash image (counting the pruned
+// state space), and — when the unit names a framework — replay that
+// framework's recovery on each image to classify it consistent or
+// inconsistent. Without a framework the images are counted, never built.
 //
 // Everything here is deterministic and self-contained, so the analysis
 // driver can fan roots across its thread pool and merge results in root

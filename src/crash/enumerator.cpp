@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "support/faultpoint.h"
@@ -28,33 +31,202 @@ obs::Histogram& pending_units_per_point() {
   return h;
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+// Image digests. A line's hash is a sum over its 8-byte words of
+// mix64(word ^ key), the key naming the word's place in the pool; an
+// image's digest is the sum of its lines' hashes. Changing a few words
+// therefore changes the digest by their terms alone.
 
-uint64_t fnv_mix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
+constexpr size_t kWordBytes = 8;
+constexpr size_t kLineWords = pmem::kCachelineBytes / kWordBytes;
+
+uint64_t mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return x;
+}
+
+uint64_t word_key(uint64_t line, size_t word) {
+  return mix64(line * kLineWords + word + 0x9e3779b97f4a7c15ull);
+}
+
+uint64_t word_term(uint64_t key, uint64_t value) { return mix64(value ^ key); }
+
+/// Word `word` of `n` bytes at `bytes`, zero-padded past the end.
+uint64_t load_word(const uint8_t* bytes, size_t n, size_t word) {
+  uint64_t v = 0;
+  const size_t at = word * kWordBytes;
+  std::memcpy(&v, bytes + at, std::min(kWordBytes, n - at));
+  return v;
+}
+
+uint64_t line_digest(uint64_t line, const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0;
+  for (size_t w = 0; w * kWordBytes < bytes.size(); ++w)
+    h += word_term(word_key(line, w), load_word(bytes.data(), bytes.size(), w));
   return h;
 }
 
-uint64_t fnv_bytes(uint64_t h, const uint8_t* p, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+// The store-range crash state, carried from one crash point to the next:
+// the durable baseline in flat per-line arrays with its digest, and an
+// overlay for one subset of in-flight units at a time.
+class DurableBaseline {
+ public:
+  explicit DurableBaseline(const StoreReplay& replay) : replay_(&replay) {
+    const EventLog& log = replay.log();
+    lines_.reserve(log.line_bases.size());
+    bytes_.reserve(log.line_bases.size() * pmem::kCachelineBytes);
+    for (const auto& [line, base] : log.line_bases) {
+      lines_.push_back(line);
+      bytes_.insert(bytes_.end(), base.begin(), base.end());
+    }
+    owner_.assign(bytes_.size(), 0);
+    keys_.resize(lines_.size() * kLineWords);
+    terms_.resize(keys_.size());
+    slot_of_word_.assign(keys_.size(), kNoSlot);
+    for (size_t w = 0; w < keys_.size(); ++w) {
+      keys_[w] = word_key(lines_[w / kLineWords], w % kLineWords);
+      terms_[w] = word_term(keys_[w], word_at(w));
+      digest_ += terms_[w];
+    }
+
+    // Each unit's bytes as runs within one image line; bytes on lines
+    // outside the image domain are dropped, as apply_unit drops them.
+    const std::vector<StoreUnit>& units = replay.units();
+    runs_begin_.reserve(units.size() + 1);
+    for (const StoreUnit& u : units) {
+      runs_begin_.push_back(runs_.size());
+      for (uint64_t pos = u.off; pos < u.off + u.size;) {
+        const uint64_t line = pmem::line_of(pos);
+        const uint64_t end =
+            std::min(u.off + u.size, (line + 1) * pmem::kCachelineBytes);
+        const auto it = std::lower_bound(lines_.begin(), lines_.end(), line);
+        if (it != lines_.end() && *it == line)
+          runs_.push_back(Run{
+              static_cast<size_t>(it - lines_.begin()) * pmem::kCachelineBytes +
+                  pos % pmem::kCachelineBytes,
+              end - pos, pos - u.off});
+        pos = end;
+      }
+    }
+    runs_begin_.push_back(runs_.size());
   }
-  return h;
-}
+
+  [[nodiscard]] uint64_t digest() const { return digest_; }
+
+  /// Fold unit `u` into the baseline. A byte a program-later unit already
+  /// made durable keeps that unit's value: a tx commit can make a newer
+  /// logged store durable before an older overlapping one is fenced.
+  void make_durable(size_t u) {
+    const uint32_t tag = static_cast<uint32_t>(u) + 1;
+    const uint8_t* src = payload(u);
+    for (size_t r = runs_begin_[u]; r < runs_begin_[u + 1]; ++r) {
+      const Run& run = runs_[r];
+      for (size_t i = 0; i < run.len; ++i) {
+        const size_t b = run.byte + i;
+        if (owner_[b] > tag) continue;
+        bytes_[b] = src[run.src + i];
+        owner_[b] = tag;
+      }
+      for (size_t w = run.byte / kWordBytes;
+           w <= (run.byte + run.len - 1) / kWordBytes; ++w) {
+        digest_ -= terms_[w];
+        terms_[w] = word_term(keys_[w], word_at(w));
+        digest_ += terms_[w];
+      }
+    }
+  }
+
+  /// Digest of the baseline with `units` (ascending) applied on top, in
+  /// program order. The changed words stay in the overlay for image().
+  uint64_t overlay(const std::vector<size_t>& units) {
+    for (const Slot& s : slots_) slot_of_word_[s.word] = kNoSlot;
+    slots_.clear();
+    for (size_t u : units) {
+      const uint32_t tag = static_cast<uint32_t>(u) + 1;
+      const uint8_t* src = payload(u);
+      for (size_t r = runs_begin_[u]; r < runs_begin_[u + 1]; ++r) {
+        const Run& run = runs_[r];
+        for (size_t i = 0; i < run.len; ++i) {
+          const size_t b = run.byte + i;
+          if (owner_[b] > tag) continue;  // a later store is durable there
+          const size_t w = b / kWordBytes;
+          uint32_t& slot = slot_of_word_[w];
+          if (slot == kNoSlot) {
+            slot = static_cast<uint32_t>(slots_.size());
+            slots_.push_back(Slot{w, word_at(w)});
+          }
+          reinterpret_cast<uint8_t*>(&slots_[slot].value)[b % kWordBytes] =
+              src[run.src + i];
+        }
+      }
+    }
+    uint64_t d = digest_;
+    for (const Slot& s : slots_)
+      d += word_term(keys_[s.word], s.value) - terms_[s.word];
+    return d;
+  }
+
+  /// The image of the last overlay() at crash position `point`.
+  [[nodiscard]] CrashImage image(size_t point, uint64_t digest) const {
+    CrashImage img;
+    img.point = point;
+    img.digest = digest;
+    for (size_t l = 0; l < lines_.size(); ++l) {
+      const uint8_t* base = bytes_.data() + l * pmem::kCachelineBytes;
+      img.lines.emplace_hint(
+          img.lines.end(), lines_[l],
+          std::vector<uint8_t>(base, base + pmem::kCachelineBytes));
+    }
+    for (const Slot& s : slots_) {
+      std::vector<uint8_t>& line = img.lines.at(lines_[s.word / kLineWords]);
+      std::memcpy(line.data() + s.word % kLineWords * kWordBytes, &s.value,
+                  kWordBytes);
+    }
+    return img;
+  }
+
+ private:
+  struct Run {
+    size_t byte;  ///< first image byte (line index * 64 + offset)
+    size_t len;
+    size_t src;   ///< offset into the unit's payload
+  };
+  struct Slot {
+    size_t word;
+    uint64_t value;
+  };
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  [[nodiscard]] const uint8_t* payload(size_t u) const {
+    return replay_->log().events[replay_->units()[u].event].bytes.data();
+  }
+  [[nodiscard]] uint64_t word_at(size_t w) const {
+    uint64_t v;
+    std::memcpy(&v, bytes_.data() + w * kWordBytes, kWordBytes);
+    return v;
+  }
+
+  const StoreReplay* replay_;
+  std::vector<uint64_t> lines_;   ///< image domain, ascending
+  std::vector<uint8_t> bytes_;    ///< durable content, 64 bytes per line
+  std::vector<uint32_t> owner_;   ///< per byte: durable unit + 1, 0 = base
+  std::vector<uint64_t> keys_;    ///< per word
+  std::vector<uint64_t> terms_;   ///< per word: its share of digest_
+  uint64_t digest_ = 0;
+  std::vector<Run> runs_;
+  std::vector<size_t> runs_begin_;  ///< unit u's runs: [begin[u], begin[u+1])
+  std::vector<Slot> slots_;         ///< the overlay's changed words
+  std::vector<uint32_t> slot_of_word_;
+};
 
 }  // namespace
 
 uint64_t digest_lines(const std::map<uint64_t, std::vector<uint8_t>>& lines) {
-  uint64_t h = kFnvOffset;
-  for (const auto& [line, bytes] : lines) {
-    h = fnv_mix(h, line);
-    h = fnv_bytes(h, bytes.data(), bytes.size());
-  }
+  uint64_t h = 0;
+  for (const auto& [line, bytes] : lines) h += line_digest(line, bytes);
   return h;
 }
 
@@ -201,20 +373,6 @@ CrashImage StoreReplay::image_at(size_t point,
   return img;
 }
 
-std::vector<size_t> StoreReplay::pending_units(size_t point) const {
-  std::vector<size_t> out;
-  for (size_t u = 0; u < units_.size(); ++u)
-    if (units_[u].pending_at(point)) out.push_back(u);
-  return out;
-}
-
-std::vector<size_t> StoreReplay::dirty_units(size_t point) const {
-  std::vector<size_t> out;
-  for (size_t u = 0; u < units_.size(); ++u)
-    if (units_[u].dirty_at(point)) out.push_back(u);
-  return out;
-}
-
 void Enumerator::Stats::merge(const Stats& o) {
   crash_points += o.crash_points;
   points_enumerated += o.points_enumerated;
@@ -228,6 +386,9 @@ void Enumerator::Stats::merge(const Stats& o) {
 
 Enumerator::Enumerator(const EventLog& log, Options opts)
     : log_(&log), opts_(opts) {}
+
+Enumerator::Enumerator(const StoreReplay& replay, Options opts)
+    : log_(&replay.log()), replay_(&replay), opts_(opts) {}
 
 Enumerator::Stats Enumerator::enumerate(const Visitor& visit) const {
   if (obs::enabled()) enumerations().inc();
@@ -246,25 +407,53 @@ std::vector<uint64_t> Enumerator::touched_lines() const {
 Enumerator::Stats Enumerator::enumerate_store_range(
     const Visitor& visit) const {
   Stats st;
-  StoreReplay replay(*log_);
-  const size_t n = log_->events.size();
+  std::optional<StoreReplay> own;
+  const StoreReplay& replay =
+      replay_ != nullptr ? *replay_ : own.emplace(*log_);
+  const std::vector<StoreUnit>& units = replay.units();
+  DurableBaseline baseline(replay);
 
-  uint64_t prev_sig = 0;
+  // A unit is in flight from the event after the one that puts it there
+  // (its store; its flush when dirty units are left out) through the event
+  // that makes it durable.
+  const auto entry = [&](size_t u) {
+    return opts_.include_dirty ? units[u].event : units[u].staged_at;
+  };
+  std::vector<size_t> by_entry, by_durable;
+  for (size_t u = 0; u < units.size(); ++u) {
+    if (entry(u) != kNoEvent) by_entry.push_back(u);
+    if (units[u].durable_at != kNoEvent) by_durable.push_back(u);
+  }
+  std::stable_sort(by_entry.begin(), by_entry.end(),
+                   [&](size_t a, size_t b) { return entry(a) < entry(b); });
+  std::stable_sort(by_durable.begin(), by_durable.end(),
+                   [&](size_t a, size_t b) {
+                     return units[a].durable_at < units[b].durable_at;
+                   });
+
+  std::vector<size_t> inflight;  // ascending unit indices
+  std::vector<size_t> prev_inflight;
+  uint64_t prev_digest = 0;
   bool have_prev = false;
-  for (size_t point = 0; point <= n; ++point) {
-    if (point != n && !log_->events[point].counted) continue;
-    ++st.crash_points;
+  std::vector<size_t> subset;
+  std::vector<uint64_t> seen;
 
-    std::vector<size_t> inflight = replay.pending_units(point);
-    if (opts_.include_dirty) {
-      std::vector<size_t> dirty = replay.dirty_units(point);
-      inflight.insert(inflight.end(), dirty.begin(), dirty.end());
-      std::sort(inflight.begin(), inflight.end());
+  auto emit = [&](size_t point) {
+    DEEPMC_FAULTPOINT("enum.image");
+    if (opts_.image_budget != nullptr) opts_.image_budget->charge();
+    st.subsets_materialized += 1;
+    const uint64_t digest = baseline.overlay(subset);
+    if (std::find(seen.begin(), seen.end(), digest) != seen.end()) {
+      ++st.duplicate_subsets;
+      return;
     }
-    const CrashImage base = replay.image_at(point, {});
+    seen.push_back(digest);
+    ++st.images;
+    if (visit) visit(baseline.image(point, digest));
+  };
 
-    // Commit-point pruning: same durable image + same in-flight units as
-    // the previous crash point means the subset family is identical too.
+  auto visit_point = [&](size_t point) {
+    ++st.crash_points;
     // Reachable space at this point (counted whether or not the point is
     // pruned: pruning is exactly the work this ratio credits as saved).
     const size_t k = inflight.size();
@@ -272,49 +461,62 @@ Enumerator::Stats Enumerator::enumerate_store_range(
     st.subset_space +=
         std::ldexp(1.0, static_cast<int>(std::min<size_t>(k, 1000)));
 
-    uint64_t sig = fnv_mix(base.digest, inflight.size());
-    for (size_t u : inflight) sig = fnv_mix(sig, u);
-    if (have_prev && sig == prev_sig) {
+    // Commit-point pruning: same durable image + same in-flight units as
+    // the previous crash point means the subset family is identical too.
+    if (have_prev && baseline.digest() == prev_digest &&
+        inflight == prev_inflight) {
       ++st.points_pruned;
-      continue;
+      return;
     }
-    prev_sig = sig;
+    prev_digest = baseline.digest();
+    prev_inflight = inflight;
     have_prev = true;
     ++st.points_enumerated;
 
-    std::set<uint64_t> seen;
-    auto emit = [&](const std::vector<size_t>& extra) {
-      DEEPMC_FAULTPOINT("enum.image");
-      if (opts_.image_budget != nullptr) opts_.image_budget->charge();
-      st.subsets_materialized += 1;
-      CrashImage img = extra.empty() ? base : replay.image_at(point, extra);
-      if (!seen.insert(img.digest).second) {
-        ++st.duplicate_subsets;
-        return;
-      }
-      ++st.images;
-      visit(img);
-    };
-
+    seen.clear();
     if (k <= opts_.max_subset_bits) {
       for (uint64_t mask = 0; mask < (1ull << k); ++mask) {
-        std::vector<size_t> extra;
+        subset.clear();
         for (size_t b = 0; b < k; ++b)
-          if (mask & (1ull << b)) extra.push_back(inflight[b]);
-        emit(extra);
+          if (mask & (1ull << b)) subset.push_back(inflight[b]);
+        emit(point);
       }
     } else {
       ++st.capped_points;
-      emit({});
-      emit(inflight);
+      subset.clear();
+      emit(point);
+      subset = inflight;
+      emit(point);
       for (size_t b = 0; b < k; ++b) {
-        emit({inflight[b]});
-        std::vector<size_t> loo;
-        loo.reserve(k - 1);
+        subset.assign(1, inflight[b]);
+        emit(point);
+        subset.clear();
         for (size_t j = 0; j < k; ++j)
-          if (j != b) loo.push_back(inflight[j]);
-        emit(loo);
+          if (j != b) subset.push_back(inflight[j]);
+        emit(point);
       }
+    }
+  };
+
+  const size_t n = log_->events.size();
+  size_t next_entry = 0, next_durable = 0;
+  for (size_t point = 0; point <= n; ++point) {
+    if (point == n || log_->events[point].counted) visit_point(point);
+    if (point == n) break;
+    // Event `point` takes effect from crash position point + 1 on.
+    for (; next_entry < by_entry.size() && entry(by_entry[next_entry]) == point;
+         ++next_entry) {
+      const size_t u = by_entry[next_entry];
+      inflight.insert(std::upper_bound(inflight.begin(), inflight.end(), u),
+                      u);
+    }
+    for (; next_durable < by_durable.size() &&
+           units[by_durable[next_durable]].durable_at == point;
+         ++next_durable) {
+      const size_t u = by_durable[next_durable];
+      const auto it = std::lower_bound(inflight.begin(), inflight.end(), u);
+      if (it != inflight.end() && *it == u) inflight.erase(it);
+      baseline.make_durable(u);
     }
   }
   return st;
@@ -331,7 +533,8 @@ Enumerator::Stats Enumerator::enumerate_cacheline(const Visitor& visit) const {
   }
   const size_t n = log_->events.size();
 
-  uint64_t prev_sig = 0;
+  uint64_t prev_digest = 0;
+  std::vector<std::pair<uint64_t, Line>> prev_inflight;
   bool have_prev = false;
   auto visit_point = [&](size_t point) {
     ++st.crash_points;
@@ -351,14 +554,19 @@ Enumerator::Stats Enumerator::enumerate_cacheline(const Visitor& visit) const {
     st.subset_space +=
         std::ldexp(1.0, static_cast<int>(std::min<size_t>(k, 1000)));
 
-    uint64_t sig = fnv_mix(digest_lines(persisted), inflight.size());
-    for (const auto& [line, bytes] : inflight)
-      sig = fnv_bytes(fnv_mix(sig, line), bytes->data(), bytes->size());
-    if (have_prev && sig == prev_sig) {
+    const uint64_t persisted_digest = digest_lines(persisted);
+    if (have_prev && persisted_digest == prev_digest &&
+        std::equal(inflight.begin(), inflight.end(), prev_inflight.begin(),
+                   prev_inflight.end(), [](const auto& a, const auto& b) {
+                     return a.first == b.first && *a.second == b.second;
+                   })) {
       ++st.points_pruned;
       return;
     }
-    prev_sig = sig;
+    prev_digest = persisted_digest;
+    prev_inflight.clear();
+    for (const auto& [line, bytes] : inflight)
+      prev_inflight.emplace_back(line, *bytes);
     have_prev = true;
     ++st.points_enumerated;
 
@@ -377,7 +585,7 @@ Enumerator::Stats Enumerator::enumerate_cacheline(const Visitor& visit) const {
         return;
       }
       ++st.images;
-      visit(img);
+      if (visit) visit(img);
     };
 
     if (k <= opts_.max_subset_bits) {

@@ -22,6 +22,16 @@
 //    inject_fault_after(n) sweep image, which is how the two subsystems are
 //    cross-checked.
 //
+// The store-range walk is lazy, after Jaaru: it carries the crash state
+// forward instead of rebuilding it at every point. The durable baseline
+// lives in flat per-line arrays and advances as the walk passes each unit's
+// durable_at; a per-byte owner unit keeps program order when a tx commit
+// makes a newer logged store durable before an older overlapping one. The
+// in-flight set is updated as units are stored (or flushed) and made
+// durable. A subset's digest is the baseline's plus the change over the
+// words its units write (see digest_lines), and its CrashImage is built
+// only for a visitor: an empty Visitor counts images without building any.
+//
 // Pruning keeps the walk polynomial on realistic logs:
 //  * commit-point pruning — a crash point whose in-flight set and durable
 //    image both match the previous enumerated point contributes nothing new
@@ -61,8 +71,12 @@ struct CrashImage {
   uint64_t digest = 0;
 };
 
-/// FNV-1a over (line index, content) pairs — the deterministic identity of
-/// an image.
+/// The deterministic identity of an image: the sum of its lines' hashes,
+/// where a line's hash sums a 64-bit mix of each 8-byte word with a key for
+/// the word's place in the pool. Images that differ in a few words differ
+/// in digest by those words' terms alone, which is what lets the
+/// enumerator digest a subset as a delta over its baseline. Distinct
+/// images collide only by 64-bit accident.
 uint64_t digest_lines(const std::map<uint64_t, std::vector<uint8_t>>& lines);
 
 /// A store's durability lifecycle at store-range granularity.
@@ -107,7 +121,8 @@ struct RegionInfo {
 /// Replays an EventLog once at store-range granularity and exposes the
 /// derived timelines: store units with their staging/durability lifecycle,
 /// the region tree, and fence positions. The trace oracle and the
-/// enumerator both build on this.
+/// enumerator both build on this; simulate_root builds one per root and
+/// hands it to both.
 class StoreReplay {
  public:
   explicit StoreReplay(const EventLog& log);
@@ -129,17 +144,14 @@ class StoreReplay {
   [[nodiscard]] size_t crash_point_after(size_t lo, size_t hi) const;
 
   /// The image at crash position `point` made of the durable baseline plus
-  /// the units in `extra` (applied in event order).
+  /// the units in `extra` (applied in event order), rebuilt from scratch.
+  /// The reference the enumerator's incremental images are tested against.
   [[nodiscard]] CrashImage image_at(size_t point,
                                     const std::vector<size_t>& extra) const;
 
   /// Write unit `unit`'s payload into `lines` (domain = touched lines).
   void apply_unit(std::map<uint64_t, std::vector<uint8_t>>& lines,
                   size_t unit) const;
-
-  /// Unit indices pending (flush-unfenced) / dirty at `point`, ascending.
-  [[nodiscard]] std::vector<size_t> pending_units(size_t point) const;
-  [[nodiscard]] std::vector<size_t> dirty_units(size_t point) const;
 
  private:
   const EventLog* log_;
@@ -187,12 +199,19 @@ class Enumerator {
     void merge(const Stats& o);
   };
 
+  /// Called once per distinct image. An empty Visitor is never called and
+  /// the Stats are the same; the store-range walk then builds no image.
   using Visitor = std::function<void(const CrashImage&)>;
 
   Enumerator(const EventLog& log, Options opts);
+  /// Over an existing replay of the log (kept alive by the caller), so a
+  /// store-range walk does not replay the log a second time.
+  Enumerator(const StoreReplay& replay, Options opts);
 
   /// Walk every crash point and visit each distinct reachable image.
-  /// Deterministic: points ascending, subsets in mask order.
+  /// Deterministic: points ascending, subsets in mask order. The
+  /// `enum.image` fault point and the image budget fire once per subset,
+  /// visited or not.
   Stats enumerate(const Visitor& visit) const;
 
   /// Cachelines ever touched by the log (the image domain).
@@ -203,6 +222,7 @@ class Enumerator {
   Stats enumerate_cacheline(const Visitor& visit) const;
 
   const EventLog* log_;
+  const StoreReplay* replay_ = nullptr;  ///< store-range only; else replayed
   Options opts_;
 };
 

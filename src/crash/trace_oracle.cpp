@@ -251,7 +251,11 @@ void rule_region_exit_unflushed(const StoreReplay& replay,
 }  // namespace
 
 std::vector<Witness> analyze_log(const EventLog& log, PersistencyModel model) {
-  StoreReplay replay(log);
+  return analyze_log(StoreReplay(log), model);
+}
+
+std::vector<Witness> analyze_log(const StoreReplay& replay,
+                                 PersistencyModel model) {
   std::vector<Witness> out;
   rule_rollback_exposure(replay, out);
   rule_unfenced_boundary(replay, out);

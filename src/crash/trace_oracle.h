@@ -54,5 +54,8 @@ struct Witness {
 /// rule-by-rule (A..F) in event order.
 std::vector<Witness> analyze_log(const EventLog& log,
                                  core::PersistencyModel model);
+/// Same, over an existing replay of the log.
+std::vector<Witness> analyze_log(const StoreReplay& replay,
+                                 core::PersistencyModel model);
 
 }  // namespace deepmc::crash

@@ -1,10 +1,14 @@
 // Crash-state enumeration engine tests: event recording, store-lifecycle
-// replay, reachable-image enumeration (both granularities), trace-oracle
-// witnesses, recovery-oracle classification, and the end-to-end warning
-// validation matrix over the corpus (the paper's Table 8 "validated"
-// column, reproduced mechanically).
+// replay, reachable-image enumeration (both granularities, and the
+// incremental store-range walk against a from-scratch reference),
+// trace-oracle witnesses, recovery-oracle classification, the end-to-end
+// warning validation matrix over the corpus (the paper's Table 8
+// "validated" column, reproduced mechanically), and the counts of
+// generated programs, where no recovery oracle applies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +31,7 @@
 #include "ir/parser.h"
 #include "obs/metrics.h"
 #include "pmem/pool.h"
+#include "support/rng.h"
 #include "support/str.h"
 
 namespace deepmc {
@@ -266,6 +271,358 @@ TEST(Enumerator, CommitPointPruningSkipsQuiescentPoints) {
   EXPECT_GT(stats.points_pruned, 0u);
   EXPECT_EQ(stats.points_enumerated + stats.points_pruned,
             stats.crash_points);
+}
+
+// ---------------------------------------------------------------------------
+// Enumerator against a from-scratch reference
+//
+// The store-range walk carries its crash state forward from point to point.
+// The reference below rebuilds every image with StoreReplay::image_at and
+// compares bytes exactly (no digests), so each visited image must equal
+// image_at(point, subset) for the subset that produced it, and the Stats of
+// a visiting walk, a counting walk (empty visitor) and the reference must
+// all agree.
+// ---------------------------------------------------------------------------
+
+/// Hand-built event logs; every line a store touches gets a base unless
+/// `skip_line` names it.
+class LogBuilder {
+ public:
+  LogBuilder& store(uint64_t off, std::vector<uint8_t> bytes,
+                    bool counted = true) {
+    crash::Event e{};
+    e.kind = crash::EventKind::kStore;
+    e.off = off;
+    e.size = bytes.size();
+    e.bytes = std::move(bytes);
+    e.counted = counted;
+    for (uint64_t b = off; b < off + e.size; ++b) touch(pmem::line_of(b));
+    log_.events.push_back(std::move(e));
+    return *this;
+  }
+  LogBuilder& flush(uint64_t off, uint64_t size) {
+    return push(crash::EventKind::kFlush, off, size, true);
+  }
+  LogBuilder& fence() { return push(crash::EventKind::kFence, 0, 0, true); }
+  LogBuilder& tx_begin() {
+    return push(crash::EventKind::kRegionBegin, 0, 0, false);
+  }
+  LogBuilder& tx_end() { return push(crash::EventKind::kRegionEnd, 0, 0, false); }
+  LogBuilder& tx_add(uint64_t off, uint64_t size) {
+    return push(crash::EventKind::kTxAdd, off, size, false);
+  }
+  void skip_line(uint64_t line) { skipped_.insert(line); }
+  [[nodiscard]] const crash::EventLog& log() const { return log_; }
+
+ private:
+  LogBuilder& push(crash::EventKind kind, uint64_t off, uint64_t size,
+                   bool counted) {
+    crash::Event e{};
+    e.kind = kind;
+    e.off = off;
+    e.size = size;
+    e.region_kind = crash::kRegionTx;
+    e.counted = counted;
+    log_.events.push_back(std::move(e));
+    return *this;
+  }
+  void touch(uint64_t line) {
+    if (skipped_.count(line) || log_.line_bases.count(line)) return;
+    auto& base = log_.line_bases[line];
+    // Values from the same small range as the random stores', so stores
+    // that leave bytes as they were (and images that coincide) are common.
+    for (size_t i = 0; i < base.size(); ++i)
+      base[i] = static_cast<uint8_t>((line * 7 + i * 3) % 4);
+  }
+
+  crash::EventLog log_;
+  std::set<uint64_t> skipped_;
+};
+
+struct ReferenceImage {
+  size_t point;
+  std::vector<size_t> subset;
+};
+
+struct ReferenceWalk {
+  crash::Enumerator::Stats stats;
+  std::vector<ReferenceImage> images;
+};
+
+/// The enumeration rebuilt from scratch at every point, deduplicated on
+/// bytes, in the enumerator's point and subset order.
+ReferenceWalk reference_walk(const crash::EventLog& log,
+                             const crash::Enumerator::Options& opts) {
+  const crash::StoreReplay replay(log);
+  ReferenceWalk ref;
+  crash::Enumerator::Stats& st = ref.stats;
+  using Lines = std::map<uint64_t, std::vector<uint8_t>>;
+  bool have_prev = false;
+  Lines prev_base;
+  std::vector<size_t> prev_inflight;
+  for (size_t point = 0; point <= log.events.size(); ++point) {
+    if (point != log.events.size() && !log.events[point].counted) continue;
+    ++st.crash_points;
+    std::vector<size_t> inflight;
+    for (size_t u = 0; u < replay.units().size(); ++u) {
+      const crash::StoreUnit& s = replay.units()[u];
+      if (s.pending_at(point) || (opts.include_dirty && s.dirty_at(point)))
+        inflight.push_back(u);
+    }
+    const size_t k = inflight.size();
+    st.subset_space +=
+        std::ldexp(1.0, static_cast<int>(std::min<size_t>(k, 1000)));
+    const Lines base = replay.image_at(point, {}).lines;
+    if (have_prev && base == prev_base && inflight == prev_inflight) {
+      ++st.points_pruned;
+      continue;
+    }
+    prev_base = base;
+    prev_inflight = inflight;
+    have_prev = true;
+    ++st.points_enumerated;
+
+    std::vector<Lines> seen;
+    auto emit = [&](const std::vector<size_t>& subset) {
+      st.subsets_materialized += 1;
+      Lines lines = replay.image_at(point, subset).lines;
+      if (std::find(seen.begin(), seen.end(), lines) != seen.end()) {
+        ++st.duplicate_subsets;
+        return;
+      }
+      seen.push_back(std::move(lines));
+      ++st.images;
+      ref.images.push_back({point, subset});
+    };
+    if (k <= opts.max_subset_bits) {
+      for (uint64_t mask = 0; mask < (1ull << k); ++mask) {
+        std::vector<size_t> subset;
+        for (size_t b = 0; b < k; ++b)
+          if (mask & (1ull << b)) subset.push_back(inflight[b]);
+        emit(subset);
+      }
+    } else {
+      ++st.capped_points;
+      emit({});
+      emit(inflight);
+      for (size_t b = 0; b < k; ++b) {
+        emit({inflight[b]});
+        std::vector<size_t> loo = inflight;
+        loo.erase(loo.begin() + static_cast<std::ptrdiff_t>(b));
+        emit(loo);
+      }
+    }
+  }
+  return ref;
+}
+
+void expect_same_stats(const crash::Enumerator::Stats& a,
+                       const crash::Enumerator::Stats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.crash_points, b.crash_points) << what;
+  EXPECT_EQ(a.points_enumerated, b.points_enumerated) << what;
+  EXPECT_EQ(a.points_pruned, b.points_pruned) << what;
+  EXPECT_EQ(a.images, b.images) << what;
+  EXPECT_EQ(a.duplicate_subsets, b.duplicate_subsets) << what;
+  EXPECT_EQ(a.capped_points, b.capped_points) << what;
+  EXPECT_EQ(a.subset_space, b.subset_space) << what;
+  EXPECT_EQ(a.subsets_materialized, b.subsets_materialized) << what;
+}
+
+/// Store-range walks of `log` with and without dirty units, under the
+/// given subset cap, checked against the reference. Returns the number of
+/// images compared.
+size_t expect_matches_reference(const crash::EventLog& log,
+                                size_t max_subset_bits,
+                                const std::string& what) {
+  const crash::StoreReplay replay(log);
+  size_t compared = 0;
+  for (const bool include_dirty : {true, false}) {
+    crash::Enumerator::Options opts;
+    opts.include_dirty = include_dirty;
+    opts.max_subset_bits = max_subset_bits;
+    const std::string tag =
+        what + (include_dirty ? " (dirty in flight)" : " (pending only)");
+    const ReferenceWalk ref = reference_walk(log, opts);
+
+    std::vector<crash::CrashImage> visited;
+    const crash::Enumerator en(log, opts);
+    const crash::Enumerator::Stats visiting = en.enumerate(
+        [&](const crash::CrashImage& img) { visited.push_back(img); });
+    expect_same_stats(ref.stats, visiting, tag + " visiting");
+    expect_same_stats(visiting, en.enumerate({}), tag + " counting");
+    expect_same_stats(visiting,
+                      crash::Enumerator(replay, opts).enumerate({}),
+                      tag + " over a shared replay");
+
+    EXPECT_EQ(visited.size(), ref.images.size()) << tag;
+    for (size_t i = 0; i < std::min(visited.size(), ref.images.size()); ++i) {
+      const crash::CrashImage want =
+          replay.image_at(ref.images[i].point, ref.images[i].subset);
+      EXPECT_EQ(visited[i].point, want.point) << tag << " image " << i;
+      EXPECT_EQ(visited[i].lines, want.lines) << tag << " image " << i;
+      EXPECT_EQ(visited[i].digest, want.digest) << tag << " image " << i;
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+std::vector<uint8_t> filled(size_t n, uint8_t v) {
+  return std::vector<uint8_t>(n, v);
+}
+
+TEST(EnumeratorDifferential, TxCommitNewerStoreOverOlderStoreFencedLater) {
+  // The older unlogged store A is flushed and fenced only after the tx
+  // commit has made the newer logged store B durable. Where they overlap,
+  // program order says B's bytes win in every image.
+  LogBuilder b;
+  b.store(8, filled(16, 0xa1))  // A: bytes 8..23, unlogged
+      .tx_begin()
+      .tx_add(12, 8)
+      .store(12, filled(8, 0xb2))  // B: bytes 12..19, logged
+      .tx_end()                    // commit: B durable
+      .flush(0, 64)                // stages A only
+      .store(40, filled(8, 0xc3))
+      .fence();                    // A durable after B
+  const crash::StoreReplay replay(b.log());
+  ASSERT_EQ(replay.units().size(), 3u);
+  ASSERT_LT(replay.units()[1].durable_at, replay.units()[0].durable_at);
+  const crash::CrashImage end = replay.image_at(b.log().events.size(), {});
+  EXPECT_EQ(end.lines.at(0)[12], 0xb2);
+  EXPECT_EQ(end.lines.at(0)[8], 0xa1);
+  EXPECT_GT(expect_matches_reference(b.log(), 10, "tx commit"), 0u);
+}
+
+TEST(EnumeratorDifferential, StoreSpanningTwoLines) {
+  LogBuilder b;
+  b.store(60, filled(8, 0x11))  // bytes 60..67: lines 0 and 1
+      .store(64, filled(2, 0x22))
+      .flush(56, 16)
+      .store(120, filled(16, 0x33))  // lines 1 and 2, left dirty
+      .fence()
+      .flush(64, 64);
+  EXPECT_GT(expect_matches_reference(b.log(), 10, "spanning store"), 0u);
+}
+
+TEST(EnumeratorDifferential, PendingAndDirtyUnitsAtTheSamePoint) {
+  LogBuilder b;
+  b.store(0, filled(8, 0x01))
+      .flush(0, 8)                  // unit 0 pending
+      .store(4, filled(8, 0x02))    // unit 1 dirty, overlaps unit 0
+      .store(64, filled(8, 0x03))   // unit 2 dirty
+      .flush(64, 0)                 // a counted event with both kinds
+      .fence()
+      .store(0, filled(8, 0x04));
+  const crash::StoreReplay replay(b.log());
+  const crash::StoreUnit& pending = replay.units()[0];
+  const crash::StoreUnit& dirty = replay.units()[1];
+  EXPECT_TRUE(pending.pending_at(4));
+  EXPECT_TRUE(dirty.dirty_at(4));
+  EXPECT_GT(expect_matches_reference(b.log(), 10, "pending + dirty"), 0u);
+}
+
+TEST(EnumeratorDifferential, PointAboveTheSubsetCap) {
+  LogBuilder b;
+  for (uint64_t i = 0; i < 6; ++i)
+    b.store(8 * i, filled(12, static_cast<uint8_t>(0x40 + i)));
+  b.flush(0, 32).store(100, filled(4, 0x99)).fence();
+  crash::Enumerator::Options opts;
+  opts.max_subset_bits = 3;
+  EXPECT_GT(crash::Enumerator(b.log(), opts).enumerate({}).capped_points,
+            0u);
+  EXPECT_GT(expect_matches_reference(b.log(), 3, "capped"), 0u);
+}
+
+TEST(EnumeratorDifferential, PruningComparesInFlightUnits) {
+  // Between two crash points the fence makes X durable without changing a
+  // byte, and an uncounted store puts Y in flight: the baseline and the
+  // in-flight count are unchanged, the in-flight units are not.
+  LogBuilder b;
+  b.store(0, filled(1, 0))  // line 0's base byte 0 is 0 as well
+      .flush(0, 1)
+      .fence()
+      .store(8, filled(1, 3), /*counted=*/false)
+      .flush(8, 0);
+  // Points 0 ({}), 1 ({X}) and 4 ({Y}) are enumerated; 2 repeats 1 and
+  // the end repeats 4.
+  const crash::Enumerator::Stats st =
+      crash::Enumerator(b.log(), crash::Enumerator::Options{}).enumerate({});
+  EXPECT_EQ(st.points_enumerated, 3u);
+  EXPECT_EQ(st.points_pruned, 2u);
+  EXPECT_GT(expect_matches_reference(b.log(), 10, "same-sized sets"), 0u);
+}
+
+TEST(EnumeratorDifferential, StoresOutsideTheImageDomainAreDropped) {
+  LogBuilder b;
+  b.skip_line(1);
+  b.store(56, filled(16, 0x5a)).flush(56, 16).store(64, filled(8, 0x6b))
+      .fence();
+  ASSERT_FALSE(b.log().line_bases.count(1));
+  EXPECT_GT(expect_matches_reference(b.log(), 10, "outside domain"), 0u);
+}
+
+/// A seeded random log: stores of 1..16 bytes over two lines (often
+/// spanning both), flushes of any range including empty ones, fences,
+/// uncounted stores, and transactions whose stores often land inside their
+/// tx.add range, so commit-durable units interleave with fenced ones.
+crash::EventLog random_log(uint64_t seed) {
+  Rng rng(seed);
+  LogBuilder b;
+  if (rng.chance(0.2)) b.skip_line(rng.below(2));
+  int open = 0;
+  uint64_t add_off = 0, add_size = 0;  // the open tx's last tx.add
+  const size_t events = 6 + rng.below(18);
+  for (size_t i = 0; i < events; ++i) {
+    uint64_t off = rng.below(2 * pmem::kCachelineBytes - 16);
+    switch (rng.below(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        std::vector<uint8_t> bytes(1 + rng.below(16));
+        if (add_size > 0 && rng.chance(0.5)) {
+          bytes.resize(1 + rng.below(add_size));
+          off = add_off + rng.below(add_size - bytes.size() + 1);
+        }
+        for (uint8_t& v : bytes) v = static_cast<uint8_t>(rng.below(4));
+        b.store(off, std::move(bytes), !rng.chance(0.2));
+        break;
+      }
+      case 3:
+      case 4:
+        b.flush(off, rng.below(40));
+        break;
+      case 5:
+        b.fence();
+        break;
+      case 6:
+        if (open > 0 && rng.chance(0.5)) {
+          b.tx_end();
+          --open;
+          add_size = 0;
+        } else {
+          b.tx_begin();
+          ++open;
+        }
+        break;
+      default:
+        add_off = off;
+        add_size = 1 + rng.below(24);
+        b.tx_add(add_off, add_size);
+        break;
+    }
+  }
+  return b.log();
+}
+
+TEST(EnumeratorDifferential, SeededRandomLogs) {
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const size_t cap = seed % 2 == 0 ? 2 : 10;
+    compared += expect_matches_reference(random_log(seed), cap,
+                                         "seed " + std::to_string(seed));
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 // ---------------------------------------------------------------------------
