@@ -204,7 +204,7 @@ class DurableBaseline {
     return replay_->log().events[replay_->units()[u].event].bytes.data();
   }
   [[nodiscard]] uint64_t word_at(size_t w) const {
-    uint64_t v;
+    uint64_t v = 0;
     std::memcpy(&v, bytes_.data() + w * kWordBytes, kWordBytes);
     return v;
   }
