@@ -32,14 +32,15 @@ obs::Histogram& pending_units_per_point() {
 }
 
 // Image digests. A line's hash is a sum over its 8-byte words of
-// mix64(word ^ key), the key naming the word's place in the pool; an
+// fmix64(word ^ key), the key naming the word's place in the pool; an
 // image's digest is the sum of its lines' hashes. Changing a few words
 // therefore changes the digest by their terms alone.
 
 constexpr size_t kWordBytes = 8;
 constexpr size_t kLineWords = pmem::kCachelineBytes / kWordBytes;
 
-uint64_t mix64(uint64_t x) {
+// MurmurHash3's 64-bit finalizer (serve::Hasher ends with it too).
+uint64_t fmix64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdull;
   x ^= x >> 33;
@@ -49,10 +50,10 @@ uint64_t mix64(uint64_t x) {
 }
 
 uint64_t word_key(uint64_t line, size_t word) {
-  return mix64(line * kLineWords + word + 0x9e3779b97f4a7c15ull);
+  return fmix64(line * kLineWords + word + 0x9e3779b97f4a7c15ull);
 }
 
-uint64_t word_term(uint64_t key, uint64_t value) { return mix64(value ^ key); }
+uint64_t word_term(uint64_t key, uint64_t value) { return fmix64(value ^ key); }
 
 /// Word `word` of `n` bytes at `bytes`, zero-padded past the end.
 uint64_t load_word(const uint8_t* bytes, size_t n, size_t word) {

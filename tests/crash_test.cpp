@@ -307,7 +307,9 @@ class LogBuilder {
   LogBuilder& tx_begin() {
     return push(crash::EventKind::kRegionBegin, 0, 0, false);
   }
-  LogBuilder& tx_end() { return push(crash::EventKind::kRegionEnd, 0, 0, false); }
+  LogBuilder& tx_end() {
+    return push(crash::EventKind::kRegionEnd, 0, 0, false);
+  }
   LogBuilder& tx_add(uint64_t off, uint64_t size) {
     return push(crash::EventKind::kTxAdd, off, size, false);
   }
