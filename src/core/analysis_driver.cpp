@@ -745,17 +745,16 @@ void AnalysisDriver::run_attempt(const AnalysisUnit& unit,
     pmem::PmPool pm(1 << 24, pmem::LatencyModel::zero());
     rt::RuntimeChecker rt(out.model);
     interp::Interpreter::Options iopts;
-    if (opts_.budgets.interp_steps > 0 &&
-        opts_.budgets.interp_steps < iopts.max_steps)
-      iopts.max_steps = opts_.budgets.interp_steps;
+    const bool budget_limits =
+        interp::apply_step_budget(iopts, opts_.budgets.interp_steps);
     iopts.cancel = cancel;
     interp::Interpreter interp(module, pm, &rt, iopts);
     try {
       interp.run_main();
     } catch (const interp::StepLimitReached& e) {
-      // With an explicit budget this degrades the unit; without one it is
-      // the pre-existing safety net and stays a reported trap.
-      if (opts_.budgets.interp_steps > 0)
+      // The budget's trip degrades the unit; the safety net's stays a
+      // reported trap.
+      if (budget_limits)
         throw support::BudgetExceeded("interp.steps", e.limit());
       os << strformat("dynamic run trapped: %s\n", e.what());
     } catch (const interp::InterpError& e) {

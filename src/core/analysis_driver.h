@@ -97,7 +97,10 @@ struct BudgetOptions {
   uint64_t trace_steps = 0;   ///< per trace root (collection walk steps)
   uint64_t dsa_steps = 0;     ///< per unit (DSA build, serial)
   uint64_t enum_images = 0;   ///< per crashsim root (materialised subsets)
-  uint64_t interp_steps = 0;  ///< per executed root / dynamic run
+  /// Per executed root / dynamic run; at or above the interpreter's own
+  /// limit (2,000,000 steps per crashsim root, 10,000,000 per dynamic run)
+  /// it never trips.
+  uint64_t interp_steps = 0;
   uint64_t wall_ms = 0;       ///< per unit attempt, wall clock
 
   [[nodiscard]] bool any() const {

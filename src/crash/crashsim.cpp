@@ -71,8 +71,8 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
     obs::Span exec_span("crashsim.execute", "crash");
     interp::Interpreter::Options iopts;
     iopts.max_steps = opts.max_steps;
-    if (opts.interp_step_budget > 0 && opts.interp_step_budget < iopts.max_steps)
-      iopts.max_steps = opts.interp_step_budget;
+    const bool budget_limits =
+        interp::apply_step_budget(iopts, opts.interp_step_budget);
     iopts.cancel = opts.cancel;
     interp::Interpreter interp(module, pool, /*runtime=*/nullptr, iopts);
     try {
@@ -85,9 +85,9 @@ RootCrashSim simulate_root(const ir::Module& module, const ir::Function& root,
     } catch (const support::BudgetExceeded&) {
       throw;
     } catch (const interp::StepLimitReached& e) {
-      // With an explicit budget this is a degradation signal; without one
-      // it is the pre-existing safety net and stays a per-root trap.
-      if (opts.interp_step_budget > 0)
+      // The budget's trip degrades the unit; the safety net's stays a
+      // per-root trap.
+      if (budget_limits)
         throw support::BudgetExceeded("interp.steps", e.limit());
       out.error = e.what();
     } catch (const std::exception& e) {

@@ -34,9 +34,9 @@ struct CrashSimOptions {
   /// Resilience-layer budgets (0 = unlimited). `interp_step_budget` caps
   /// the pre-crash execution and, unlike the safety-net `max_steps`,
   /// surfaces exhaustion as support::BudgetExceeded (so the driver can
-  /// degrade the unit instead of recording a trap). `image_budget` caps
-  /// enumeration per root. The cancel token propagates into the
-  /// interpreter and the budgets.
+  /// degrade the unit instead of recording a trap); a budget at or above
+  /// `max_steps` never trips. `image_budget` caps enumeration per root.
+  /// The cancel token propagates into the interpreter and the budgets.
   uint64_t interp_step_budget = 0;
   uint64_t image_budget = 0;
   support::CancelToken cancel;

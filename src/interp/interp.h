@@ -116,4 +116,15 @@ class Interpreter {
   std::vector<rt::StrandId> strand_stack_;
 };
 
+/// Caps `opts.max_steps` at a resilience-layer interp.steps budget (0 =
+/// none) and returns whether the budget set the limit. Only then is a
+/// StepLimitReached from run() the budget's, to be reported as
+/// support::BudgetExceeded; otherwise the interpreter's own limit tripped,
+/// so a budget at or above that limit never trips.
+inline bool apply_step_budget(Interpreter::Options& opts, uint64_t budget) {
+  if (budget == 0 || budget >= opts.max_steps) return false;
+  opts.max_steps = budget;
+  return true;
+}
+
 }  // namespace deepmc::interp

@@ -70,6 +70,26 @@ exit:
 }
 )";
 
+// A zero-argument @main that never leaves its loop: crashsim and the
+// dynamic run both stop it at the interpreter's own step limit.
+constexpr const char* kSpinning = R"(
+module "spinning"
+struct %cell { i64 }
+
+define void @main() {
+entry:
+  %c = pm.alloc %cell
+  %f = gep %c, 0
+  br label %head
+head:
+  %v = load %f
+  %done = eq %v, 7
+  br %done, label %exit, label %head
+exit:
+  ret
+}
+)";
+
 std::vector<AnalysisUnit> mixed_units() {
   std::vector<AnalysisUnit> units;
   units.push_back(core::make_source_unit("loopy", kLoopy));
@@ -121,19 +141,29 @@ TEST(ResilienceBudget, PartialResultsBeatNoReport) {
 }
 
 TEST(ResilienceBudget, GenerousBudgetChangesNothing) {
+  // The spinning root runs into the interpreter's own limit, not the
+  // budget, so it stays a per-root trap rather than degrading its unit.
   DriverOptions base;
   base.jobs = 1;
+  base.crashsim = true;
+  base.dynamic_run = true;
   DriverOptions budgeted = base;
   budgeted.budgets.trace_steps = 1u << 30;
   budgeted.budgets.dsa_steps = 1u << 30;
   budgeted.budgets.enum_images = 1u << 30;
   budgeted.budgets.interp_steps = 1u << 30;
-  const std::string a =
-      AnalysisDriver(base).run(mixed_units()).json(/*include_timing=*/false);
-  const std::string b = AnalysisDriver(budgeted)
-                            .run(mixed_units())
-                            .json(/*include_timing=*/false);
-  EXPECT_EQ(a, b);
+  std::vector<AnalysisUnit> units = mixed_units();
+  units.push_back(core::make_source_unit("spinning", kSpinning));
+  const Report a = AnalysisDriver(base).run(units);
+  const Report b = AnalysisDriver(budgeted).run(units);
+  EXPECT_EQ(a.json(/*include_timing=*/false),
+            b.json(/*include_timing=*/false));
+  EXPECT_FALSE(b.any_degraded());
+  const std::string& spun = b.units().back().text;
+  EXPECT_NE(spun.find("root @main: not executed (step budget exceeded)"),
+            std::string::npos);
+  EXPECT_NE(spun.find("dynamic run trapped: step budget exceeded"),
+            std::string::npos);
 }
 
 TEST(ResilienceBudget, DegradedReportIsByteIdenticalAcrossJobs) {
