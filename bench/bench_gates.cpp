@@ -11,7 +11,9 @@
 // bind sockets and temp directories. Exit 0 when the gate holds, 1 when it
 // does not (or its measurement is invalid), 64 on a usage error, which is
 // reported before any work. Every bound is a constant in the gate table at
-// the bottom of this file, and that table is also the usage text.
+// the bottom of this file, and that table is also the usage text. Every
+// ratio gate but load times its two sides with time_pairs
+// (support/stats.h).
 // --json writes the gate's result object; scripts/bench.sh collects them
 // as BENCH_<gate>.json.
 #include <unistd.h>
@@ -63,9 +65,6 @@ struct Gate {
   bool sized = false;   ///< takes --threads / --ops
 };
 
-/// Timings per side for the min-of-N and interleaved-pair statistics.
-constexpr size_t kRepeats = 7;
-
 /// The measurement itself is invalid (a unit failed, a cache state was
 /// wrong): no verdict and no JSON file.
 [[noreturn]] void abort_gate(const std::string& why) {
@@ -82,17 +81,6 @@ int finish(const bench::JsonResult& json, const Flags& flags, bool pass) {
     return 1;
   }
   return pass ? 0 : 1;
-}
-
-/// The smallest of `n` timings `time(rep)`.
-template <typename Fn>
-double min_of(size_t n, Fn&& time) {
-  double best = 0;
-  for (size_t rep = 0; rep < n; ++rep) {
-    const double t = time(rep);
-    if (rep == 0 || t < best) best = t;
-  }
-  return best;
 }
 
 /// Every corpus module, `repeats` times over.
@@ -178,51 +166,66 @@ std::string diamond_root(size_t n, size_t diamonds, const char* file,
 //
 // The paper's Table 9 sells DeepMC on low compile-time overhead; this gate
 // shows the driver spreads that checking over cores with byte-identical
-// reports. The unit list is the corpus repeated (the work a CI sweep
-// does), sized so the serial sweep lasts at least 0.4 s. Fails when a
-// parallel report differs from the serial one, or, with >= 4 hardware
-// threads, when --jobs 4 is under `bound` times faster than serial (on
-// smaller hosts the speedup is reported as SKIP).
+// reports. An iteration is one sweep of the corpus repeated kSweepRepeats
+// times (the work a CI sweep over a generated corpus does), so pool
+// start-up and the last unit's tail stay small against it; a serial sweep
+// is about one 50 ms sample. Each job count is timed against the serial
+// sweep with time_pairs (samples of at least 50 ms, alternating pairs, the
+// median of pair ratios), and every iteration's report is compared with
+// the serial one. Fails when a parallel report differs from the serial
+// one, or, with >= 4 hardware threads, when --jobs 4 is under `bound`
+// times faster than serial (on smaller hosts the speedup is reported as
+// SKIP).
 // ---------------------------------------------------------------------------
 
+constexpr size_t kSweepRepeats = 48;
+
 int run_parallel_sweep(const Gate& gate, const Flags& flags) {
-  const auto at_jobs = [](size_t jobs,
-                          const std::vector<core::AnalysisUnit>& units) {
+  const std::vector<core::AnalysisUnit> units = corpus_units(kSweepRepeats);
+  const auto at_jobs = [&](size_t jobs) {
     core::DriverOptions opts;
     opts.jobs = jobs;
     return sweep(std::move(opts), units);
   };
-  size_t repeats = 4;
-  const double probe = at_jobs(1, corpus_units()).seconds;
-  if (probe > 0 && probe * repeats < 0.4)
-    repeats = static_cast<size_t>(0.4 / probe) + 1;
-  const auto units = corpus_units(repeats);
+  const core::Report serial = at_jobs(1).report;
+  const std::string serial_text = serial.text();
   std::printf("Sweep: %zu units (%zu corpus modules x %zu repeats)\n\n",
-              units.size(), corpus::module_names().size(), repeats);
+              units.size(), corpus::module_names().size(), kSweepRepeats);
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::vector<size_t> job_counts = {2, 4};
   if (hw > 4) job_counts.push_back(hw);
 
-  const Sweep serial = at_jobs(1, units);
-  const std::string serial_text = serial.report.text();
-  bench::Table table({"Jobs", "Wall (s)", "Speedup", "Output"});
-  table.add_row({"1", strformat("%.3f", serial.seconds), "1.00x",
-                 "baseline"});
+  bench::Table table({"Jobs", "serial (ms)", "parallel (ms)", "Speedup",
+                      "Output"});
   bool identical = true;
-  double speedup4 = 0;
+  double speedup4 = 0, serial_s = 0;
   for (size_t jobs : job_counts) {
-    const Sweep r = at_jobs(jobs, units);
-    const bool same = r.report.text() == serial_text;
+    bool same = true;
+    const auto body = [&](size_t j) {
+      return [&, j] {
+        const Sweep r = at_jobs(j);
+        same = same && r.report.text() == serial_text;
+        return r.seconds;
+      };
+    };
+    const PairedTiming t = time_pairs(body(1), body(jobs));
     identical = identical && same;
-    const double speedup = r.seconds > 0 ? serial.seconds / r.seconds : 0;
-    if (jobs == 4) speedup4 = speedup;
-    table.add_row({strformat("%zu", jobs), strformat("%.3f", r.seconds),
-                   strformat("%.2fx", speedup),
+    if (jobs == 4) {
+      speedup4 = t.ratio();
+      serial_s = t.median_a();
+    }
+    table.add_row({strformat("%zu", jobs),
+                   strformat("%.3f", t.median_a() * 1e3),
+                   strformat("%.3f", t.median_b() * 1e3),
+                   strformat("%.2fx", t.ratio()),
                    same ? "identical" : "DIVERGED"});
   }
   table.print();
-  const size_t warnings = serial.report.total_warnings();
+  std::printf("(per-iteration medians of %zu pairs; speedup is the median of "
+              "pair ratios)\n",
+              PairedTiming::kPairs);
+  const size_t warnings = serial.total_warnings();
   std::printf("Total warnings per sweep: %zu\n\n", warnings);
 
   bool pass = identical;
@@ -242,7 +245,7 @@ int run_parallel_sweep(const Gate& gate, const Flags& flags) {
   bench::JsonResult json("bench_parallel_sweep");
   json.add("units", static_cast<uint64_t>(units.size()));
   json.add("warnings", static_cast<uint64_t>(warnings));
-  json.add("serial_s", serial.seconds);
+  json.add("serial_s", serial_s);
   json.add("speedup_4", speedup4);
   json.add("identical_output", identical ? "true" : "false");
   json.add("pass", pass ? "true" : "false");
@@ -258,8 +261,10 @@ int run_parallel_sweep(const Gate& gate, const Flags& flags) {
 // ever tripping. Fault-point gates are compiled in and disarmed on both
 // sides; their cost, one relaxed atomic load per site, is in both
 // timings. The charge hot path is one add plus a masked compare and the
-// poll runs every 4096 charges, so the layer should be invisible. Gated
-// on the ratio of the min of kRepeats runs per side.
+// poll runs every 4096 charges, so the layer should be invisible. An
+// iteration is one corpus pass; the sides are timed with time_pairs
+// (samples of at least 50 ms, alternating pairs), and the gate reads the
+// median of pair ratios.
 // ---------------------------------------------------------------------------
 
 /// One corpus pass with --crashsim (also obs_overhead's analyze scenario);
@@ -287,19 +292,18 @@ double run_corpus_crashsim(bool budgets_on) {
 
 int run_resilience_overhead(const Gate& gate, const Flags& flags) {
   run_corpus_crashsim(false);  // warmup: page in the corpus builders
-  const double t_off =
-      min_of(kRepeats, [](size_t) { return run_corpus_crashsim(false); });
-  const double t_on =
-      min_of(kRepeats, [](size_t) { return run_corpus_crashsim(true); });
-  const double overhead_pct =
-      t_off > 0 ? 100.0 * (t_on - t_off) / t_off : 0.0;
+  const PairedTiming t =
+      time_pairs([] { return run_corpus_crashsim(true); },
+                 [] { return run_corpus_crashsim(false); });
+  const double overhead_pct = 100.0 * (t.ratio() - 1);
 
-  bench::Table table({"configuration", "min time (s)"});
-  table.add_row({"budgets off", strformat("%.4f", t_off)});
-  table.add_row({"all budgets armed (never trip)", strformat("%.4f", t_on)});
+  bench::Table table({"configuration", "s per pass (median)"});
+  table.add_row({"budgets off", strformat("%.4f", t.median_b())});
+  table.add_row({"all budgets armed (never trip)",
+                 strformat("%.4f", t.median_a())});
   table.print();
-  std::printf("overhead: %.2f%% (budget %.1f%%, min of %zu runs each)\n",
-              overhead_pct, gate.bound, kRepeats);
+  std::printf("overhead: %.2f%% (budget %.1f%%, median of %zu pair ratios)\n",
+              overhead_pct, gate.bound, PairedTiming::kPairs);
   const bool pass = overhead_pct <= gate.bound;
   if (!pass)
     std::fprintf(stderr,
@@ -308,11 +312,11 @@ int run_resilience_overhead(const Gate& gate, const Flags& flags) {
                  overhead_pct, gate.bound);
 
   bench::JsonResult json("bench_resilience_overhead");
-  json.add("t_off_s", t_off);
-  json.add("t_on_s", t_on);
+  json.add("t_off_s", t.median_b());
+  json.add("t_on_s", t.median_a());
   json.add("overhead_pct", overhead_pct);
   json.add("max_overhead_pct", gate.bound);
-  json.add("repeats", static_cast<uint64_t>(kRepeats));
+  json.add("repeats", static_cast<uint64_t>(PairedTiming::kPairs));
   return finish(json, flags, pass);
 }
 
@@ -333,12 +337,11 @@ int run_resilience_overhead(const Gate& gate, const Flags& flags) {
 // within `bound` percent. The load scenario's two clock reads per op are a
 // documented feature cost, not telemetry, so they run on both sides.
 //
-// Timing interleaves off and on runs, alternating which side of each
-// back-to-back pair goes first, and gates on the smaller of two
-// estimators: the median of per-pair ratios, robust to machine drift
-// because both sides of a pair share the machine state, and the ratio of
-// per-side minima, robust to outlier pairs. Noise inflates one or the
-// other on a busy machine; a real per-request cost shifts both.
+// An iteration is one corpus pass, one 1200-request loop or one load run;
+// before each, the on side resets the registry and arms the flight
+// recorder (and starts the tracer for analyze). The sides are timed with
+// time_pairs (samples of at least 50 ms, alternating pairs), and each
+// scenario's figure is the median of pair ratios.
 // ---------------------------------------------------------------------------
 
 /// A 16-root module sized like the serve gate's workload, so a warm
@@ -397,95 +400,55 @@ double run_load_once() {
   return r.seconds;
 }
 
-struct Row {
-  const char* name;
-  double t_off = 0;       ///< fastest off-side run
-  double t_on = 0;        ///< fastest on-side run
-  double median_pct = 0;  ///< median of per-pair overhead ratios
-  /// The gated figure: min(median of pairs, ratio of minima).
-  [[nodiscard]] double overhead_pct() const {
-    const double min_ratio =
-        t_off > 0 ? 100.0 * (t_on - t_off) / t_off : 0.0;
-    return std::min(median_pct, min_ratio);
-  }
-};
-
-/// kRepeats interleaved off/on pairs of `fn`. `trace` also starts the span
-/// tracer on the on side.
+/// Telemetry on (side a) against off (side b), one `fn` per iteration.
+/// `trace` also starts the span tracer on the on side.
 template <typename Fn>
-Row measure(const char* name, bool trace, Fn&& fn) {
-  Row row{name};
-  std::vector<double> pct;
-  const auto timed_on = [&] {
+PairedTiming time_telemetry(bool trace, Fn&& fn) {
+  const auto on = [&] {
     obs::registry().reset();
     obs::set_enabled(true);
     obs::flight().arm();
     if (trace) obs::tracer().start();
-    const double on = fn();
+    const double seconds = fn();
     if (trace) obs::tracer().stop();
     obs::flight().disarm();
     obs::set_enabled(false);
     obs::registry().reset();
-    return on;
+    return seconds;
   };
-  for (size_t i = 0; i < kRepeats; ++i) {
-    double off = 0, on = 0;
-    if (i % 2 == 0) {
-      off = fn();
-      on = timed_on();
-    } else {
-      on = timed_on();
-      off = fn();
-    }
-    if (i == 0 || off < row.t_off) row.t_off = off;
-    if (i == 0 || on < row.t_on) row.t_on = on;
-    if (off > 0) pct.push_back(100.0 * (on - off) / off);
-  }
-  std::sort(pct.begin(), pct.end());
-  if (!pct.empty()) row.median_pct = pct[pct.size() / 2];
-  return row;
+  return time_pairs(on, fn);
 }
 
 int run_obs_overhead(const Gate& gate, const Flags& flags) {
-  // One re-measure for a scenario over budget: a sustained noise burst
-  // (container neighbours, cron) can inflate a whole measurement window,
-  // and both estimators with it; a real per-request cost survives it.
-  const auto gated = [&](const char* name, bool trace, auto&& fn) {
-    Row row = measure(name, trace, fn);
-    if (row.overhead_pct() > gate.bound) {
-      std::printf("%s: %.2f%% over budget, re-measuring once\n", name,
-                  row.overhead_pct());
-      const Row again = measure(name, trace, fn);
-      if (again.overhead_pct() < row.overhead_pct()) row = again;
-    }
-    return row;
-  };
-
   const auto analyze_once = [] { return run_corpus_crashsim(false); };
   analyze_once();  // warmup: page in the corpus builders and the pool
-  const Row analyze = gated("analyze (corpus + crashsim)", true, analyze_once);
+  const PairedTiming analyze = time_telemetry(true, analyze_once);
 
   ServeScenario serve_scenario;
   serve_scenario.run_once();  // warmup: populate the disk cache
-  const Row serve = gated("serve (warm requests)", false,
-                          [&] { return serve_scenario.run_once(); });
+  const PairedTiming serve =
+      time_telemetry(false, [&] { return serve_scenario.run_once(); });
 
   run_load_once();  // warmup
-  const Row load = gated("load (latency histograms)", false, run_load_once);
+  const PairedTiming load = time_telemetry(false, run_load_once);
 
+  const auto pct = [](const PairedTiming& t) {
+    return 100.0 * (t.ratio() - 1);
+  };
   bench::Table table({"scenario", "off (s)", "on (s)", "overhead"});
-  for (const Row* row : {&analyze, &serve, &load})
-    table.add_row({row->name, strformat("%.4f", row->t_off),
-                   strformat("%.4f", row->t_on),
-                   strformat("%.2f%%", row->overhead_pct())});
+  for (const auto& [name, t] :
+       {std::pair<const char*, const PairedTiming&>{
+            "analyze (corpus + crashsim)", analyze},
+        {"serve (warm requests)", serve},
+        {"load (latency histograms)", load}})
+    table.add_row({name, strformat("%.4f", t.median_b()),
+                   strformat("%.4f", t.median_a()),
+                   strformat("%.2f%%", pct(t))});
   table.print();
-  const double worst =
-      std::max({analyze.overhead_pct(), serve.overhead_pct(),
-                load.overhead_pct()});
-  std::printf("worst overhead: %.2f%% (budget %.1f%%, gated min(median of "
-              "%zu pairs, ratio of minima), interleaved pairs, flight "
-              "recorder armed)\n",
-              worst, gate.bound, kRepeats);
+  const double worst = std::max({pct(analyze), pct(serve), pct(load)});
+  std::printf("worst overhead: %.2f%% (budget %.1f%%, median of %zu pair "
+              "ratios, flight recorder armed)\n",
+              worst, gate.bound, PairedTiming::kPairs);
   const bool pass = worst <= gate.bound;
   if (!pass)
     std::fprintf(stderr,
@@ -494,17 +457,17 @@ int run_obs_overhead(const Gate& gate, const Flags& flags) {
                  worst, gate.bound);
 
   bench::JsonResult json("bench_obs_overhead");
-  json.add("t_off_s", analyze.t_off);
-  json.add("t_on_s", analyze.t_on);
-  json.add("overhead_pct", analyze.overhead_pct());
-  json.add("serve_t_off_s", serve.t_off);
-  json.add("serve_t_on_s", serve.t_on);
-  json.add("serve_overhead_pct", serve.overhead_pct());
-  json.add("load_t_off_s", load.t_off);
-  json.add("load_t_on_s", load.t_on);
-  json.add("load_overhead_pct", load.overhead_pct());
+  json.add("t_off_s", analyze.median_b());
+  json.add("t_on_s", analyze.median_a());
+  json.add("overhead_pct", pct(analyze));
+  json.add("serve_t_off_s", serve.median_b());
+  json.add("serve_t_on_s", serve.median_a());
+  json.add("serve_overhead_pct", pct(serve));
+  json.add("load_t_off_s", load.median_b());
+  json.add("load_t_on_s", load.median_a());
+  json.add("load_overhead_pct", pct(load));
   json.add("max_overhead_pct", gate.bound);
-  json.add("repeats", static_cast<uint64_t>(kRepeats));
+  json.add("repeats", static_cast<uint64_t>(PairedTiming::kPairs));
   return finish(json, flags, pass);
 }
 
@@ -513,19 +476,22 @@ int run_obs_overhead(const Gate& gate, const Flags& flags) {
 // diff through src/serve's cache (docs/SERVER.md).
 //
 // The module has independent diamond-heavy roots, so per-root trace
-// checking dominates and the dirty-cone win is measurable. Each phase is
-// the min of 3 requests. Every service runs the driver at jobs 1, so cold
-// and diff do their work on one core and the ratio compares work, not how
-// many idle cores the cold request's roots fan out over. Warm bodies must
-// equal the cold body and every request must land in its phase's cache
-// state (cold / unit-hit / warm); the gate is the one-function diff being
-// >= `bound` times faster than cold.
+// checking dominates and the dirty-cone win is measurable. An iteration
+// is one request: cold against a fresh cache and service (both untimed
+// setup), warm the identical resubmission, and the diff a distinct
+// one-function edit. Cold is timed against the diff and against warm with
+// time_pairs (samples of at least 50 ms, alternating pairs); the table
+// shows per-request medians. Every service runs the driver at jobs 1, so
+// cold and diff do their work on one core and the ratio compares work, not
+// how many idle cores the cold request's roots fan out over. Warm bodies
+// must equal the cold body and every request must land in its phase's
+// cache state (cold / unit-hit / warm); the gate is the median of pair
+// ratios of cold over the diff being >= `bound`.
 // ---------------------------------------------------------------------------
 
 int run_serve(const Gate& gate, const Flags& flags) {
   constexpr size_t kRoots = 24;    ///< independent trace roots
   constexpr size_t kDiamonds = 8;  ///< per root: 2^8 = 256 paths (the cap)
-  constexpr size_t kReps = 3;
   std::string text = "module \"bench_serve\"\nstruct %rec { i64, i64 }\n\n";
   for (size_t n = 0; n < kRoots; ++n)
     text += diamond_root(n, kDiamonds, "bench_serve.c", 10 * n + 1, 100 * n) +
@@ -542,46 +508,53 @@ int run_serve(const Gate& gate, const Flags& flags) {
     Stopwatch sw;
     const serve::ServeResult r =
         service.analyze_report("bench_serve", module, req);
-    const double ms = sw.millis();
+    const double seconds = sw.seconds();
     if (r.cache != cache)
       abort_gate(strformat("serve: expected a %s request, got %s", cache,
                            r.cache.c_str()));
-    return std::pair{ms, r.body};
+    return std::pair{seconds, r.body};
   };
 
-  // Cold: a fresh cache and service per rep, every root analyzed.
+  // Cold: a fresh cache and service per iteration, every root analyzed.
   std::string cold_body;
-  const double cold_ms = min_of(kReps, [&](size_t rep) {
-    const ScratchDir dir("serve_cold" + std::to_string(rep));
-    serve::AnalysisService service(serial_service(dir.path));
-    auto [ms, body] = timed(service, text, "cold");
+  const auto cold = [&] {
+    const ScratchDir dir("serve_cold");
+    serve::AnalysisService fresh(serial_service(dir.path));
+    auto [seconds, body] = timed(fresh, text, "cold");
     cold_body = std::move(body);
-    return ms;
-  });
+    return seconds;
+  };
 
   // Warm: identical resubmission against a warmed cache (unit replay).
   const ScratchDir warm_dir("serve_warm");
   serve::AnalysisService service(serial_service(warm_dir.path));
   service.analyze_report("bench_serve", text, req);
-  const double warm_ms = min_of(kReps, [&](size_t) {
-    const auto [ms, body] = timed(service, text, "unit-hit");
+  const auto warm = [&] {
+    const auto [seconds, body] = timed(service, text, "unit-hit");
     if (body != cold_body)
       abort_gate("serve: warm response differs from cold run");
-    return ms;
-  });
+    return seconds;
+  };
 
-  // Touched: a distinct one-function edit per rep (never a unit hit; all
-  // but one root seeded from the warm cache).
-  const double touched_ms = min_of(kReps, [&](size_t rep) {
-    const std::string variant = gen::touch_function(text, rep + 1);
+  // Touched: a distinct one-function edit per iteration (never a unit hit;
+  // all but one root seeded from the warm cache).
+  uint64_t edits = 0;
+  const auto touched = [&] {
+    const std::string variant = gen::touch_function(text, ++edits);
     if (variant == text) abort_gate("serve: touch_function was a no-op");
     return timed(service, variant, "warm").first;
-  });
+  };
+
+  const PairedTiming diff = time_pairs(cold, touched);
+  const PairedTiming replay = time_pairs(cold, warm);
   const auto stats = service.stats();
-  const double speedup = touched_ms > 0 ? cold_ms / touched_ms : 0;
+  const double cold_ms = diff.median_a() * 1e3;
+  const double touched_ms = diff.median_b() * 1e3;
+  const double warm_ms = replay.median_b() * 1e3;
+  const double speedup = diff.ratio();
   const auto rps = [](double ms) { return ms > 0 ? 1000.0 / ms : 0; };
 
-  bench::Table table({"phase", "ms (min of 3)", "requests/sec", "note"});
+  bench::Table table({"phase", "ms (median)", "requests/sec", "note"});
   table.add_row({"cold full run", strformat("%.2f", cold_ms),
                  strformat("%.1f", rps(cold_ms)),
                  strformat("%zu roots, %zu diamonds each", kRoots,
@@ -595,8 +568,9 @@ int run_serve(const Gate& gate, const Flags& flags) {
                                stats.last_dirty_roots),
                            kRoots)});
   table.print();
-  std::printf("\ndirty-cone speedup over cold: %.2fx (gate: >= %.1fx)\n",
-              speedup, gate.bound);
+  std::printf("\ndirty-cone speedup over cold: %.2fx (gate: >= %.1fx; median "
+              "of %zu pair ratios)\n",
+              speedup, gate.bound, PairedTiming::kPairs);
   const bool pass = speedup >= gate.bound;
   if (!pass)
     std::fprintf(stderr,
@@ -625,44 +599,45 @@ int run_serve(const Gate& gate, const Flags& flags) {
 // Every request is a distinct diamond-heavy module, so each is a cold
 // analysis: the gate measures how concurrent sessions scale the daemon's
 // useful work, not cache hits. Driver jobs stay at 1, so all parallelism
-// comes from the session pool. Fails on any failed request, on any
-// connection shed (every phase runs below admission capacity), or when 4
-// clients reach under `bound` times one client's rate. Below 4 hardware
-// threads the bound decays to "concurrency must not tank throughput".
+// comes from the session pool. An iteration is one phase: a fresh daemon
+// and cache (untimed setup), then every client's requests. Four clients
+// and sixteen are each timed against one with time_pairs (samples of at
+// least 50 ms, alternating pairs); the 4-client speedup is the median of
+// pair ratios scaled by the 4x request count. Fails on any failed request,
+// on any connection shed (every phase runs below admission capacity), or
+// when 4 clients reach under `bound` times one client's rate. Below 4
+// hardware threads the bound decays to "concurrency must not tank
+// throughput".
 // ---------------------------------------------------------------------------
 
 constexpr size_t kConcDiamonds = 7;   ///< 2^7 = 128 paths per root
 constexpr size_t kReqsPerClient = 10;  ///< requests each client issues
 
-struct PhaseResult {
-  double seconds = 0;
-  uint64_t requests = 0;
+/// Failed requests and shed connections over every phase.
+struct PhaseTotals {
   uint64_t failures = 0;
   uint64_t shed = 0;
-  [[nodiscard]] double rps() const {
-    return seconds > 0 ? static_cast<double>(requests) / seconds : 0;
-  }
 };
 
-PhaseResult run_phase(size_t nclients) {
+/// One phase of `nclients` clients against a fresh daemon; the seconds from
+/// the first client's start to the last one's end.
+double run_phase(size_t nclients, PhaseTotals& totals) {
   const std::string tag = std::to_string(nclients) + "c";
-  const ScratchDir cache_dir("conc_" + tag);
+  const ScratchDir dir("conc_" + tag);
   serve::ServeOptions sopts;
   sopts.driver.jobs = 1;  // all parallelism comes from the session pool
-  sopts.cache_dir = cache_dir.path;
+  sopts.cache_dir = dir.path;
   serve::AnalysisService service(std::move(sopts));
 
   serve::DaemonOptions dopts;
   dopts.max_sessions = 16;
   dopts.accept_queue = 64;  // below capacity: nothing may be shed
   serve::ServeDaemon daemon(service, dopts);
-  const std::string sock = "/tmp/deepmc_bench_conc_" + tag + ".sock";
-  fs::remove(sock);
+  const std::string sock = dir.path + "/daemon.sock";
   std::string err;
   if (!daemon.listen_unix(sock, &err)) abort_gate("serve_concurrency: " + err);
   std::thread runner([&] { daemon.run(); });
 
-  PhaseResult result;
   std::vector<uint64_t> fails(nclients, 0);
   Stopwatch sw;
   std::vector<std::thread> clients;
@@ -690,15 +665,13 @@ PhaseResult run_phase(size_t nclients) {
     });
   }
   for (std::thread& t : clients) t.join();
-  result.seconds = sw.seconds();
-  result.requests = nclients * kReqsPerClient;
-  for (uint64_t f : fails) result.failures += f;
+  const double seconds = sw.seconds();
+  for (uint64_t f : fails) totals.failures += f;
 
   daemon.begin_drain("bench-done");
   runner.join();
-  result.shed = daemon.stats().shed;
-  fs::remove(sock);
-  return result;
+  totals.shed += daemon.stats().shed;
+  return seconds;
 }
 
 int run_serve_concurrency(const Gate& gate, const Flags& flags) {
@@ -707,32 +680,44 @@ int run_serve_concurrency(const Gate& gate, const Flags& flags) {
       cores >= 4 ? gate.bound
                  : std::min(gate.bound, std::max(0.6, 0.7 * cores));
 
-  const PhaseResult one = run_phase(1);
-  const PhaseResult four = run_phase(4);
-  const PhaseResult sixteen = run_phase(16);
-  const double speedup4 = one.rps() > 0 ? four.rps() / one.rps() : 0;
+  PhaseTotals totals;
+  const auto phase = [&](size_t nclients) {
+    return [&, nclients] { return run_phase(nclients, totals); };
+  };
+  const PairedTiming four = time_pairs(phase(1), phase(4));
+  const PairedTiming sixteen = time_pairs(phase(1), phase(16));
+  // Requests per second of a phase whose per-iteration median is `seconds`.
+  const auto rps = [](size_t nclients, double seconds) {
+    return static_cast<double>(nclients * kReqsPerClient) / seconds;
+  };
+  const double one_rps = rps(1, four.median_a());
+  const double four_rps = rps(4, four.median_b());
+  const double sixteen_rps = rps(16, sixteen.median_b());
+  const double speedup4 = 4 * four.ratio();
 
-  bench::Table table({"clients", "requests", "wall s", "req/s", "shed",
-                      "failures"});
-  for (const auto& [label, r] :
-       {std::pair<const char*, const PhaseResult&>{"1", one},
-        {"4", four},
-        {"16", sixteen}})
-    table.add_row({label, std::to_string(r.requests),
-                   strformat("%.3f", r.seconds), strformat("%.1f", r.rps()),
-                   std::to_string(r.shed), std::to_string(r.failures)});
+  bench::Table table({"clients", "requests per phase", "phase ms (median)",
+                      "req/s"});
+  for (const auto& [n, seconds] :
+       {std::pair<size_t, double>{1, four.median_a()},
+        {4, four.median_b()},
+        {16, sixteen.median_b()}})
+    table.add_row({std::to_string(n), std::to_string(n * kReqsPerClient),
+                   strformat("%.3f", seconds * 1e3),
+                   strformat("%.1f", rps(n, seconds))});
   table.print();
-  std::printf("4-client aggregate speedup: %.2fx (gate %.2fx on %u threads)\n",
-              speedup4, required, cores);
+  std::printf("shed %llu, failures %llu over every phase\n",
+              static_cast<unsigned long long>(totals.shed),
+              static_cast<unsigned long long>(totals.failures));
+  std::printf("4-client aggregate speedup: %.2fx (gate %.2fx on %u threads; "
+              "median of %zu pair ratios)\n",
+              speedup4, required, cores, PairedTiming::kPairs);
 
-  const uint64_t failures = one.failures + four.failures + sixteen.failures;
-  const uint64_t shed = one.shed + four.shed + sixteen.shed;
   bool pass = true;
-  if (failures > 0) {
+  if (totals.failures > 0) {
     std::fprintf(stderr, "bench_gates: serve_concurrency requests failed\n");
     pass = false;
   }
-  if (shed > 0) {
+  if (totals.shed > 0) {
     std::fprintf(stderr,
                  "bench_gates: serve_concurrency shed connections below "
                  "capacity\n");
@@ -747,14 +732,14 @@ int run_serve_concurrency(const Gate& gate, const Flags& flags) {
   std::printf("%s\n", pass ? "PASS" : "FAIL");
 
   bench::JsonResult json("serve_concurrency");
-  json.add("clients_1_rps", one.rps());
-  json.add("clients_4_rps", four.rps());
-  json.add("clients_16_rps", sixteen.rps());
+  json.add("clients_1_rps", one_rps);
+  json.add("clients_4_rps", four_rps);
+  json.add("clients_16_rps", sixteen_rps);
   json.add("speedup_4_clients", speedup4);
   json.add("required_speedup", required);
   json.add("hardware_threads", static_cast<uint64_t>(cores));
-  json.add("shed_total", shed);
-  json.add("failures", failures);
+  json.add("shed_total", totals.shed);
+  json.add("failures", totals.failures);
   json.add("passed", pass ? "true" : "false");
   return finish(json, flags, pass);
 }
@@ -770,6 +755,11 @@ int run_serve_concurrency(const Gate& gate, const Flags& flags) {
 // throughput one shared checker keeps (reported, not gated). Fails unless
 // every run completes every op with the same schedule hash and no race,
 // and the shared checker is within `bound` times the baseline everywhere.
+//
+// Unlike the other ratio gates this one times one run per mode, not
+// time_pairs: --threads and --ops already size each run past the 50 ms
+// sample floor, and the 16x bound is far above the worst overhead
+// measured (3.58x on nvmdirect_mini), so run-to-run noise cannot decide it.
 // ---------------------------------------------------------------------------
 
 int run_load(const Gate& gate, const Flags& flags) {

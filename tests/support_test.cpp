@@ -1,7 +1,7 @@
 // Tests for the support layer: string utilities, command-line flag
-// parsing, deterministic RNG, accumulators — plus thread-safety of the
-// runtime checker under concurrent instrumented threads (the Figure 12
-// apps run multi-threaded in the paper).
+// parsing, deterministic RNG, accumulators, paired timing — plus
+// thread-safety of the runtime checker under concurrent instrumented
+// threads (the Figure 12 apps run multi-threaded in the paper).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -281,6 +281,65 @@ TEST(AccumulatorTest, MeanMinMax) {
   EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
   EXPECT_DOUBLE_EQ(acc.min, 2.0);
   EXPECT_DOUBLE_EQ(acc.max, 9.0);
+}
+
+// --- paired timing ------------------------------------------------------------------
+
+// The bodies return fixed seconds instead of sleeping, so every count and
+// figure below is known in advance.
+
+TEST(PairedTimingTest, SampleRepeatsTheBodyUntilTheFloor) {
+  for (const auto& [seconds, iterations] :
+       {std::pair{0.05, 1}, {0.02, 3}, {0.007, 8}, {0.2, 1}}) {
+    int calls = 0;
+    const auto body = [&] {
+      ++calls;
+      return seconds;
+    };
+    EXPECT_DOUBLE_EQ(timed_sample(body), seconds) << seconds;
+    EXPECT_EQ(calls, iterations) << seconds;
+  }
+}
+
+TEST(PairedTimingTest, PairsAlternateAndCompareMeansPerIteration) {
+  // Side a needs three 20 ms iterations per sample, side b two of 30 ms.
+  std::string order;
+  const PairedTiming t = time_pairs(
+      [&] {
+        order += 'a';
+        return 0.02;
+      },
+      [&] {
+        order += 'b';
+        return 0.03;
+      });
+  std::string want;
+  for (size_t i = 0; i < PairedTiming::kPairs; ++i)
+    want += i % 2 == 0 ? "aaabb" : "bbaaa";
+  EXPECT_EQ(order, want);
+  ASSERT_EQ(t.a.size(), PairedTiming::kPairs);
+  ASSERT_EQ(t.b.size(), PairedTiming::kPairs);
+  EXPECT_DOUBLE_EQ(t.median_a(), 0.02);
+  EXPECT_DOUBLE_EQ(t.median_b(), 0.03);
+  EXPECT_DOUBLE_EQ(t.ratio(), 0.02 / 0.03);
+}
+
+TEST(PairedTimingTest, OneOutlierPairDoesNotMoveTheMedianRatio) {
+  // Every pair reads 2x except the fourth, where side a stalls for 1 s.
+  int calls = 0;
+  const PairedTiming t =
+      time_pairs([&] { return calls++ == 3 ? 1.0 : 0.1; }, [] { return 0.05; });
+  EXPECT_DOUBLE_EQ(t.ratio(), 2.0);
+  EXPECT_DOUBLE_EQ(t.median_a(), 0.1);
+
+  // Odd and even pair counts, each with one outlier: the middle ratio, or
+  // the mean of the middle two.
+  PairedTiming odd{{2.0, 2.1, 9.0, 1.9, 2.2}, {1, 1, 1, 1, 1}};
+  EXPECT_DOUBLE_EQ(odd.ratio(), 2.1);
+  PairedTiming even{{4.0, 18.0, 3.8, 4.4}, {2, 2, 2, 2}};
+  EXPECT_DOUBLE_EQ(even.ratio(), 2.1);
+  EXPECT_DOUBLE_EQ(even.median_a(), 4.2);
+  EXPECT_EQ(PairedTiming{}.ratio(), 0.0);
 }
 
 // --- runtime thread-safety ------------------------------------------------------------
