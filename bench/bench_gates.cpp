@@ -331,15 +331,15 @@ int run_resilience_overhead(const Gate& gate, const Flags& flags) {
 //
 // "On" is the configuration a live daemon runs with: the metrics registry
 // and the flight recorder armed, plus the span tracer for analyze (daemons
-// keep tracing opt-in). Recording is a relaxed fetch_add into a
-// thread-local shard, spans append to thread-local buffers and flight
-// events take one uncontended shard mutex, so each scenario must stay
-// within `bound` percent. The load scenario's two clock reads per op are a
-// documented feature cost, not telemetry, so they run on both sides.
+// keep tracing opt-in). A metric is a relaxed fetch_add into a
+// thread-local shard, and a span or flight event takes one uncontended
+// shard mutex of its recorder (src/obs/flight.h), so each scenario must
+// stay within `bound` percent. The load scenario's two clock reads per op
+// are a documented feature cost, not telemetry, so they run on both sides.
 //
 // An iteration is one corpus pass, one 1200-request loop or one load run;
 // before each, the on side resets the registry and arms the flight
-// recorder (and starts the tracer for analyze). The sides are timed with
+// recorder (and the tracer for analyze). The sides are timed with
 // time_pairs (samples of at least 50 ms, alternating pairs), and each
 // scenario's figure is the median of pair ratios.
 // ---------------------------------------------------------------------------
@@ -401,16 +401,16 @@ double run_load_once() {
 }
 
 /// Telemetry on (side a) against off (side b), one `fn` per iteration.
-/// `trace` also starts the span tracer on the on side.
+/// `trace` also arms the span tracer on the on side.
 template <typename Fn>
 PairedTiming time_telemetry(bool trace, Fn&& fn) {
   const auto on = [&] {
     obs::registry().reset();
     obs::set_enabled(true);
     obs::flight().arm();
-    if (trace) obs::tracer().start();
+    if (trace) obs::tracer().arm(obs::Recorder::kUnbounded);
     const double seconds = fn();
-    if (trace) obs::tracer().stop();
+    if (trace) obs::tracer().disarm();
     obs::flight().disarm();
     obs::set_enabled(false);
     obs::registry().reset();

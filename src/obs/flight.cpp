@@ -1,10 +1,7 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 
 #include "obs/metrics.h"
@@ -12,126 +9,100 @@
 
 namespace deepmc::obs {
 
-namespace {
-
-// Enough shards that pool workers and serve sessions rarely share one;
-// shard choice is thread id, so a single thread's events never race.
-constexpr size_t kShards = 16;
-
-}  // namespace
-
-struct FlightRecorder::Impl {
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<FlightEvent> ring;  ///< grows lazily up to `cap`, then wraps
-    size_t next = 0;                ///< ring write position once full
-    size_t cap = 0;                 ///< per-shard bound (= global capacity)
-  };
-
-  std::atomic<uint64_t> seq{0};
-  size_t capacity = 0;
-  std::chrono::steady_clock::time_point t0;
-  std::array<Shard, kShards> shards;
-};
-
-FlightRecorder::FlightRecorder() : impl_(new Impl()) {}
-
-FlightRecorder& flight() {
-  static FlightRecorder* f = new FlightRecorder();  // leaked; see header
+Recorder& flight() {
+  static Recorder* f = new Recorder();  // leaked; see header
   return *f;
 }
 
-void FlightRecorder::arm(size_t capacity) {
-  armed_.store(false, std::memory_order_release);
-  if (capacity == 0) capacity = 1;
-  // Every shard may hold up to the full budget (grown lazily, so memory
-  // tracks what was actually recorded): a single-threaded process keeps
-  // its last `capacity` events even though it only ever touches one
-  // shard. The merged view trims to the newest `capacity` globally.
-  for (Impl::Shard& s : impl_->shards) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.ring.clear();
-    s.ring.shrink_to_fit();
-    s.next = 0;
-    s.cap = capacity;
-  }
-  impl_->capacity = capacity;
-  impl_->seq.store(0, std::memory_order_relaxed);
-  impl_->t0 = std::chrono::steady_clock::now();
+void Recorder::arm(size_t capacity) {
+  disarm();
+  capacity_.store(capacity, std::memory_order_relaxed);
+  t0_.store(std::chrono::steady_clock::now(), std::memory_order_relaxed);
   armed_.store(true, std::memory_order_release);
 }
 
-void FlightRecorder::disarm() {
+void Recorder::disarm() {
   armed_.store(false, std::memory_order_release);
-  for (Impl::Shard& s : impl_->shards) {
+  for (Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    s.ring.clear();
-    s.ring.shrink_to_fit();
+    s.n = 0;
     s.next = 0;
-    s.cap = 0;
   }
-  impl_->capacity = 0;
+  seq_.store(0, std::memory_order_relaxed);
 }
 
-size_t FlightRecorder::capacity() const { return impl_->capacity; }
+double Recorder::now_us() const {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() -
+             t0_.load(std::memory_order_relaxed))
+      .count();
+}
 
-void FlightRecorder::record_args(const char* kind,
-                                 std::span<const Arg> args) {
+std::pair<std::unique_lock<std::mutex>, Event*> Recorder::claim(
+    const char* name, const char* cat, double ts_us, double dur_us) {
   const uint32_t tid = thread_tid();
-  Impl::Shard& s = impl_->shards[tid % kShards];
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.cap == 0) return;  // disarmed concurrently
-  FlightEvent* e = nullptr;
-  if (s.ring.size() < s.cap) {
-    e = &s.ring.emplace_back();
-  } else {
-    // Overwrite the oldest slot in place: Args::assign reuses its buffer.
-    e = &s.ring[s.next];
-    s.next = (s.next + 1) % s.cap;
-  }
+  Shard& s = shards_[tid % kShards];
+  std::unique_lock<std::mutex> lock(s.mu);
+  if (!armed_.load(std::memory_order_acquire))  // disarmed concurrently
+    return {std::move(lock), nullptr};
+  // Each shard keeps up to the full capacity, so a single-threaded
+  // process keeps its last `capacity` events; events() trims the merged
+  // view to the newest `capacity` overall.
+  const size_t cap = capacity_.load(std::memory_order_relaxed);
+  if (s.next == s.slots.size()) s.slots.emplace_back();
+  Event* e = &s.slots[s.next];
+  if (cap == kUnbounded || s.n < cap) ++s.n;
+  s.next = s.next + 1 == cap ? 0 : s.next + 1;
   // The seq is taken under the shard lock: threads sharing a shard (every
   // unlabeled thread has tid 0) then insert in seq order, so a wrapping
   // ring always evicts the shard's oldest event, never a newer one.
-  e->seq = impl_->seq.fetch_add(1, std::memory_order_relaxed);
-  e->ms = std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - impl_->t0)
-              .count();
+  e->seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  e->ts_us = ts_us;
+  e->dur_us = dur_us;
   e->tid = tid;
-  e->kind = kind;
-  e->args.assign(args);
+  e->name = name;
+  e->cat = cat;
+  return {std::move(lock), e};
 }
 
-std::vector<FlightEvent> FlightRecorder::events() const {
-  std::vector<FlightEvent> out;
-  for (const Impl::Shard& s : impl_->shards) {
+void Recorder::record_args(const char* name, std::span<const Arg> args) {
+  // Overwriting a used slot in place: Args::assign reuses its buffer.
+  auto [lock, e] = claim(name, "", now_us(), 0);
+  if (e) e->args.assign(args);
+}
+
+void Recorder::record(const char* name, const char* cat, double ts_us,
+                      double dur_us, Args&& args) {
+  auto [lock, e] = claim(name, cat, ts_us, dur_us);
+  if (e) e->args = std::move(args);
+}
+
+std::vector<Event> Recorder::events() const {
+  std::vector<Event> out;
+  for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    out.insert(out.end(), s.ring.begin(), s.ring.end());
+    out.insert(out.end(), s.slots.begin(),
+               s.slots.begin() + static_cast<ptrdiff_t>(s.n));
   }
   std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.seq < b.seq;
-            });
-  // Each shard bounds itself at the full budget, so the merged view can
-  // exceed it when several threads recorded; trim to the newest
-  // `capacity` so the contract — "the last N, in seq order" — holds
-  // regardless of how events landed on shards.
-  if (impl_->capacity > 0 && out.size() > impl_->capacity)
-    out.erase(out.begin(),
-              out.end() - static_cast<ptrdiff_t>(impl_->capacity));
+            [](const Event& a, const Event& b) { return a.seq < b.seq; });
+  const size_t cap = capacity_.load(std::memory_order_relaxed);
+  if (cap != kUnbounded && out.size() > cap)
+    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(cap));
   return out;
 }
 
-void FlightRecorder::dump_jsonl(std::ostream& os) const {
+void Recorder::dump_jsonl(std::ostream& os) const {
   std::string line;
-  for (const FlightEvent& e : events()) {
+  for (const Event& e : events()) {
     line.assign("{\"seq\": ");
     line += std::to_string(e.seq);
     line += ", \"ms\": ";
-    append_fixed3(line, e.ms);
+    append_fixed3(line, e.ts_us / 1000);
     line += ", \"tid\": ";
     line += std::to_string(e.tid);
     line += ", \"kind\": ";
-    json_quote_append(line, e.kind);
+    json_quote_append(line, e.name);
     if (!e.args.empty()) {
       line += ", \"detail\": ";
       e.args.append_json(line);
@@ -141,7 +112,7 @@ void FlightRecorder::dump_jsonl(std::ostream& os) const {
   }
 }
 
-bool FlightRecorder::dump_file(const std::string& path) const {
+bool Recorder::dump_file(const std::string& path) const {
   std::ofstream f(path, std::ios::binary);
   if (!f.good()) return false;
   dump_jsonl(f);

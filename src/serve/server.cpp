@@ -222,9 +222,9 @@ int serve_stream(AnalysisService& service, int in_fd, int out_fd,
       // active; with a ring capacity set the daemon keeps only the
       // newest spans, so this is cheap to poll.
       std::ostringstream os;
-      obs::tracer().write(os);
+      obs::tracer().write_trace(os);
       resp.meta = std::string("{\"active\": ") +
-                  (obs::tracer().active() ? "true" : "false") + "}";
+                  (obs::tracer().armed() ? "true" : "false") + "}";
       resp.body = os.str();
     } else if (op == "flight") {
       std::ostringstream os;
@@ -523,10 +523,7 @@ int serve_cli(int argc, char** argv) {
   // opens three (accept, request, cache lookup).
   if (!no_telemetry) obs::set_enabled(true);
   if (!no_telemetry || !flight_out.empty()) obs::flight().arm();
-  if (trace_ring > 0) {
-    obs::tracer().set_ring_capacity(static_cast<size_t>(trace_ring));
-    obs::tracer().start();
-  }
+  if (trace_ring > 0) obs::tracer().arm(static_cast<size_t>(trace_ring));
   AnalysisService service(std::move(sopts));
   int rc = 0;
   if (use_stdin) {

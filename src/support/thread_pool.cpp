@@ -57,15 +57,18 @@ obs::Histogram& task_run_us() {
 }
 
 /// Busy-time counter for the calling thread, keyed by its stable label
-/// (tid 0 = main/external, workers carry their pool index).
-obs::Counter worker_busy_counter() {
-  const uint32_t tid = obs::thread_tid();
-  const std::string name =
-      tid == 0 ? "pool.worker_busy_us.main"
-               : "pool.worker_busy_us.worker-" + std::to_string(tid - 1);
-  return obs::registry().counter(
-      name, obs::Volatility::kVolatile,
-      "microseconds this thread spent running pool tasks");
+/// (tid 0 = main/external, workers carry their pool index). Looked up once
+/// per thread: a worker takes its label before it runs its first task.
+obs::Counter& worker_busy_counter() {
+  thread_local obs::Counter c = [] {
+    const uint32_t tid = obs::thread_tid();
+    return obs::registry().counter(
+        tid == 0 ? "pool.worker_busy_us.main"
+                 : "pool.worker_busy_us.worker-" + std::to_string(tid - 1),
+        obs::Volatility::kVolatile,
+        "microseconds this thread spent running pool tasks");
+  }();
+  return c;
 }
 
 /// Wrap a task so its queue wait, run time and span are recorded. Only

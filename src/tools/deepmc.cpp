@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   const bool obs_on = stats || !metrics_out.empty() || !prom_out.empty() ||
                       !trace_out.empty() || !flight_out.empty();
   if (obs_on) obs::set_enabled(true);
-  if (!trace_out.empty()) obs::tracer().start();
+  if (!trace_out.empty()) obs::tracer().arm(obs::Recorder::kUnbounded);
   // Flight recorder: cheap enough to arm with any sink on. --flight-out
   // dumps unconditionally; otherwise only a 65/66 exit leaves a
   // post-mortem file (clean runs leave nothing behind).
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
         return finish(kExitError);
       }
     }
-    if (!trace_out.empty() && !obs::tracer().write_file(trace_out)) {
+    if (!trace_out.empty() && !obs::tracer().write_trace_file(trace_out)) {
       std::fprintf(stderr, "deepmc: cannot write %s\n", trace_out.c_str());
       return finish(kExitError);
     }

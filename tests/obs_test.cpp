@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -219,7 +220,7 @@ TEST(ObsFlight, RingKeepsLastKInOrder) {
   // scheduling-dependent (single recording thread here).
   obs::flight().arm(/*capacity=*/8);
   for (int i = 0; i < 20; ++i) obs::flight().record("test.ring", {{"i", i}});
-  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  const std::vector<obs::Event> events = obs::flight().events();
   ASSERT_EQ(events.size(), 8u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, 12 + i);  // newest 8 of seq 0..19
@@ -247,7 +248,7 @@ TEST(ObsFlight, ConcurrentWraparoundKeepsNewestCapacity) {
     });
   for (auto& t : threads) t.join();
 
-  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  const std::vector<obs::Event> events = obs::flight().events();
   ASSERT_EQ(events.size(), kCap);
   constexpr uint64_t kTotal = kThreads * kPerThread;
   for (size_t i = 0; i < events.size(); ++i) {
@@ -287,10 +288,10 @@ TEST(ObsFlight, RearmResetsSequenceAndClock) {
   obs::flight().record("test.first");
   obs::flight().arm(4);  // restart drops prior events, re-zeros seq
   obs::flight().record("test.second");
-  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  const std::vector<obs::Event> events = obs::flight().events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].seq, 0u);
-  EXPECT_STREQ(events[0].kind, "test.second");
+  EXPECT_STREQ(events[0].name, "test.second");
   obs::flight().disarm();
 }
 
@@ -329,13 +330,40 @@ TEST(ObsFlight, ReusedSlotRendersOnlyItsOwnArgs) {
                        {{"a", kLongValue}, {"b", 7}, {"c", "third"}});
   obs::flight().record("test.filler");
   obs::flight().record("test.narrow", {{"only", "x"}});
-  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  const std::vector<obs::Event> events = obs::flight().events();
   obs::flight().disarm();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[1].kind, "test.narrow");
+  EXPECT_STREQ(events[1].name, "test.narrow");
   std::string detail;
   events[1].args.append_json(detail);
   EXPECT_EQ(detail, "{\"only\": \"x\"}");
+}
+
+TEST(ObsFlight, RearmWithSmallerCapacityKeepsOnlyNewEvents) {
+  // arm() keeps the slots of the previous arming for reuse: re-armed at
+  // capacity 2, the ring wraps at 2 although 8 slots exist, the seq
+  // restarts at 0, and no reused slot shows its old event's args.
+  obs::flight().arm(8);
+  for (int i = 0; i < 8; ++i)
+    obs::flight().record("test.old", {{"a", kLongValue},
+                                      {"b", i},
+                                      {"c", kEscValue},
+                                      {"d", 2.5}});
+  obs::flight().arm(2);
+  obs::flight().record("test.new0", {{"only", "x"}});
+  obs::flight().record("test.new1");
+  obs::flight().record("test.new2", {{"n", 7}});
+  const std::vector<obs::Event> events = obs::flight().events();
+  obs::flight().disarm();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].seq, 1u);
+  EXPECT_EQ(events[1].seq, 2u);
+  EXPECT_STREQ(events[0].name, "test.new1");
+  EXPECT_STREQ(events[1].name, "test.new2");
+  EXPECT_TRUE(events[0].args.empty());
+  std::string detail;
+  events[1].args.append_json(detail);
+  EXPECT_EQ(detail, "{\"n\": 7}");
 }
 
 TEST(ObsFlight, LongAndEscapedValuesComeBackWhole) {
@@ -356,39 +384,38 @@ TEST(ObsFlight, LongAndEscapedValuesComeBackWhole) {
 
 TEST(ObsTracer, SpansAreFreeWhenInactive) {
   // No tracer started: spans, with or without args, record nothing.
-  EXPECT_FALSE(obs::tracer().active());
+  EXPECT_FALSE(obs::tracer().armed());
   { obs::Span s("test.span", "test"); }
   { obs::Span s("test.span", "test", {{"k", "v"}, {"n", 1.5}}); }
   std::ostringstream os;
-  obs::tracer().write(os);
+  obs::tracer().write_trace(os);
   EXPECT_EQ(os.str().find("test.span"), std::string::npos);
 }
 
 TEST(ObsTracer, RecordsAndDiscardsSpans) {
   obs::set_enabled(true);
-  obs::tracer().start();
+  obs::tracer().arm(obs::Recorder::kUnbounded);
   {
     obs::Span s("test.traced", "test", {{"root", "main"}});
   }
   std::ostringstream os;
-  obs::tracer().write(os);
+  obs::tracer().write_trace(os);
   const std::string out = os.str();
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(out.find("\"test.traced\""), std::string::npos);
   EXPECT_NE(out.find("\"root\": \"main\""), std::string::npos);
-  obs::tracer().stop();  // discards
+  obs::tracer().disarm();  // discards
   obs::set_enabled(false);
   std::ostringstream os2;
-  obs::tracer().write(os2);
+  obs::tracer().write_trace(os2);
   EXPECT_EQ(os2.str().find("test.traced"), std::string::npos);
 }
 
 TEST(ObsTracer, RingCapacityKeepsRecentSpans) {
-  // A long-lived daemon bounds each thread's span buffer; only the
-  // newest spans survive, and time-sorting makes rotation invisible.
+  // A long-lived daemon bounds its span ring; only the newest spans
+  // survive, and time-sorting makes rotation invisible.
   obs::set_enabled(true);
-  obs::tracer().set_ring_capacity(4);
-  obs::tracer().start();
+  obs::tracer().arm(4);
   // Span/event names require static storage duration (the tracer keeps
   // the pointer, like the Span class does with its literal names).
   static const char* kNames[10] = {
@@ -397,9 +424,8 @@ TEST(ObsTracer, RingCapacityKeepsRecentSpans) {
   for (int i = 0; i < 10; ++i)
     obs::tracer().record(kNames[i], "test", obs::tracer().now_us(), 1.0);
   std::ostringstream os;
-  obs::tracer().write(os);
-  obs::tracer().stop();
-  obs::tracer().set_ring_capacity(0);
+  obs::tracer().write_trace(os);
+  obs::tracer().disarm();
   obs::set_enabled(false);
   const std::string out = os.str();
   for (int i = 0; i < 6; ++i)
@@ -412,7 +438,7 @@ TEST(ObsTracer, RingCapacityKeepsRecentSpans) {
 
 TEST(ObsTracer, ArgsComeBackWholeAndExact) {
   obs::set_enabled(true);
-  obs::tracer().start();
+  obs::tracer().arm(obs::Recorder::kUnbounded);
   {
     obs::Span s("test.args", "test",
                 {{"long", std::string(kLongValue)},
@@ -421,8 +447,8 @@ TEST(ObsTracer, ArgsComeBackWholeAndExact) {
                  {"min", INT64_MIN}});
   }
   std::ostringstream os;
-  obs::tracer().write(os);
-  obs::tracer().stop();
+  obs::tracer().write_trace(os);
+  obs::tracer().disarm();
   obs::set_enabled(false);
   EXPECT_NE(os.str().find("\"args\": {\"long\": \"" + kLongValue +
                           "\", \"esc\": " + kEscJson +
@@ -430,6 +456,71 @@ TEST(ObsTracer, ArgsComeBackWholeAndExact) {
                           "\"min\": -9223372036854775808}}"),
             std::string::npos)
       << os.str();
+}
+
+TEST(ObsTracer, RingKeepsNewestSpansAcrossThreads) {
+  // --trace-ring N keeps the newest N spans overall, not N per thread:
+  // two labeled threads (two shards) take turns, and the merged ring
+  // holds exactly the newest N in record order.
+  obs::set_enabled(true);
+  obs::tracer().arm(4);
+  static const char* kNames[9] = {"a0", "a1", "a2", "b0", "b1",
+                                  "b2", "a3", "a4", "a5"};
+  const auto record_on = [](uint32_t tid, const char* label, int from,
+                            int to) {
+    std::thread([=] {
+      obs::set_thread_label(tid, label);
+      for (int i = from; i < to; ++i)
+        obs::tracer().record(kNames[i], "test", obs::tracer().now_us(), 1.0);
+    }).join();
+  };
+  record_on(1001, "test-a", 0, 3);
+  record_on(1002, "test-b", 3, 6);
+  record_on(1001, "test-a", 6, 9);
+  const std::vector<obs::Event> events = obs::tracer().events();
+  obs::tracer().disarm();
+  obs::set_enabled(false);
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, 5 + i);
+    EXPECT_STREQ(events[i].name, kNames[5 + i]);
+    EXPECT_EQ(events[i].tid, i == 0 ? 1002u : 1001u);
+  }
+}
+
+TEST(ObsTracer, WriteWhileRecordingIsRaceFree) {
+  // `DMRQ trace` on a daemon started with --trace-ring writes the trace
+  // while its sessions keep recording spans; under TSan
+  // (scripts/check.sh --tsan) this must run clean.
+  obs::set_enabled(true);
+  obs::tracer().arm(16);
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 2; ++t)
+    recorders.emplace_back([&started, &stop] {
+      started.fetch_add(1);
+      for (int i = 0; !stop.load(); ++i)
+        obs::Span s("test.live", "test", {{"i", i}});
+    });
+  while (started.load() < 2) std::this_thread::yield();
+  std::string last;
+  for (int i = 0; i < 100; ++i) {
+    std::ostringstream os;
+    obs::tracer().write_trace(os);
+    last = os.str();
+  }
+  stop.store(true);
+  for (auto& t : recorders) t.join();
+  obs::tracer().disarm();
+  obs::set_enabled(false);
+  size_t spans = 0;
+  for (size_t pos = 0; (pos = last.find("\"ph\": \"X\"", pos)) !=
+                       std::string::npos;
+       ++pos)
+    ++spans;
+  EXPECT_LE(spans, 16u);
+  EXPECT_EQ(last.substr(last.size() - 4), "\n]}\n");
 }
 
 // ===========================================================================
@@ -571,6 +662,22 @@ TEST(ObsCli, TraceOutIsLoadableChromeTraceJson) {
         "\"trace.collect\"", "\"root.check\"", "\"crashsim.enumerate\"",
         "\"pool.task\"", "\"thread_name\"", "\"worker-0\"", "\"ph\": \"X\""})
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
+}
+
+TEST(ObsCli, StatsListEachWorkersBusyTime) {
+  // Each pool thread publishes its busy time under its own label; the
+  // handle is resolved once per thread, not per task.
+  std::string cmd = std::string("{ \"") + DEEPMC_BIN +
+                    "\" --crashsim --jobs 2 --stats";
+  for (const char* m : {"pmdk/btree_map", "pmdk/hashmap_atomic", "pmfs/symlink",
+                        "mnemosyne/chhash", "nvmdirect/nvm_heap"})
+    cmd += std::string(" --corpus ") + m;
+  cmd += " 2>&1 >/dev/null; }";
+  auto [stats, exit_code] = run_command(cmd);
+  ASSERT_GE(exit_code, 0) << cmd;
+  ASSERT_LT(exit_code, 64) << cmd;
+  EXPECT_NE(stats.find("pool.worker_busy_us.worker-0"), std::string::npos)
+      << stats;
 }
 
 TEST(ObsCli, ReportByteIdenticalWithObservabilityOn) {

@@ -1508,16 +1508,14 @@ TEST(ServeTelemetry, MetricsFormatsAndUnknownFormat) {
 
 TEST(ServeTelemetry, TraceVerbReturnsSpansTaggedWithRequestId) {
   ObsOn obs_on;
-  obs::tracer().set_ring_capacity(256);
-  obs::tracer().start();
+  obs::tracer().arm(256);
   AnalysisService service(cached_opts(fresh_dir("traceverb")));
   auto frame = analyze_frame("tworoots", kTwoRoots);
   frame.header = "{\"op\": \"analyze\", \"id\": \"my-req\", "
                  "\"name\": \"tworoots\", \"format\": \"json\"}";
   const auto resps = run_stream(
       service, {frame, op_frame("{\"op\": \"trace\"}")}, "traceverb");
-  obs::tracer().stop();
-  obs::tracer().set_ring_capacity(0);
+  obs::tracer().disarm();
   ASSERT_EQ(resps.size(), 2u);
   EXPECT_EQ(resps[1].status, 0u);
   EXPECT_TRUE(
@@ -1526,6 +1524,22 @@ TEST(ServeTelemetry, TraceVerbReturnsSpansTaggedWithRequestId) {
   EXPECT_NE(resps[1].body.find("serve.request"), std::string::npos);
   EXPECT_NE(resps[1].body.find("serve.accept"), std::string::npos);
   EXPECT_NE(resps[1].body.find("my-req"), std::string::npos);
+}
+
+TEST(ServeTelemetry, TraceVerbSaysWhetherTracingIsActive) {
+  // A daemon started without --trace-ring still answers the trace verb:
+  // an empty window, and "active": false in the meta.
+  ObsOn obs_on;
+  obs::tracer().disarm();
+  AnalysisService service(cached_opts(fresh_dir("traceoff")));
+  const auto resps =
+      run_stream(service, {op_frame("{\"op\": \"trace\"}")}, "traceoff");
+  ASSERT_EQ(resps.size(), 1u);
+  EXPECT_EQ(resps[0].status, 0u);
+  const auto active = serve::json_bool_field(resps[0].meta, "active");
+  ASSERT_TRUE(active.has_value()) << resps[0].meta;
+  EXPECT_FALSE(*active);
+  EXPECT_EQ(resps[0].body.find("\"ph\": \"X\""), std::string::npos);
 }
 
 TEST(ServeTelemetry, FlightVerbReturnsRecentEvents) {
@@ -1605,10 +1619,10 @@ TEST(ServeTelemetry, DrainEventDetailIsJson) {
   AnalysisService service(cached_opts(""));
   serve::ServeDaemon daemon(service, {});
   daemon.begin_drain("shutdown");
-  const std::vector<obs::FlightEvent> events = obs::flight().events();
+  const std::vector<obs::Event> events = obs::flight().events();
   obs::flight().disarm();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].kind, "serve.drain");
+  EXPECT_STREQ(events[0].name, "serve.drain");
   std::string detail;
   events[0].args.append_json(detail);
   EXPECT_EQ(detail, "{\"reason\": \"shutdown\"}");
