@@ -331,11 +331,12 @@ int run_resilience_overhead(const Gate& gate, const Flags& flags) {
 //
 // "On" is the configuration a live daemon runs with: the metrics registry
 // and the flight recorder armed, plus the span tracer for analyze (daemons
-// keep tracing opt-in). A metric is a relaxed fetch_add into a
-// thread-local shard, and a span or flight event takes one uncontended
-// shard mutex of its recorder (src/obs/flight.h), so each scenario must
-// stay within `bound` percent. The load scenario's two clock reads per op
-// are a documented feature cost, not telemetry, so they run on both sides.
+// keep tracing opt-in). A metric is a relaxed fetch_add into the
+// registry shard its thread id picks, and a span or flight event takes
+// that shard's mutex in its recorder (src/obs/flight.h), so each
+// scenario must stay within `bound` percent. The load scenario's two
+// clock reads per op are a documented feature cost, not telemetry, so
+// they run on both sides.
 //
 // An iteration is one corpus pass, one 1200-request loop or one load run;
 // before each, the on side resets the registry and arms the flight

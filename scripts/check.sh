@@ -9,8 +9,8 @@
 #   scripts/check.sh --tsan       TSan build (the tsan presets) of the
 #                                 thread-pool / parallel-driver / serve /
 #                                 runtime-checker / load-engine /
-#                                 telemetry-recorder (flight recorder,
-#                                 span tracer) tests only
+#                                 metrics-registry / telemetry-recorder
+#                                 (flight recorder, span tracer) tests only
 #   scripts/check.sh --san        ASan+UBSan build (the asan presets): parser
 #                                 fuzz, resilience, PM-substrate (pool,
 #                                 event log, enumerator, fault sweep),
@@ -21,9 +21,10 @@
 #                                 decoding), serve transport (frame
 #                                 reads, length bounds, endpoints), serve
 #                                 key (word-at-a-time hasher, source-span
-#                                 root keys) and telemetry-recorder
-#                                 (flight ring, span tracer, serve
-#                                 telemetry verbs) tests,
+#                                 root keys), metrics-registry (shards,
+#                                 gauges) and telemetry-recorder (flight
+#                                 ring, span tracer, serve telemetry
+#                                 verbs) tests,
 #                                 then the deepmc binary over the hostile
 #                                 parser corpus and the example programs
 #   scripts/check.sh --obs        observability identity pass only: every
@@ -55,8 +56,9 @@ run_tier1() {
 run_tsan() {
   # The tsan presets hold the pass's build targets (the pool, the parallel
   # driver with and without crash-state enumeration, serve, the runtime
-  # checker directly and under the multi-threaded load engine, the flight
-  # recorder and span tracer, and the binary the golden/CLI tests drive)
+  # checker directly and under the multi-threaded load engine, the metrics
+  # registry, the flight recorder and span tracer, and the binary the
+  # golden/CLI tests drive)
   # and its test filter.
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"

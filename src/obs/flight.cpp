@@ -41,7 +41,7 @@ double Recorder::now_us() const {
 std::pair<std::unique_lock<std::mutex>, Event*> Recorder::claim(
     const char* name, const char* cat, double ts_us, double dur_us) {
   const uint32_t tid = thread_tid();
-  Shard& s = shards_[tid % kShards];
+  Shard& s = shards_[shard_of(tid)];
   std::unique_lock<std::mutex> lock(s.mu);
   if (!armed_.load(std::memory_order_acquire))  // disarmed concurrently
     return {std::move(lock), nullptr};

@@ -14,12 +14,12 @@
 // Recording discipline mirrors the rest of src/obs/:
 //
 //  * disarmed (the default) every record() is one relaxed atomic load;
-//  * armed, record() takes one shard mutex (shard picked by thread id, so
-//    unrelated workers never contend) and copies the event's typed args
-//    (args.h) into the next slot of that shard's ring. arm() and disarm()
-//    drop the events but keep the slots, and an overwritten slot reuses
-//    its args buffer, so once a ring has been filled an event allocates
-//    nothing; JSON is rendered only by the two dumps;
+//  * armed, record() takes one shard mutex (obs::shard_of the thread id,
+//    so threads on different shards never contend) and copies the event's
+//    typed args (args.h) into the next slot of that shard's ring. arm()
+//    and disarm() drop the events but keep the slots, and an overwritten
+//    slot reuses its args buffer, so once a ring has been filled an event
+//    allocates nothing; JSON is rendered only by the two dumps;
 //  * a global atomic sequence number orders events across shards, so the
 //    merged view is deterministic for a deterministic event sequence:
 //    recording k+m events into capacity k keeps exactly the last k, in
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "obs/args.h"
+#include "obs/metrics.h"
 
 namespace deepmc::obs {
 
@@ -111,9 +112,10 @@ class Recorder {
   friend Recorder& tracer();
   Recorder() = default;
 
-  // Enough shards that pool workers and serve sessions rarely share one;
-  // shard choice is thread id, so a single thread's events never race.
-  static constexpr size_t kShards = 16;
+  // One ring per shard of the thread-keyed rule (obs::shard_of in
+  // metrics.h), which the metrics registry uses too. Pool workers and
+  // serve sessions have tids of their own, so they share a ring only when
+  // their tids are equal modulo kShards.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::vector<Event> slots;  ///< grown on demand, kept across arm()

@@ -31,18 +31,15 @@ std::map<uint32_t, std::string>& label_map() {
   return *m;
 }
 
-// --- shard space ------------------------------------------------------------
+// --- cell space -------------------------------------------------------------
 
 // Fixed capacity so recording never reallocates concurrently with reads:
 // a handle's cell index is valid for the life of the process and inc() is
 // a single relaxed fetch_add with no lock. Plenty for the pipeline's
 // metric set plus one busy-time counter per worker at --jobs 1024.
 constexpr size_t kShardCells = 4096;
-constexpr size_t kGaugeSlots = 512;
 
-struct Shard {
-  std::array<std::atomic<uint64_t>, kShardCells> cells{};
-};
+using Cells = std::array<std::atomic<uint64_t>, kShardCells>;
 
 }  // namespace
 
@@ -58,6 +55,11 @@ void set_thread_label(uint32_t tid, std::string name) {
 }
 
 uint32_t thread_tid() { return t_tid; }
+
+std::string thread_label() {
+  std::lock_guard<std::mutex> lock(label_mu());
+  return label_map().at(t_tid);
+}
 
 std::vector<std::pair<uint32_t, std::string>> thread_labels() {
   std::lock_guard<std::mutex> lock(label_mu());
@@ -78,9 +80,7 @@ struct Registry::Impl {
     std::string name, help;
     MetricKind kind = MetricKind::kCounter;
     Volatility vol = Volatility::kStable;
-    size_t cell = 0;       ///< counters/histograms: base cell index
-    size_t cells = 0;      ///< cell count
-    size_t gauge_slot = 0; ///< gauges only
+    size_t cell = 0;  ///< first of the metric's cells
     const HistogramDef* hist = nullptr;
   };
 
@@ -89,22 +89,24 @@ struct Registry::Impl {
   std::map<std::string, size_t> by_name;  ///< sorted — exposition order
   std::deque<HistogramDef> hist_defs;     ///< stable addresses for handles
   size_t next_cell = 0;
-  size_t next_gauge = 0;
-  std::vector<Shard*> live;
-  std::array<uint64_t, kShardCells> retired{};
-  std::vector<std::atomic<uint64_t>> gauges =
-      std::vector<std::atomic<uint64_t>>(kGaugeSlots);
+  /// Null until its first record, then kept for the process: a run with
+  /// telemetry off allocates no shard.
+  std::array<std::atomic<Cells*>, kShards> shards{};
 
-  size_t alloc_cells(size_t n) {
-    if (next_cell + n > kShardCells)
-      throw std::runtime_error("obs: metric cell space exhausted");
-    const size_t base = next_cell;
-    next_cell += n;
-    return base;
+  Cells& shard(size_t i) {
+    Cells* s = shards[i].load(std::memory_order_acquire);
+    if (s) return *s;
+    auto* made = new Cells();
+    if (shards[i].compare_exchange_strong(s, made, std::memory_order_acq_rel))
+      return *made;
+    delete made;  // another thread published this shard first
+    return *s;
   }
+  Cells& local() { return shard(shard_of(thread_tid())); }
 
+  /// The definition of `name`; a new metric gets `cells` fresh cells.
   Def& define(const std::string& name, MetricKind kind, Volatility vol,
-              std::string help) {
+              std::string help, size_t cells) {
     auto it = by_name.find(name);
     if (it != by_name.end()) {
       Def& d = defs[it->second];
@@ -113,69 +115,24 @@ struct Registry::Impl {
                                "' re-registered with a different kind");
       return d;
     }
-    defs.push_back(Def{name, std::move(help), kind, vol, 0, 0, 0, nullptr});
+    if (next_cell + cells > kShardCells)
+      throw std::runtime_error("obs: metric cell space exhausted");
+    defs.push_back(Def{name, std::move(help), kind, vol, next_cell, nullptr});
+    next_cell += cells;
     by_name.emplace(name, defs.size() - 1);
     return defs.back();
   }
 
   uint64_t cell_total(size_t cell) const {
-    uint64_t v = retired[cell];
-    for (const Shard* s : live)
-      v += s->cells[cell].load(std::memory_order_relaxed);
+    uint64_t v = 0;
+    for (const auto& slot : shards)
+      if (const Cells* s = slot.load(std::memory_order_acquire))
+        v += (*s)[cell].load(std::memory_order_relaxed);
     return v;
   }
 };
 
-namespace {
-
-Registry::Impl* g_impl = nullptr;
-
-/// Per-thread shard, registered with the global registry on first use and
-/// folded into the retired accumulator on thread exit. The registry is
-/// leaked, so this destructor is safe at any point during shutdown.
-struct ShardHandle {
-  Shard* shard = nullptr;
-  ~ShardHandle() {
-    if (!shard || !g_impl) return;
-    std::lock_guard<std::mutex> lock(g_impl->mu);
-    for (size_t i = 0; i < kShardCells; ++i)
-      g_impl->retired[i] += shard->cells[i].load(std::memory_order_relaxed);
-    auto& live = g_impl->live;
-    for (auto it = live.begin(); it != live.end(); ++it)
-      if (*it == shard) {
-        live.erase(it);
-        break;
-      }
-    delete shard;
-  }
-};
-thread_local ShardHandle t_shard;
-
-Shard& local_shard() {
-  if (!t_shard.shard) {
-    auto* s = new Shard();
-    {
-      std::lock_guard<std::mutex> lock(g_impl->mu);
-      g_impl->live.push_back(s);
-    }
-    t_shard.shard = s;
-  }
-  return *t_shard.shard;
-}
-
-}  // namespace
-
-Registry::Registry() : impl_(new Impl()) {
-  if (g_impl)
-    throw std::logic_error("obs: only the process-wide registry() exists");
-  g_impl = impl_;
-}
-
-Registry::~Registry() {
-  // Only the leaked singleton exists; never runs in practice.
-  g_impl = nullptr;
-  delete impl_;
-}
+Registry::Registry() : impl_(new Impl()) {}
 
 Registry& registry() {
   static Registry* r = new Registry();  // leaked; see header
@@ -185,27 +142,15 @@ Registry& registry() {
 Counter Registry::counter(const std::string& name, Volatility vol,
                           std::string help) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  Impl::Def& d = impl_->define(name, MetricKind::kCounter, vol,
-                               std::move(help));
-  if (d.cells == 0) {
-    d.cell = impl_->alloc_cells(1);
-    d.cells = 1;
-  }
-  return Counter(d.cell);
+  return Counter(
+      impl_->define(name, MetricKind::kCounter, vol, std::move(help), 1).cell);
 }
 
 Gauge Registry::gauge(const std::string& name, Volatility vol,
                       std::string help) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  Impl::Def& d = impl_->define(name, MetricKind::kGauge, vol,
-                               std::move(help));
-  if (d.cells == 0) {
-    if (impl_->next_gauge >= kGaugeSlots)
-      throw std::runtime_error("obs: gauge slot space exhausted");
-    d.gauge_slot = impl_->next_gauge++;
-    d.cells = 1;
-  }
-  return Gauge(d.gauge_slot);
+  return Gauge(
+      impl_->define(name, MetricKind::kGauge, vol, std::move(help), 1).cell);
 }
 
 Histogram Registry::histogram(const std::string& name, Volatility vol,
@@ -213,50 +158,43 @@ Histogram Registry::histogram(const std::string& name, Volatility vol,
                               std::vector<uint64_t> bounds) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   Impl::Def& d = impl_->define(name, MetricKind::kHistogram, vol,
-                               std::move(help));
-  if (d.cells == 0) {
-    impl_->hist_defs.push_back(HistogramDef{});
-    HistogramDef& hd = impl_->hist_defs.back();
-    hd.bounds = std::move(bounds);
-    hd.cell = impl_->alloc_cells(hd.bounds.size() + 2);
-    d.cell = hd.cell;
-    d.cells = hd.bounds.size() + 2;
-    d.hist = &hd;
-  }
+                               std::move(help), bounds.size() + 2);
+  if (!d.hist)
+    d.hist = &impl_->hist_defs.emplace_back(
+        HistogramDef{d.cell, std::move(bounds)});
   return Histogram(d.hist);
 }
 
 void Counter::inc(uint64_t n) {
   if (!enabled()) return;
-  local_shard().cells[cell_].fetch_add(n, std::memory_order_relaxed);
+  registry().impl_->local()[cell_].fetch_add(n, std::memory_order_relaxed);
 }
 
 void Gauge::set(uint64_t v) {
   if (!enabled()) return;
-  g_impl->gauges[slot_].store(v, std::memory_order_relaxed);
+  registry().impl_->shard(0)[cell_].store(v, std::memory_order_relaxed);
 }
 
 void Histogram::observe(uint64_t v) {
   if (!enabled()) return;
-  Shard& s = local_shard();
+  Cells& s = registry().impl_->local();
   const auto& bounds = def_->bounds;
   size_t i = 0;
   while (i < bounds.size() && v > bounds[i]) ++i;
   // i == bounds.size() -> overflow bucket.
-  s.cells[def_->cell + i].fetch_add(1, std::memory_order_relaxed);
-  s.cells[def_->cell + bounds.size() + 1].fetch_add(
-      v, std::memory_order_relaxed);
+  s[def_->cell + i].fetch_add(1, std::memory_order_relaxed);
+  s[def_->cell + bounds.size() + 1].fetch_add(v, std::memory_order_relaxed);
 }
 
 void Histogram::add(const HistogramValue& v) {
   if (!enabled()) return;
-  Shard& s = local_shard();
+  Cells& s = registry().impl_->local();
   const auto& bounds = def_->bounds;
   auto bucket_add = [&](uint64_t bound_value, uint64_t n) {
     if (n == 0) return;
     size_t i = 0;
     while (i < bounds.size() && bound_value > bounds[i]) ++i;
-    s.cells[def_->cell + i].fetch_add(n, std::memory_order_relaxed);
+    s[def_->cell + i].fetch_add(n, std::memory_order_relaxed);
   };
   for (size_t i = 0; i < v.bounds.size() && i < v.counts.size(); ++i)
     bucket_add(v.bounds[i], v.counts[i]);
@@ -264,8 +202,8 @@ void Histogram::add(const HistogramValue& v) {
   if (v.overflow > 0)
     bucket_add(bounds.empty() ? 0 : bounds.back() + 1, v.overflow);
   if (v.sum > 0)
-    s.cells[def_->cell + bounds.size() + 1].fetch_add(
-        v.sum, std::memory_order_relaxed);
+    s[def_->cell + bounds.size() + 1].fetch_add(v.sum,
+                                                std::memory_order_relaxed);
 }
 
 Snapshot Registry::snapshot() const {
@@ -275,13 +213,9 @@ Snapshot Registry::snapshot() const {
     const Impl::Def& d = impl_->defs[idx];
     switch (d.kind) {
       case MetricKind::kCounter:
-        out.counters.push_back(
-            {d.name, d.help, d.vol, impl_->cell_total(d.cell)});
-        break;
       case MetricKind::kGauge:
-        out.gauges.push_back(
-            {d.name, d.help, d.vol,
-             impl_->gauges[d.gauge_slot].load(std::memory_order_relaxed)});
+        (d.kind == MetricKind::kCounter ? out.counters : out.gauges)
+            .push_back({d.name, d.help, d.vol, impl_->cell_total(d.cell)});
         break;
       case MetricKind::kHistogram: {
         HistogramValue v;
@@ -304,11 +238,9 @@ Snapshot Registry::snapshot() const {
 }
 
 void Registry::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->retired.fill(0);
-  for (Shard* s : impl_->live)
-    for (auto& c : s->cells) c.store(0, std::memory_order_relaxed);
-  for (auto& g : impl_->gauges) g.store(0, std::memory_order_relaxed);
+  for (const auto& slot : impl_->shards)
+    if (Cells* s = slot.load(std::memory_order_acquire))
+      for (auto& c : *s) c.store(0, std::memory_order_relaxed);
 }
 
 // ===========================================================================

@@ -6,13 +6,15 @@
 //  1. Zero interference with analysis output. Metrics are a pure side
 //     channel: nothing here writes to stdout, and with observability off
 //     (the default) every hook reduces to one relaxed atomic load.
-//  2. Lock-cheap recording. Each thread owns a fixed-size shard of atomic
-//     cells; inc()/observe() are a relaxed fetch_add into the caller's
-//     shard, with no shared cacheline contention between workers. Shards
-//     of exited threads are folded into a retired accumulator; snapshot()
-//     merges retired + live shards deterministically (sorted by metric
-//     name), so the exposition order never depends on registration or
-//     scheduling order.
+//  2. Lock-cheap recording. The registry keeps every metric cell in one
+//     store of kShards fixed-size shards of atomic cells, picked by the
+//     same shard_of(thread_tid()) rule as the event recorders (flight.h).
+//     A shard is made on its first record and kept for the process.
+//     inc()/observe() are a relaxed fetch_add into the caller's shard, so
+//     threads on different shards share no cacheline; a gauge is one
+//     cell that only shard 0 holds, last write wins. snapshot() sums each
+//     cell over the shards that exist, sorted by metric name, so the
+//     exposition order never depends on registration or scheduling order.
 //  3. Deterministic exposition. Every metric declares a Volatility:
 //     kStable values are pure functions of the analyzed inputs (identical
 //     across runs and across --jobs values), kVolatile values depend on
@@ -29,6 +31,7 @@
 //   c.inc();
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -43,12 +46,21 @@ void set_enabled(bool on);
 
 /// Stable identity of the calling thread for spans and per-worker
 /// metrics. Thread 0 is the main/external thread; pool workers register
-/// index+1 with their stable worker name ("worker-3"). The label map is
-/// global so the tracer can emit thread_name metadata.
+/// index+1 with their stable worker name ("worker-3"), and `deepmc serve`
+/// session i registers a tid past every worker's ("session-0"). The
+/// label map is global so the tracer can emit thread_name metadata.
 void set_thread_label(uint32_t tid, std::string name);
 uint32_t thread_tid();
+/// The calling thread's label ("main" until set_thread_label).
+std::string thread_label();
 /// Copy of the tid -> name map (tracer exposition).
 std::vector<std::pair<uint32_t, std::string>> thread_labels();
+
+/// Shard count of the thread-keyed stores: the registry's metric cells
+/// and each Recorder's rings. A thread records into shard_of(thread_tid()),
+/// so threads whose tids are equal modulo kShards share a shard.
+inline constexpr size_t kShards = 16;
+constexpr size_t shard_of(uint32_t tid) { return tid % kShards; }
 
 enum class Volatility : uint8_t {
   kStable,   ///< pure function of the inputs; identical across runs & --jobs
@@ -69,7 +81,7 @@ class Counter {
   size_t cell_;
 };
 
-/// Last-write-wins scalar (registry-level, not sharded); for
+/// Last-write-wins scalar (one cell, in shard 0 only); for
 /// configuration-shaped values set once per run (pool size, ...).
 class Gauge {
  public:
@@ -77,8 +89,8 @@ class Gauge {
 
  private:
   friend class Registry;
-  explicit Gauge(size_t slot) : slot_(slot) {}
-  size_t slot_;
+  explicit Gauge(size_t cell) : cell_(cell) {}
+  size_t cell_;
 };
 
 struct HistogramDef;
@@ -145,8 +157,6 @@ struct Snapshot {
 
 class Registry {
  public:
-  Registry();
-  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -157,26 +167,27 @@ class Registry {
   Histogram histogram(const std::string& name, Volatility vol,
                       std::string help, std::vector<uint64_t> bounds);
 
-  /// Deterministic merged view of all shards. Callers should quiesce
-  /// recording threads first (the CLI snapshots after the driver's pool
-  /// has been joined).
+  /// Deterministic merged view of all shards. A snapshot taken while
+  /// threads record is race-free but may miss their latest counts; the
+  /// CLI snapshots after the driver's pool has been joined.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Zero every value (definitions persist). Tests and benches isolate
   /// measurements with this.
   void reset();
 
-  struct Impl;  ///< public so the .cpp's thread-local shard machinery sees it
-
  private:
   friend class Counter;
   friend class Gauge;
   friend class Histogram;
+  friend Registry& registry();
+  Registry();
+  struct Impl;  ///< the definitions and the cell shards (metrics.cpp)
   Impl* impl_;
 };
 
-/// The process-wide registry (leaked on purpose so thread-local shard
-/// destructors can run at any point during shutdown).
+/// The process-wide registry, the only one (leaked on purpose, so
+/// recording stays safe at any point during shutdown).
 Registry& registry();
 
 /// Exact rank-based quantile over the fixed buckets: the smallest bucket

@@ -10,7 +10,7 @@
 // constructing a Span costs one relaxed atomic load and builds no string.
 // When armed, a Span copies its typed args (args.h) when it opens and
 // records itself into obs::tracer() when it closes, into the same
-// per-thread-sharded rings that hold flight events (flight.h);
+// thread-keyed rings that hold flight events (flight.h);
 // Recorder::write_trace() merges and time-sorts them and renders the args
 // as JSON.
 //

@@ -18,10 +18,15 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "support/flags.h"
 
 namespace deepmc::serve {
 
 namespace {
+
+// Session i's obs tid is kSessionTid0 + i, past the tids of pool workers
+// (worker i is i + 1, and a pool has at most kMaxJobs workers).
+constexpr uint64_t kSessionTid0 = support::kMaxJobs + 1;
 
 // Lazily registered, like the serve.* request metrics in service.cpp, so
 // binaries that never daemonize keep their metrics goldens unchanged.
@@ -274,7 +279,12 @@ int ServeDaemon::run() {
   std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill us
   workers_.reserve(opts_.max_sessions);
   for (size_t i = 0; i < opts_.max_sessions; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] {
+      // Each session gets a trace lane and busy-time counter of its own.
+      obs::set_thread_label(static_cast<uint32_t>(kSessionTid0 + i),
+                            "session-" + std::to_string(i));
+      worker_loop();
+    });
 
   std::vector<pollfd> pfds;
   pfds.push_back({wake_r_, POLLIN, 0});

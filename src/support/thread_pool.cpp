@@ -56,18 +56,14 @@ obs::Histogram& task_run_us() {
   return h;
 }
 
-/// Busy-time counter for the calling thread, keyed by its stable label
-/// (tid 0 = main/external, workers carry their pool index). Looked up once
-/// per thread: a worker takes its label before it runs its first task.
+/// Busy-time counter for the calling thread, named by its stable label
+/// ("main", "worker-3", a serve "session-0" running an inline pool).
+/// Looked up once per thread: a thread takes its label before it runs its
+/// first task.
 obs::Counter& worker_busy_counter() {
-  thread_local obs::Counter c = [] {
-    const uint32_t tid = obs::thread_tid();
-    return obs::registry().counter(
-        tid == 0 ? "pool.worker_busy_us.main"
-                 : "pool.worker_busy_us.worker-" + std::to_string(tid - 1),
-        obs::Volatility::kVolatile,
-        "microseconds this thread spent running pool tasks");
-  }();
+  thread_local obs::Counter c = obs::registry().counter(
+      "pool.worker_busy_us." + obs::thread_label(), obs::Volatility::kVolatile,
+      "microseconds this thread spent running pool tasks");
   return c;
 }
 

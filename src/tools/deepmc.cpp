@@ -182,8 +182,8 @@ int main(int argc, char** argv) {
   std::cout.flush();
 
   if (obs_on) {
-    // The driver's pool has been joined; every worker shard is retired, so
-    // the snapshot is complete and deterministic.
+    // The driver's pool has been joined, so every worker's counts are in
+    // the registry's shards and the snapshot is complete and deterministic.
     obs::Snapshot snap = obs::registry().snapshot();
     snap.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "support/thread_pool.h"
 
 namespace deepmc {
 namespace {
@@ -51,8 +53,11 @@ TEST(ObsRegistry, DisabledHooksRecordNothing) {
   obs::Counter c = obs::registry().counter(
       "test.disabled_total", obs::Volatility::kStable, "off-switch check");
   c.inc(42);
-  for (const auto& e : obs::registry().snapshot().counters)
-    if (e.name == "test.disabled_total") EXPECT_EQ(e.value, 0u);
+  for (const auto& e : obs::registry().snapshot().counters) {
+    if (e.name == "test.disabled_total") {
+      EXPECT_EQ(e.value, 0u);
+    }
+  }
 }
 
 TEST(ObsRegistry, ConcurrentIncrementsSumExactly) {
@@ -159,8 +164,11 @@ TEST(ObsRegistry, SnapshotIsSortedAndRereadable) {
                                             obs::Volatility::kStable, "a");
   a1.inc();
   a2.inc(2);
-  for (const auto& e : obs::registry().snapshot().counters)
-    if (e.name == "test.aaa_total") EXPECT_EQ(e.value, 3u);
+  for (const auto& e : obs::registry().snapshot().counters) {
+    if (e.name == "test.aaa_total") {
+      EXPECT_EQ(e.value, 3u);
+    }
+  }
 }
 
 TEST(ObsRegistry, StableJsonIsAPrefixOfFullJson) {
@@ -204,6 +212,86 @@ TEST(ObsRegistry, PrometheusExposition) {
   EXPECT_NE(out.find("deepmc_test_prom_hist_bucket{le=\"+Inf\"} 2"),
             std::string::npos);
   EXPECT_NE(out.find("deepmc_test_prom_hist_sum 6"), std::string::npos);
+}
+
+/// The snapshot value of the scalar metric `name` (0 when unregistered).
+uint64_t scalar_value(const std::string& name) {
+  const obs::Snapshot snap = obs::registry().snapshot();
+  for (const auto* list : {&snap.counters, &snap.gauges})
+    for (const auto& e : *list)
+      if (e.name == name) return e.value;
+  return 0;
+}
+
+TEST(ObsRegistry, GaugeKeepsTheLastWriteFromAnyThread) {
+  // A gauge is one cell that only shard 0 holds: two threads on shards of
+  // their own set it in turn, and the later value wins, not the sum.
+  ObsSession session;
+  obs::Gauge g = obs::registry().gauge("test.gauge", obs::Volatility::kStable,
+                                       "last write wins");
+  std::thread([&g] {
+    obs::set_thread_label(2001, "test-gauge-a");
+    g.set(7);
+  }).join();
+  std::thread([&g] {
+    obs::set_thread_label(2002, "test-gauge-b");
+    g.set(5);
+  }).join();
+  EXPECT_EQ(scalar_value("test.gauge"), 5u);
+  obs::registry().reset();
+  EXPECT_EQ(scalar_value("test.gauge"), 0u);
+}
+
+TEST(ObsRegistry, CountsOutliveThePoolsThatRecordedThem) {
+  // Shards belong to the registry, not to threads: three 4-worker pools
+  // come and go, and every count their workers made stays.
+  ObsSession session;
+  obs::Counter c = obs::registry().counter(
+      "test.pool_tasks_total", obs::Volatility::kStable, "tasks run");
+  for (int round = 0; round < 3; ++round) {
+    support::ThreadPool pool(4);
+    std::vector<std::future<void>> done;
+    for (int i = 0; i < 100; ++i)
+      done.push_back(pool.submit([&c] { c.inc(); }));
+    for (auto& f : done) f.get();
+  }
+  EXPECT_EQ(scalar_value("test.pool_tasks_total"), 300u);
+}
+
+TEST(ObsRegistry, SnapshotWhileRecordingIsRaceFree) {
+  // Four labeled threads make their shards and record into them while
+  // the main thread snapshots; under TSan (scripts/check.sh --tsan) this
+  // must run clean, and no count may be lost.
+  ObsSession session;
+  obs::Counter c = obs::registry().counter(
+      "test.live_total", obs::Volatility::kStable, "live incs");
+  obs::Histogram h = obs::registry().histogram(
+      "test.live_hist", obs::Volatility::kStable, "live observations",
+      {10, 100});
+  constexpr uint32_t kThreads = 4;
+  constexpr uint64_t kOps = 20000;
+  std::atomic<uint32_t> started{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      obs::set_thread_label(3001 + t, "test-live-" + std::to_string(t));
+      started.fetch_add(1);
+      for (uint64_t i = 0; i < kOps; ++i) {
+        c.inc();
+        h.observe(i % 200);
+      }
+    });
+  while (started.load() < kThreads) std::this_thread::yield();
+  for (int i = 0; i < 100; ++i) (void)obs::registry().snapshot();
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(scalar_value("test.live_total"), kThreads * kOps);
+  obs::HistogramValue v;
+  for (const auto& e : obs::registry().snapshot().histograms)
+    if (e.name == "test.live_hist") v = e.value;
+  EXPECT_EQ(v.count, kThreads * kOps);
+  // Each thread observes 0..199 kOps / 200 times over.
+  EXPECT_EQ(v.sum, kThreads * (kOps / 200) * (199 * 200 / 2));
 }
 
 TEST(ObsFlight, DisarmedRecordsNothing) {
@@ -252,7 +340,9 @@ TEST(ObsFlight, ConcurrentWraparoundKeepsNewestCapacity) {
   ASSERT_EQ(events.size(), kCap);
   constexpr uint64_t kTotal = kThreads * kPerThread;
   for (size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_LT(events[i - 1].seq, events[i].seq);
+    if (i > 0) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq);
+    }
     EXPECT_GE(events[i].seq, kTotal - kCap);
     EXPECT_LT(events[i].seq, kTotal);
   }

@@ -1760,6 +1760,63 @@ TEST(ServeFleet, TcpTransportMatchesUnixAndOneShot) {
   }
 }
 
+TEST(ServeTelemetry, EachSessionRecordsOnALaneOfItsOwn) {
+  // Two clients keep their connections open at once, so two session
+  // threads serve them. Each session is labeled with a tid past the pool
+  // workers', so its spans land on a trace lane of its own and never on
+  // tid 0, the main thread's lane.
+  obs::tracer().arm(obs::Recorder::kUnbounded);
+  AnalysisService service(cached_opts(fresh_dir("lanes")));
+  serve::DaemonOptions dopts;
+  dopts.max_sessions = 2;
+  const std::vector<std::string> ids = {"lane-a", "lane-b"};
+  {
+    FleetDaemon fleet(service, dopts, "lanes");
+    std::atomic<size_t> answered{0};
+    std::atomic<uint64_t> failures{0};
+    std::vector<std::thread> clients;
+    for (const std::string& id : ids)
+      clients.emplace_back([&, id] {
+        serve::ServeClient client(fleet.socket_path());
+        RequestFrame frame = analyze_frame("tworoots", kTwoRoots);
+        frame.header = "{\"op\": \"analyze\", \"id\": \"" + id +
+                       "\", \"name\": \"tworoots\", \"format\": \"json\"}";
+        for (int i = 0; i < 3; ++i) {
+          ResponseFrame resp;
+          std::string err;
+          if (!client.call(frame, &resp, &err) ||
+              resp.status != serve::kStatusOk)
+            ++failures;
+          // Both connections are open before either sends again.
+          answered.fetch_add(1);
+          while (answered.load() < ids.size()) std::this_thread::yield();
+        }
+      });
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0u);
+  }
+  const std::vector<obs::Event> events = obs::tracer().events();
+  obs::tracer().disarm();
+
+  std::map<std::string, std::set<uint32_t>> lanes;  // request id -> tids
+  for (const obs::Event& e : events) {
+    if (std::string_view(e.name) != "serve.accept") continue;
+    EXPECT_NE(e.tid, 0u) << "a session span on the main thread's lane";
+    std::string args;
+    e.args.append_json(args);
+    for (const std::string& id : ids)
+      if (args.find("\"" + id + "\"") != std::string::npos)
+        lanes[id].insert(e.tid);
+  }
+  ASSERT_EQ(lanes[ids[0]].size(), 1u);
+  ASSERT_EQ(lanes[ids[1]].size(), 1u);
+  EXPECT_NE(*lanes[ids[0]].begin(), *lanes[ids[1]].begin());
+  const auto labels = obs::thread_labels();
+  const std::map<uint32_t, std::string> names(labels.begin(), labels.end());
+  for (const std::string& id : ids)
+    EXPECT_EQ(names.at(*lanes[id].begin()).rfind("session-", 0), 0u) << id;
+}
+
 TEST(ServeFleet, DeadlineExpiryDegradesRequestNotDaemon) {
   // A 1 ms client deadline on a diamond-heavy module fires mid-analysis:
   // the response arrives promptly, flagged deadline_expired, degraded or
